@@ -16,7 +16,7 @@ from .state import (Configuration, ConfigurationClass, TangentBasis,
                     classify_configuration, consensus_configuration,
                     normalize_rows, numerical_rank, projection_matrix,
                     random_configuration, tangent_basis, unvec)
-from .dynamics import (IterationMatrix, TrajectoryResult, find_nonconsensus_fixed_point,
+from .dynamics import (TrajectoryResult, find_nonconsensus_fixed_point,
                        fixed_point_residual, iterate, normalization_diagonal,
                        potential, run, run_batch)
 from .stability import (DifferentialReport, StabilityClassification,

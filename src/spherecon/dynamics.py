@@ -12,44 +12,20 @@ from typing import Optional
 
 import numpy as np
 
-from .state import Configuration, ConfigurationClass, classify_configuration
-from .weights import DescentMatrix, WeightMatrix, descent_matrix
+from .state import Configuration, ConfigurationClass, as_array, classify_configuration
+from .weights import WeightMatrix, descent_matrix
 
 FP_TOL = 1e-12
 MAX_ITER = 10 ** 6
 _MIN_ROW_NORM = 1e-14
 
 
-@dataclass(frozen=True)
-class IterationMatrix:
-    """Matrix driving the iteration: either a weight matrix or a descent
-    matrix alpha*I - A. The only contract is that no row image of a
-    configuration may vanish; this is guaranteed analytically for strictly
-    diagonally dominant weight matrices and checked defensively otherwise.
-    """
-
-    entries: np.ndarray
-    kind: str  # "weight" | "descent"
-
-    @staticmethod
-    def from_weight(a: WeightMatrix) -> "IterationMatrix":
-        return IterationMatrix(a.entries, "weight")
-
-    @staticmethod
-    def from_descent(m: DescentMatrix) -> "IterationMatrix":
-        return IterationMatrix(m.entries, "descent")
-
-
-def _entries(m) -> np.ndarray:
-    if isinstance(m, IterationMatrix):
-        return m.entries
-    if isinstance(m, (WeightMatrix, DescentMatrix)):
-        return m.entries
-    return np.asarray(m, dtype=float)
-
-
 def _step(entries: np.ndarray, rows: np.ndarray):
-    """One update on raw rows; returns (new rows, row norms of entries@rows)."""
+    """One update on raw rows; returns (new rows, row norms of entries@rows).
+
+    A vanishing row image is impossible for strictly diagonally dominant
+    weight matrices; it is checked here whatever the matrix.
+    """
     z = entries @ rows
     norms = np.linalg.norm(z, axis=1)
     if norms.min() <= _MIN_ROW_NORM:
@@ -63,13 +39,13 @@ def _step(entries: np.ndarray, rows: np.ndarray):
 def iterate(m, c: Configuration) -> Configuration:
     """Apply the iteration map once: row i becomes the normalized i-th row of
     M X."""
-    rows, _ = _step(_entries(m), c.rows)
+    rows, _ = _step(as_array(m), c.rows)
     return Configuration(rows)
 
 
 def normalization_diagonal(m, c: Configuration) -> np.ndarray:
     """Diagonal of D(MX): the reciprocal row norms of M X."""
-    _, norms = _step(_entries(m), c.rows)
+    _, norms = _step(as_array(m), c.rows)
     return 1.0 / norms
 
 
@@ -119,7 +95,7 @@ def run(m, c0: Configuration, fp_tol: float = FP_TOL, max_iter: int = MAX_ITER,
     a_for_potential at every visited configuration."""
     if record_potential and a_for_potential is None:
         raise ValueError("record_potential requires a_for_potential")
-    entries = _entries(m)
+    entries = as_array(m)
     rows = c0.rows
     history = [] if record_potential else None
     ae = a_for_potential.entries if a_for_potential is not None else None
@@ -191,7 +167,7 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
 
 def fixed_point_residual(m, c: Configuration) -> float:
     """||f(x) - x||_2 for the iteration driven by m."""
-    rows, _ = _step(_entries(m), c.rows)
+    rows, _ = _step(as_array(m), c.rows)
     return float(np.linalg.norm(rows - c.rows))
 
 
@@ -207,8 +183,7 @@ def find_nonconsensus_fixed_point(a: WeightMatrix, c0: Configuration,
     (the latter need not be small), plus the limit's classification.
     """
     md = descent_matrix(a, slack)
-    res = run(IterationMatrix.from_descent(md), c0, fp_tol=fp_tol,
-              max_iter=max_iter, metadata=metadata)
+    res = run(md, c0, fp_tol=fp_tol, max_iter=max_iter, metadata=metadata)
     cls = classify_configuration(res.final)
     res_a = fixed_point_residual(a, res.final)
     return TrajectoryResult(

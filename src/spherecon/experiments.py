@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -209,7 +210,10 @@ def cmd_consensus_sweep(cfg: ExperimentConfig):
 
 def cmd_rank_table(cfg: ExperimentConfig):
     """Symmetric SDD matrices, descent iteration from random starts; tabulate
-    the numerical rank of the non-consensus limits for fixed (n, d)."""
+    the numerical rank of the non-consensus limits for fixed (n, d).
+
+    Only converged trajectories count as limits; a trial that reaches
+    max_iter is recorded as non-converged and left out of the table."""
     if cfg.symmetric is False:
         raise ValueError("rank-table requires symmetric weight matrices")
     if cfg.n is None or cfg.d is None:
@@ -226,9 +230,11 @@ def cmd_rank_table(cfg: ExperimentConfig):
             res = dynamics.find_nonconsensus_fixed_point(
                 a, c0, slack=cfg.slack, fp_tol=cfg.fp_tol, max_iter=cfg.max_iter)
             cls = classify_configuration(res.final, cfg.consensus_tol, cfg.rank_tol)
-            rank_counts[cls.rank] = rank_counts.get(cls.rank, 0) + 1
+            if res.converged:
+                rank_counts[cls.rank] = rank_counts.get(cls.rank, 0) + 1
+            kind = cls.kind if res.converged else "nonconverged"
             records.append(TrialRecord(t, tseed, n, d, graph_hash(g),
-                                       matrix_hash(a.entries), cls.kind, cls.rank,
+                                       matrix_hash(a.entries), kind, cls.rank,
                                        res.iterations, res.residual_weight,
                                        res.residual, float("nan")))
         except Exception as exc:
@@ -243,6 +249,7 @@ def cmd_rank_table(cfg: ExperimentConfig):
         "trials": cfg.trials,
         "rank_counts": {str(k): v for k, v in sorted(rank_counts.items())},
         "rank_frequencies": {str(k): v / total for k, v in sorted(rank_counts.items())},
+        "nonconverged": sum(r.klass == "nonconverged" for r in records),
         "errors": errors,
         "graph_model": cfg.graph,
         "edge_prob": cfg.edge_prob,
@@ -395,17 +402,26 @@ def cmd_pentagon_demo(out: Optional[str] = None) -> dict:
 # audit: instability certificates at descent-found fixed points (d >= 3)
 # --------------------------------------------------------------------------
 
+class DescentPoints(list):
+    """(weight matrix, limit configuration, trial index) triples, with
+    `counts`: the points requested, the trials run, and the trials whose
+    iteration hit a zero-norm row image."""
+
+    counts: dict
+
+
 def collect_descent_fixed_points(cfg: ExperimentConfig, count: int,
                                  require_rank_ge: int = 2,
-                                 a_residual_tol: float = 1e-9):
+                                 a_residual_tol: float = 1e-9) -> DescentPoints:
     """Run descent trials until `count` non-consensus limits that are also
-    fixed points of the plain weight iteration have been found. Yields
-    (weight matrix, limit configuration, trial index) triples."""
-    found = 0
-    t = 0
+    fixed points of the plain weight iteration have been found, or the trial
+    budget max(50 * count, 1000) is spent; a shortfall is warned of with a
+    RuntimeWarning."""
     out = []
+    t = 0
+    zero_norm = 0
     limit = max(50 * count, 1000)
-    while found < count and t < limit:
+    while len(out) < count and t < limit:
         try:
             g = _make_graph(cfg, cfg.n, True, derive_seed(cfg.seed, t, 1))
             a = sample_sdd(g, cfg.margin, True, derive_seed(cfg.seed, t, 2))
@@ -417,11 +433,15 @@ def collect_descent_fixed_points(cfg: ExperimentConfig, count: int,
                     and cls.rank >= require_rank_ge
                     and res.residual_weight <= a_residual_tol):
                 out.append((a, res.final, t))
-                found += 1
         except ZeroDivisionError:
-            pass
+            zero_norm += 1
         t += 1
-    return out
+    if len(out) < count:
+        warnings.warn(f"found {len(out)} of {count} descent fixed points in "
+                      f"{t} trials ({zero_norm} zero-norm)", RuntimeWarning)
+    points = DescentPoints(out)
+    points.counts = {"requested": count, "trials_run": t, "zero_norm_trials": zero_norm}
+    return points
 
 
 def cmd_stability_audit(cfg: ExperimentConfig, count: int = 100,
@@ -474,6 +494,7 @@ def cmd_stability_audit(cfg: ExperimentConfig, count: int = 100,
         "seed": cfg.seed,
         "n": cfg.n, "d": cfg.d,
         "fixed_points": len(points),
+        **points.counts,
         "unstable_certified": certified,
         "trace_matches": trace_matches,
         "escapes_to_consensus": escapes,
@@ -528,6 +549,7 @@ def cmd_jg_rank(cfg: ExperimentConfig, count: int = 50):
         "seed": cfg.seed,
         "n": cfg.n, "d": cfg.d,
         "fixed_points": len(points),
+        **points.counts,
         "nonsym_full_rank": full_rank_count,
         "rank_ge2_points": rank_ge2,
         "sym_deficiency_satisfied": deficiency_ok,

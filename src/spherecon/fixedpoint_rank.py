@@ -17,25 +17,17 @@ from typing import Optional
 import numpy as np
 
 from .graph import DirectedGraph, structure_matrix
-from .state import Configuration
+from .state import (Configuration, as_array, block_diagonal_matrix,
+                    tangent_projectors)
 from .weights import WeightMatrix
 
 RANK_RTOL = 1e-8
 
 
-def _as_matrix(a) -> np.ndarray:
-    return a.entries if isinstance(a, WeightMatrix) else np.asarray(a, dtype=float)
-
-
-def _as_rows(c) -> np.ndarray:
-    return c.rows if isinstance(c, Configuration) else np.asarray(c, dtype=float)
-
-
 def compute_D(a, c) -> np.ndarray:
     """Row norms of A X; the unique positive diagonal making the residual
     vanish when x is a fixed point."""
-    rows = _as_rows(c)
-    norms = np.linalg.norm(_as_matrix(a) @ rows, axis=1)
+    norms = np.linalg.norm(as_array(a) @ as_array(c), axis=1)
     if norms.min() <= 1e-14:
         raise ZeroDivisionError("a row image of the configuration vanishes")
     return norms
@@ -43,22 +35,20 @@ def compute_D(a, c) -> np.ndarray:
 
 def residual_g(a, dvec, c) -> np.ndarray:
     """(A ot I) x - (D ot I) x as an agent-major vector."""
-    rows = _as_rows(c)
+    rows = as_array(c)
     dvec = np.asarray(dvec, dtype=float)
-    return (_as_matrix(a) @ rows - dvec[:, None] * rows).reshape(-1)
+    return (as_array(a) @ rows - dvec[:, None] * rows).reshape(-1)
 
 
 def structure_masks(g: DirectedGraph):
-    """Diagonal 0/1 projection matrices (K_A, K_D) of size n^2 x n^2.
+    """Diagonals (k_A, k_D), as length-n^2 0/1 vectors, of the projections
+    K_A and K_D onto the free entries of a row-major vec(A).
 
-    K_A has the row-major flattening of the binary structure matrix on its
-    diagonal (the structure matrix carries a unit diagonal, so the
-    element-wise product of K_A and K_D is K_D). K_D selects the diagonal
-    positions.
+    k_A is the row-major flattening of the binary structure matrix (which
+    carries a unit diagonal, so the element-wise product of k_A and k_D is
+    k_D). k_D selects the diagonal positions.
     """
-    k_a = np.diag(structure_matrix(g).reshape(-1))
-    k_d = np.diag(np.eye(g.n).reshape(-1))
-    return k_a, k_d
+    return structure_matrix(g).reshape(-1), np.eye(g.n).reshape(-1)
 
 
 def duplication_matrix(n: int) -> np.ndarray:
@@ -67,17 +57,12 @@ def duplication_matrix(n: int) -> np.ndarray:
     vectorization."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    j, i = np.divmod(np.arange(n * n), n)  # row j*n + i holds entry (i, j)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # entry (hi, lo) of the lower triangle follows the lo columns before it
+    col = lo * (2 * n - lo + 1) // 2 + hi - lo
     dup = np.zeros((n * n, n * (n + 1) // 2))
-    col = {}
-    h = 0
-    for j in range(n):
-        for i in range(j, n):
-            col[(i, j)] = h
-            h += 1
-    for j in range(n):
-        for i in range(n):
-            lo, hi = min(i, j), max(i, j)
-            dup[j * n + i, col[(hi, lo)]] = 1.0
+    dup[np.arange(n * n), col] = 1.0
     return dup
 
 
@@ -135,14 +120,6 @@ def build_fixed_point_system(a: WeightMatrix, c: Configuration,
     return FixedPointSystem(entries, compute_D(entries, xm), xm, m)
 
 
-def _tangent_projector(x: np.ndarray) -> np.ndarray:
-    n, m = x.shape
-    p = np.zeros((n * m, n * m))
-    for i in range(n):
-        p[i * m:(i + 1) * m, i * m:(i + 1) * m] = np.eye(m) - np.outer(x[i], x[i])
-    return p
-
-
 @dataclass(frozen=True)
 class JgParts:
     a_part: np.ndarray
@@ -174,9 +151,12 @@ def assemble_Jg(sys: FixedPointSystem, symmetric: bool,
         a_part = ixt
     else:
         k_a, _ = structure_masks(graph)
-        a_part = ixt @ k_a
-    d_part = -ixt @ np.diag(np.eye(n).reshape(-1))
-    x_full = np.kron(sys.a - np.diag(sys.dvec), np.eye(m)) @ _tangent_projector(sys.x)
+        a_part = ixt * k_a + 0.0
+    # + 0.0 makes the -0.0 of a masked negative entry +0.0, as the product
+    # with the diagonal K_A or K_D does: LAPACK reads the sign of a zero
+    d_part = -ixt * np.eye(n).reshape(-1) + 0.0
+    x_full = (np.kron(sys.a - np.diag(sys.dvec), np.eye(m))
+              @ block_diagonal_matrix(tangent_projectors(sys.x)))
     x_part = x_full[:, m:]  # drop the pinned first agent's directions
     return JgParts(a_part, d_part, x_part)
 

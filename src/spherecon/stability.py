@@ -11,8 +11,10 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _entries, _step, fixed_point_residual
-from .state import Configuration, TangentBasis, classify_configuration, tangent_basis
+from .dynamics import _step, fixed_point_residual
+from .state import (RANK_TOL, Configuration, TangentBasis, as_array,
+                    block_diagonal_matrix, classify_configuration, tangent_basis,
+                    tangent_projectors)
 from .weights import WeightMatrix, satisfies_sqrt2_condition
 
 CLASS_TOL = 1e-7
@@ -21,9 +23,22 @@ CLASS_TOL = 1e-7
 def _scaled_entries(m, c: Configuration):
     """Returns (D(MX) M, new rows): the row-normalized coefficient matrix of
     the linearization, and the image configuration rows."""
-    entries = _entries(m)
+    entries = as_array(m)
     y_rows, norms = _step(entries, c.rows)
     return entries / norms[:, None], y_rows
+
+
+def _scaled_block_products(da: np.ndarray, left: np.ndarray,
+                           right: np.ndarray) -> np.ndarray:
+    """Block matrix whose (i,j) block is da_ij * left[i] @ right[j], from
+    (n, p, k) and (n, k, q) stacks, with the products of all pairs with
+    da_ij != 0 in one matmul; the other blocks stay exactly zero."""
+    n, p, _ = left.shape
+    q = right.shape[2]
+    i, j = np.nonzero(da)
+    blocks = np.zeros((n, n, p, q))
+    blocks[i, j] = da[i, j, None, None] * np.matmul(left[i], right[j])
+    return blocks.transpose(0, 2, 1, 3).reshape(n * p, n * q)
 
 
 def projected_jacobian(m, c: Configuration) -> np.ndarray:
@@ -32,15 +47,8 @@ def projected_jacobian(m, c: Configuration) -> np.ndarray:
     Block (i,j) is m_ij * P_{y_i} P_{x_j} / ||row i of M X||.
     """
     da, y_rows = _scaled_entries(m, c)
-    n, d = c.n, c.d
-    j = np.zeros((n * d, n * d))
-    px = [np.eye(d) - np.outer(c.rows[k], c.rows[k]) for k in range(n)]
-    py = [np.eye(d) - np.outer(y_rows[k], y_rows[k]) for k in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if da[a, b] != 0.0:
-                j[a * d:(a + 1) * d, b * d:(b + 1) * d] = da[a, b] * (py[a] @ px[b])
-    return j
+    return _scaled_block_products(da, tangent_projectors(y_rows),
+                                  tangent_projectors(c.rows))
 
 
 def reduced_matrix(m, c: Configuration, basis_x: Optional[TangentBasis] = None,
@@ -53,14 +61,7 @@ def reduced_matrix(m, c: Configuration, basis_x: Optional[TangentBasis] = None,
     da, y_rows = _scaled_entries(m, c)
     bx = basis_x if basis_x is not None else tangent_basis(c)
     by = basis_y if basis_y is not None else tangent_basis(Configuration(y_rows))
-    n, k = c.n, c.d - 1
-    red = np.zeros((n * k, n * k))
-    for a in range(n):
-        for b in range(n):
-            if da[a, b] != 0.0:
-                red[a * k:(a + 1) * k, b * k:(b + 1) * k] = \
-                    da[a, b] * (by.blocks[a].T @ bx.blocks[b])
-    return red
+    return _scaled_block_products(da, by.blocks.transpose(0, 2, 1), bx.blocks)
 
 
 @dataclass(frozen=True)
@@ -123,14 +124,22 @@ class DeterminantCheck:
 
 
 def determinant_nonzero_check(a: WeightMatrix, c: Configuration) -> DeterminantCheck:
-    """det of the reduced matrix, with the relative nonvanishing bound that is
-    guaranteed whenever each diagonal entry exceeds sqrt(2) times the rest of
-    its row."""
+    """det of the reduced matrix, which cannot vanish when each diagonal entry
+    exceeds sqrt(2) times the rest of its row. The bound checked is full
+    numerical rank, sigma_min > RANK_TOL * sigma_max, whatever n."""
     red = reduced_matrix(a, c)
     det = float(np.linalg.det(red))
     scale = float(np.prod(np.linalg.norm(red, axis=1)))
+    s = np.linalg.svd(red, compute_uv=False)
     cond = satisfies_sqrt2_condition(a)
-    return DeterminantCheck(det, scale, cond, cond and abs(det) > 1e-12 * scale)
+    return DeterminantCheck(det, scale, cond, cond and bool(s[-1] > RANK_TOL * s[0]))
+
+
+def _projected_shift(entries: np.ndarray, shift: np.ndarray,
+                     rows: np.ndarray) -> np.ndarray:
+    """P_x ((A - diag(shift)) ot I_d) P_x."""
+    px = block_diagonal_matrix(tangent_projectors(rows))
+    return px @ np.kron(entries - np.diag(shift), np.eye(rows.shape[1])) @ px
 
 
 def certificate_matrix(a: WeightMatrix, c: Configuration) -> np.ndarray:
@@ -139,14 +148,8 @@ def certificate_matrix(a: WeightMatrix, c: Configuration) -> np.ndarray:
     At a fixed point, a positive eigenvalue of this matrix certifies that the
     differential has an eigenvalue strictly beyond the unit circle.
     """
-    entries = a.entries
-    _, norms = _step(entries, c.rows)
-    n, d = c.n, c.d
-    core = np.kron(entries - np.diag(norms), np.eye(d))
-    px = np.zeros((n * d, n * d))
-    for i in range(n):
-        px[i * d:(i + 1) * d, i * d:(i + 1) * d] = np.eye(d) - np.outer(c.rows[i], c.rows[i])
-    return px @ core @ px
+    _, norms = _step(a.entries, c.rows)
+    return _projected_shift(a.entries, norms, c.rows)
 
 
 @dataclass(frozen=True)
@@ -214,11 +217,7 @@ def trace_formula_check(a: WeightMatrix, c: Configuration,
     n, d = c.n, c.d
     z = entries @ c.rows
     aligned = np.einsum("ij,ij->i", c.rows, z)
-    core = np.kron(entries - np.diag(aligned), np.eye(d))
-    px = np.zeros((n * d, n * d))
-    for i in range(n):
-        px[i * d:(i + 1) * d, i * d:(i + 1) * d] = np.eye(d) - np.outer(c.rows[i], c.rows[i])
-    h = px @ core @ px
+    h = _projected_shift(entries, aligned, c.rows)
     ones = np.kron(np.ones((n, 1)), np.eye(d))
     lhs = float(np.trace(ones.T @ h @ ones))
 

@@ -9,7 +9,7 @@ x = [x_1; x_2; ...; x_n] = vec(X^T), so Kronecker products of the form
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,26 +66,26 @@ def unvec(x: np.ndarray, n: int, d: int) -> np.ndarray:
 class TangentBasis:
     """Per-agent orthonormal bases of the sphere tangent spaces.
 
-    blocks[i] is d x (d-1) with orthonormal columns orthogonal to row i.
+    blocks is an (n, d, d-1) array (a sequence of d x (d-1) blocks is
+    stacked); blocks[i] has orthonormal columns orthogonal to row i.
     """
 
-    blocks: tuple = field(default_factory=tuple)
+    blocks: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", np.asarray(self.blocks, dtype=float))
 
     @property
     def n(self) -> int:
-        return len(self.blocks)
+        return self.blocks.shape[0]
 
     @property
     def d(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[1]
 
     def block_diagonal(self) -> np.ndarray:
         """The nd x n(d-1) block-diagonal aggregate."""
-        n, d = self.n, self.d
-        r = np.zeros((n * d, n * (d - 1)))
-        for i, b in enumerate(self.blocks):
-            r[i * d:(i + 1) * d, i * (d - 1):(i + 1) * (d - 1)] = b
-        return r
+        return block_diagonal_matrix(self.blocks)
 
 
 def normalize_rows(raw: np.ndarray) -> Configuration:
@@ -142,33 +142,48 @@ def classify_configuration(c: Configuration, tol: float = CONSENSUS_TOL,
     return ConfigurationClass("higher-rank", m)
 
 
-def _tangent_block(xi: np.ndarray) -> np.ndarray:
-    """Deterministic d x (d-1) orthonormal basis of the tangent space at xi.
+def tangent_projectors(rows: np.ndarray) -> np.ndarray:
+    """(n, d, d) stack of the tangent projectors I - x_i x_i^T of unit rows.
 
-    d = 2 uses the quarter-turn [x2, -x1]. For d >= 3, reflect xi onto a
-    signed first coordinate axis with a Householder matrix and keep its last
-    d-1 columns, which are orthonormal and orthogonal to xi.
+    Every block-diagonal projector of the linearization is assembled from
+    this stack by block_diagonal_matrix.
     """
-    d = xi.shape[0]
-    if d == 2:
-        return np.array([[xi[1]], [-xi[0]]])
-    e1 = np.zeros(d)
-    e1[0] = 1.0 if xi[0] < 0 else -1.0  # reflect away from xi for stability
-    v = xi - e1
-    h = np.eye(d) - 2.0 * np.outer(v, v) / (v @ v)
-    return h[:, 1:]
+    return np.eye(rows.shape[1]) - rows[:, :, None] * rows[:, None, :]
+
+
+def block_diagonal_matrix(blocks: np.ndarray) -> np.ndarray:
+    """np x nq matrix with the (n, p, q) blocks on its block diagonal."""
+    n, p, q = blocks.shape
+    out = np.zeros((n, p, n, q))
+    out[np.arange(n), :, np.arange(n), :] = blocks
+    return out.reshape(n * p, n * q)
 
 
 def tangent_basis(c: Configuration) -> TangentBasis:
-    """Per-agent orthonormal tangent bases, deterministic in the rows."""
-    return TangentBasis(tuple(_tangent_block(c.rows[i]) for i in range(c.n)))
+    """Per-agent orthonormal tangent bases, deterministic in the rows.
+
+    d = 2 uses the quarter-turn [x2, -x1]. For d >= 3, reflect each row onto
+    a signed first coordinate axis with a Householder matrix and keep its last
+    d-1 columns, which are orthonormal and orthogonal to the row.
+    """
+    rows = c.rows
+    if c.d == 2:
+        return TangentBasis(np.stack([rows[:, 1], -rows[:, 0]], axis=1)[:, :, None])
+    v = rows.copy()
+    v[:, 0] -= np.where(rows[:, 0] < 0, 1.0, -1.0)  # reflect away from x_i for stability
+    outer = v[:, :, None] * v[:, None, :]
+    h = np.eye(c.d) - 2.0 * outer / (v[:, None, :] @ v[:, :, None])
+    return TangentBasis(h[:, :, 1:])
 
 
 def projection_matrix(c: Configuration) -> np.ndarray:
     """Block-diagonal tangent projector with blocks I - x_i x_i^T."""
-    n, d = c.n, c.d
-    p = np.zeros((n * d, n * d))
-    for i in range(n):
-        xi = c.rows[i]
-        p[i * d:(i + 1) * d, i * d:(i + 1) * d] = np.eye(d) - np.outer(xi, xi)
-    return p
+    return block_diagonal_matrix(tangent_projectors(c.rows))
+
+
+def as_array(obj) -> np.ndarray:
+    """The float array behind a Configuration (its rows), a weight or descent
+    matrix (its entries), or anything numpy converts."""
+    if isinstance(obj, Configuration):
+        return obj.rows
+    return np.asarray(getattr(obj, "entries", obj), dtype=float)

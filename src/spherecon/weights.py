@@ -47,7 +47,8 @@ class WeightMatrix:
         return self.graph.n
 
     def is_symmetric(self) -> bool:
-        return bool(np.allclose(self.entries, self.entries.T, atol=0.0))
+        """Exact symmetry: the symmetric-only certificate paths need a == a^T."""
+        return bool(np.array_equal(self.entries, self.entries.T))
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "rows": self.entries.tolist()})

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spherecon.dynamics import (IterationMatrix, find_nonconsensus_fixed_point,
+from spherecon.dynamics import (find_nonconsensus_fixed_point,
                                 fixed_point_residual, iterate,
                                 normalization_diagonal, potential, run)
 from spherecon.graph import DirectedGraph, complete_graph
@@ -82,8 +82,7 @@ def test_descent_mode_descends_potential():
     a = sample_sdd(complete_graph(5), margin=0.1, symmetric=True, seed=9)
     md = descent_matrix(a, slack=0.25)
     c0 = random_configuration(5, 3, seed=10)
-    res = run(IterationMatrix.from_descent(md), c0,
-              record_potential=True, a_for_potential=a)
+    res = run(md, c0, record_potential=True, a_for_potential=a)
     assert np.diff(res.potential_history).max() <= 1e-10
 
 
@@ -149,7 +148,7 @@ def test_a_fixed_points_are_descent_fixed_points():
     a = pentagon_matrix()
     md = descent_matrix(a, slack=0.25)
     c = pentagon()
-    assert fixed_point_residual(IterationMatrix.from_descent(md), c) < 1e-12
+    assert fixed_point_residual(md, c) < 1e-12
 
 
 def test_descent_rank_distribution_has_both_ranks():
@@ -163,7 +162,7 @@ def test_descent_rank_distribution_has_both_ranks():
 
 
 def test_zero_row_image_reports_agent():
-    m = IterationMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]), "descent")
+    m = np.array([[1.0, 1.0], [1.0, 1.0]])
     c = Configuration(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     with pytest.raises(ZeroDivisionError):
         iterate(m, c)

@@ -12,7 +12,8 @@ from spherecon.experiments import (RECORD_FIELDS, ExperimentConfig,
                                    cmd_consensus_sweep, cmd_jg_rank,
                                    cmd_pentagon_demo, cmd_rank_table,
                                    cmd_stability_audit, cmd_theorem2_probe,
-                                   derive_seed, pentagon_configuration,
+                                   collect_descent_fixed_points, derive_seed,
+                                   pentagon_configuration,
                                    pentagon_weight_matrix)
 
 
@@ -79,6 +80,17 @@ def test_rank_table_frequencies_partition():
     assert sum(freqs.values()) == pytest.approx(1.0)
     assert set(freqs) <= {"1", "2"}
     assert summary["errors"] == []
+
+
+def test_rank_table_counts_converged_limits_only():
+    # three of these ten trials need more than 150 descent steps
+    cfg = ExperimentConfig(seed=6, trials=10, n=3, d=2, graph="er",
+                           edge_prob=0.57, symmetric=True, max_iter=150)
+    records, summary = cmd_rank_table(cfg)
+    stalled = [r for r in records if r.klass == "nonconverged"]
+    assert summary["nonconverged"] == len(stalled) > 0
+    assert all(r.iters == cfg.max_iter for r in stalled)
+    assert sum(summary["rank_counts"].values()) == cfg.trials - len(stalled)
 
 
 def test_theorem2_probe_zero_counterexamples():
@@ -150,6 +162,21 @@ def test_jg_rank_small():
     assert summary["nonsym_full_rank"] == 5
     assert summary["sym_deficiency_satisfied"] == summary["rank_ge2_points"]
     assert summary["max_null_residual"] < 1e-8
+
+
+def test_descent_search_reports_shortfall():
+    # two descent steps never converge, so the whole trial budget is spent
+    cfg = ExperimentConfig(seed=31, trials=100, n=4, d=3, symmetric=True,
+                           max_iter=1)
+    with pytest.warns(RuntimeWarning, match="found 0 of 2"):
+        points = collect_descent_fixed_points(cfg, count=2)
+    assert len(points) == 0
+    assert points.counts == {"requested": 2, "trials_run": 1000,
+                             "zero_norm_trials": 0}
+    with pytest.warns(RuntimeWarning):
+        summary = cmd_jg_rank(cfg, count=2)
+    assert summary["fixed_points"] == 0
+    assert (summary["requested"], summary["trials_run"]) == (2, 1000)
 
 
 def _run_cli(*args):

@@ -65,16 +65,16 @@ def test_residual_g_nonzero_off_fixed_points():
 
 def test_structure_masks_complete_graph():
     k_a, k_d = structure_masks(complete_graph(3))
-    assert np.array_equal(k_a, np.eye(9))
-    assert np.trace(k_d) == 3
+    assert np.array_equal(k_a, np.ones(9))
+    assert np.sum(k_d) == 3
 
 
 def test_structure_masks_partial_graph():
     g = DirectedGraph(2, frozenset({(1, 2)}))
     k_a, k_d = structure_masks(g)
     # structure matrix [[1,1],[0,1]], flattened row-major
-    assert np.array_equal(np.diag(k_a), [1, 1, 0, 1])
-    assert np.array_equal(k_d, k_a @ k_d)
+    assert np.array_equal(k_a, [1, 1, 0, 1])
+    assert np.array_equal(k_d, k_a * k_d)
 
 
 def test_duplication_matrix_small():

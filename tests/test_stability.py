@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spherecon.dynamics import find_nonconsensus_fixed_point, iterate, run
-from spherecon.graph import complete_graph
+from spherecon.graph import complete_graph, random_symmetric_connected, ring_graph
 from spherecon.state import (Configuration, consensus_configuration,
                              random_configuration, tangent_basis)
 from spherecon.stability import (determinant_nonzero_check,
@@ -12,7 +12,7 @@ from spherecon.stability import (determinant_nonzero_check,
                                  positive_dot_neutrality_check,
                                  projected_jacobian, reduced_matrix,
                                  spectral_radius, trace_formula_check)
-from spherecon.weights import left_scale_normalize, sample_sdd
+from spherecon.weights import WeightMatrix, left_scale_normalize, sample_sdd
 
 from test_state import pentagon
 from test_weights import pentagon_matrix
@@ -24,6 +24,32 @@ def _fd_directional(a, c, v, h=1e-6):
     plus = iterate(a, Configuration((c.vector + h * v).reshape(n, d)))
     minus = iterate(a, Configuration((c.vector - h * v).reshape(n, d)))
     return (plus.vector - minus.vector) / (2.0 * h)
+
+
+def test_linearization_matches_blockwise_reference():
+    # the block layout, element for element, against a loop over agent pairs
+    for n, d, seed in [(3, 2, 1), (5, 3, 2), (6, 4, 3)]:
+        g = random_symmetric_connected(n, 0.5, seed)
+        a = sample_sdd(g, margin=0.1, symmetric=False, seed=seed)
+        c = random_configuration(n, d, seed=100 + seed)
+        z = a.entries @ c.rows
+        norms = np.linalg.norm(z, axis=1)
+        y_rows = z / norms[:, None]
+        da = a.entries / norms[:, None]
+        bx = tangent_basis(c).blocks
+        by = tangent_basis(Configuration(y_rows)).blocks
+        px = [np.eye(d) - np.outer(x, x) for x in c.rows]
+        py = [np.eye(d) - np.outer(x, x) for x in y_rows]
+        k = d - 1
+        red = np.zeros((n * k, n * k))
+        jac = np.zeros((n * d, n * d))
+        for i in range(n):
+            for j in range(n):
+                if da[i, j] != 0.0:
+                    red[i * k:(i + 1) * k, j * k:(j + 1) * k] = da[i, j] * (by[i].T @ bx[j])
+                    jac[i * d:(i + 1) * d, j * d:(j + 1) * d] = da[i, j] * (py[i] @ px[j])
+        assert np.array_equal(reduced_matrix(a, c), red)
+        assert np.array_equal(projected_jacobian(a, c), jac)
 
 
 def test_consensus_jacobian_kron_structure():
@@ -132,6 +158,21 @@ def test_determinant_nonzero_under_sqrt2():
         c = random_configuration(4, 3, seed=1000 + k)
         chk = determinant_nonzero_check(a, c)
         assert chk.sqrt2_condition and chk.bound_satisfied
+
+
+def test_determinant_nonzero_on_large_polygon():
+    # the regular 64-gon in d = 3 under ring circulant weights with diagonal
+    # 1.45 x the off-diagonal sum: |det| / prod(row norms) is about 1e-14
+    # here, while sigma_min / sigma_max of the reduced matrix is 0.18
+    n = 64
+    a = 2.9 * np.eye(n)
+    for i in range(n):
+        a[i, (i + 1) % n] = a[i, (i - 1) % n] = 1.0
+    angles = 2.0 * np.pi * np.arange(n) / n
+    c = Configuration(np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)]))
+    chk = determinant_nonzero_check(WeightMatrix(a, ring_graph(n)), c)
+    assert chk.sqrt2_condition and chk.bound_satisfied
+    assert chk.det != 0.0
 
 
 def test_determinant_check_reports_condition():

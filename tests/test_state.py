@@ -90,6 +90,18 @@ def test_tangent_basis_invariants():
             assert np.allclose(b.T @ c.rows[i], 0.0, atol=1e-12)
 
 
+def test_tangent_basis_matches_per_agent_householder():
+    for n, d, seed in [(4, 3, 4), (6, 5, 5)]:
+        c = random_configuration(n, d, seed)
+        blocks = tangent_basis(c).blocks
+        assert blocks.shape == (n, d, d - 1)
+        for i, x in enumerate(c.rows):
+            v = x.copy()
+            v[0] -= 1.0 if x[0] < 0 else -1.0
+            h = np.eye(d) - 2.0 * np.outer(v, v) / (v @ v)
+            assert np.allclose(blocks[i], h[:, 1:], rtol=0.0, atol=1e-15)
+
+
 def test_tangent_basis_d3_north_pole():
     c = Configuration(np.array([[0.0, 0.0, 1.0]]))
     b = tangent_basis(c).blocks[0]

@@ -73,6 +73,14 @@ def test_sample_sdd_symmetric_output():
     assert np.array_equal(a.entries, a.entries.T)
 
 
+def test_is_symmetric_is_exact():
+    a = sample_sdd(complete_graph(3), margin=0.1, symmetric=True, seed=1)
+    assert a.is_symmetric()
+    raised = a.entries.copy()
+    raised[0, 1] += 5e-6  # within the default rtol of np.allclose
+    assert not WeightMatrix(raised, a.graph).is_symmetric()
+
+
 def test_sample_sdd_deterministic():
     a = sample_sdd(complete_graph(4), margin=0.1, symmetric=False, seed=17)
     b = sample_sdd(complete_graph(4), margin=0.1, symmetric=False, seed=17)
