@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 
-from .experiments import (ExperimentConfig, cmd_consensus_sweep, cmd_jg_rank,
-                          cmd_pentagon_demo, cmd_rank_table,
+from .experiments import (ExperimentConfig, MissingSeedError, cmd_consensus_sweep,
+                          cmd_jg_rank, cmd_pentagon_demo, cmd_rank_table,
                           cmd_stability_audit, cmd_theorem2_probe)
 
 
@@ -31,15 +31,13 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _build_config(args) -> ExperimentConfig:
-    overrides = {k: getattr(args, k, None) for k in
-                 ("seed", "trials", "n", "d", "margin", "slack", "edge_prob",
-                  "graph", "symmetric", "out")}
-    if args.config:
-        return ExperimentConfig.from_json(args.config, **overrides)
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    if "seed" not in clean:
-        raise SystemExit("--seed is required (directly or via --config)")
-    return ExperimentConfig(**clean)
+    flags = ("seed", "trials", "n", "d", "margin", "slack", "edge_prob", "graph",
+             "symmetric", "out")
+    try:
+        return ExperimentConfig.from_json(args.config,
+                                          **{k: getattr(args, k, None) for k in flags})
+    except MissingSeedError:
+        raise SystemExit("--seed is required (directly or via --config)") from None
 
 
 def main(argv=None) -> int:

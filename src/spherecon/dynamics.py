@@ -1,13 +1,14 @@
 """The sphere-projection iteration: each agent replaces its state by the
 normalized conical combination of its neighbors' states. Includes the
-quadratic potential, the trajectory runner, and the descent mode used to
-locate non-consensus fixed points.
+quadratic potential, the lockstep kernel behind every trajectory (`run_batch`
+for a stack of trials, `run` for one), and the descent mode used to locate
+non-consensus fixed points.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -61,7 +62,6 @@ class TrajectoryResult:
     residual: float
     converged: bool
     potential_history: Optional[np.ndarray] = None
-    metadata: dict = field(default_factory=dict)
     # populated by the descent mode
     classification: Optional[ConfigurationClass] = None
     residual_weight: Optional[float] = None
@@ -72,7 +72,6 @@ class TrajectoryResult:
             "iterations": self.iterations,
             "residual": self.residual,
             "converged": self.converged,
-            "metadata": self.metadata,
         }
         if self.potential_history is not None:
             obj["potential_history"] = list(map(float, self.potential_history))
@@ -86,83 +85,126 @@ class TrajectoryResult:
         return json.dumps(obj)
 
 
+@dataclass(frozen=True)
+class BatchResult:
+    """Per-trial outcome of a lockstep run; iterating it yields (rows, iters,
+    residual, failed). potential_histories, when recorded, holds each trial's
+    potential at steps 0..iters."""
+
+    rows: np.ndarray
+    iters: np.ndarray
+    residual: np.ndarray
+    failed: np.ndarray
+    potential_histories: Optional[list] = None
+
+    def __iter__(self):
+        return iter((self.rows, self.iters, self.residual, self.failed))
+
+
+def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
+              max_iter: int, weights: Optional[np.ndarray] = None) -> BatchResult:
+    """The one loop over iteration steps, for a (T, n, n) stack of iteration
+    matrices and a (T, n, d) stack of start rows.
+
+    Active trials form a compact working set (matrices, rows, last residuals,
+    potential weights) that is re-gathered only on a step where a trial
+    leaves: by converging, by a zero-norm row image, or at max_iter. A trial's
+    iteration count, residual and final rows are written only when it leaves.
+    A failed trial keeps the rows it failed at and the count and residual of
+    its last completed step. With weights, the potential tr(X^T W X) of each
+    trial is recorded before every step.
+    """
+    t_count = len(rows)
+    final = rows.copy()
+    iters = np.zeros(t_count, dtype=int)
+    residual = np.full(t_count, np.inf)
+    failed = np.zeros(t_count, dtype=bool)
+    idx, m, x, w = np.arange(t_count), entries, rows, weights
+    res = np.full(t_count, np.inf)  # last residual of each active trial
+    segments, recorded, first = [], [], 0  # potentials per working set
+    for k in range(max_iter + 1 if t_count else 0):
+        if w is not None:
+            recorded.append(np.einsum("tij,tik,tjk->t", w, x, x))
+        z = m @ x
+        norms = np.sqrt(np.add.reduce(z * z, axis=2, keepdims=True))
+        bad = None
+        if norms.min() <= _MIN_ROW_NORM:
+            bad = norms.min(axis=(1, 2)) <= _MIN_ROW_NORM
+            norms[bad] = 1.0  # their images are discarded
+        nxt = z / norms
+        flat = (nxt - x).reshape(len(idx), -1)
+        # one BLAS dot per trial: the same reduction as np.linalg.norm
+        step = np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]))[:, 0, 0]
+        if bad is None and k < max_iter and step.min() > fp_tol:
+            x, res = nxt, step
+            continue
+        done = (step <= fp_tol) | (k == max_iter)
+        if bad is not None:
+            done |= bad
+            step[bad] = res[bad]
+        gone = idx[done]
+        iters[gone] = k
+        residual[gone] = step[done]
+        final[gone] = x[done]
+        if bad is not None:
+            failed[idx[bad]] = True
+            iters[idx[bad]] = max(k - 1, 0)
+        if w is not None:
+            segments.append((first, idx, np.array(recorded)))
+            recorded, first = [], k + 1
+        keep = ~done
+        idx, m, x, res = idx[keep], m[keep], nxt[keep], step[keep]
+        if w is not None:
+            w = w[keep]
+        if not len(idx):
+            break
+    histories = None
+    if weights is not None:
+        table = np.empty((first, t_count))
+        for start, ids, block in segments:
+            table[start:start + len(block), ids] = block
+        histories = [table[:iters[t] + 1, t] for t in range(t_count)]
+    return BatchResult(final, iters, residual, failed, histories)
+
+
 def run(m, c0: Configuration, fp_tol: float = FP_TOL, max_iter: int = MAX_ITER,
         record_potential: bool = False,
-        a_for_potential: Optional[WeightMatrix] = None,
-        metadata: Optional[dict] = None) -> TrajectoryResult:
+        a_for_potential: Optional[WeightMatrix] = None) -> TrajectoryResult:
     """Iterate until the fixed-point residual ||f(x) - x||_2 drops to fp_tol
     or max_iter steps have been taken. Optionally records the potential of
-    a_for_potential at every visited configuration."""
+    a_for_potential at every visited configuration. A lockstep run of one
+    trial; a zero-norm row image raises ZeroDivisionError naming the agent."""
     if record_potential and a_for_potential is None:
         raise ValueError("record_potential requires a_for_potential")
     entries = as_array(m)
-    rows = c0.rows
-    history = [] if record_potential else None
-    ae = a_for_potential.entries if a_for_potential is not None else None
-
-    residual = np.inf
-    steps = 0
-    for k in range(max_iter + 1):
-        if record_potential:
-            history.append(np.einsum("ij,ik,jk->", ae, rows, rows))
-        nxt, _ = _step(entries, rows)
-        residual = float(np.linalg.norm(nxt - rows))
-        steps = k
-        if residual <= fp_tol or k == max_iter:
-            break
-        rows = nxt
-
+    out = _lockstep(entries[None], c0.rows[None], fp_tol, max_iter,
+                    a_for_potential.entries[None] if record_potential else None)
+    if out.failed[0]:
+        _step(entries, out.rows[0])  # raises, naming the agent
+    residual = float(out.residual[0])
     return TrajectoryResult(
-        final=Configuration(rows),
-        iterations=steps,
+        final=Configuration(out.rows[0]),
+        iterations=int(out.iters[0]),
         residual=residual,
         converged=residual <= fp_tol,
-        potential_history=np.asarray(history) if record_potential else None,
-        metadata=metadata or {},
+        potential_history=out.potential_histories[0] if record_potential else None,
     )
 
 
 def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
-              max_iter: int = MAX_ITER):
+              max_iter: int = MAX_ITER,
+              potential_weights: Optional[np.ndarray] = None) -> BatchResult:
     """Run many independent trajectories of the same shape in lockstep.
 
     entries is a (T, n, n) stack of iteration matrices and rows a (T, n, d)
-    stack of start configurations. Returns (final rows, iteration counts,
-    residuals, zero-norm failure mask); trial t's final rows match
-    run(entries[t], Configuration(rows[t])).final exactly. Used by experiment
-    commands where a per-trial Python loop would dominate the runtime.
+    stack of start configurations; potential_weights, a (T, n, n) stack,
+    records each trial's potential at every visited configuration. Trial t's
+    final rows, iteration count, residual and potential history equal those
+    of `run` on entries[t] from the rows rows[t] bit for bit; a trial whose
+    row image vanishes is flagged in `failed` instead of raising.
     """
-    entries = np.asarray(entries, dtype=float)
-    rows = np.array(rows, dtype=float)
-    t_count = entries.shape[0]
-    iters = np.zeros(t_count, dtype=int)
-    residual = np.full(t_count, np.inf)
-    failed = np.zeros(t_count, dtype=bool)
-    active = np.ones(t_count, dtype=bool)
-    for k in range(max_iter + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        z = entries[idx] @ rows[idx]
-        norms = np.linalg.norm(z, axis=2)
-        bad = norms.min(axis=1) <= _MIN_ROW_NORM
-        if bad.any():
-            failed[idx[bad]] = True
-            active[idx[bad]] = False
-            idx = idx[~bad]
-            if idx.size == 0:
-                continue
-            z = z[~bad]
-            norms = norms[~bad]
-        nxt = z / norms[:, :, None]
-        res = np.linalg.norm((nxt - rows[idx]).reshape(idx.size, -1), axis=1)
-        residual[idx] = res
-        iters[idx] = k
-        done = (res <= fp_tol) | (k == max_iter)
-        cont = idx[~done]
-        rows[cont] = nxt[~done]
-        active[idx[done]] = False
-    return rows, iters, residual, failed
+    return _lockstep(np.asarray(entries, dtype=float), np.asarray(rows, dtype=float),
+                     fp_tol, max_iter, potential_weights)
 
 
 def fixed_point_residual(m, c: Configuration) -> float:
@@ -173,8 +215,7 @@ def fixed_point_residual(m, c: Configuration) -> float:
 
 def find_nonconsensus_fixed_point(a: WeightMatrix, c0: Configuration,
                                   slack: float = 0.25, fp_tol: float = FP_TOL,
-                                  max_iter: int = MAX_ITER,
-                                  metadata: Optional[dict] = None) -> TrajectoryResult:
+                                  max_iter: int = MAX_ITER) -> TrajectoryResult:
     """Run the iteration with the descent matrix alpha*I - A instead of A.
 
     For symmetric A this descends the potential tr(X^T A X), so converged
@@ -182,17 +223,6 @@ def find_nonconsensus_fixed_point(a: WeightMatrix, c0: Configuration,
     result records both the descent residual and the residual under A itself
     (the latter need not be small), plus the limit's classification.
     """
-    md = descent_matrix(a, slack)
-    res = run(md, c0, fp_tol=fp_tol, max_iter=max_iter, metadata=metadata)
-    cls = classify_configuration(res.final)
-    res_a = fixed_point_residual(a, res.final)
-    return TrajectoryResult(
-        final=res.final,
-        iterations=res.iterations,
-        residual=res.residual,
-        converged=res.converged,
-        potential_history=res.potential_history,
-        metadata=res.metadata,
-        classification=cls,
-        residual_weight=res_a,
-    )
+    res = run(descent_matrix(a, slack), c0, fp_tol=fp_tol, max_iter=max_iter)
+    return replace(res, classification=classify_configuration(res.final),
+                   residual_weight=fixed_point_residual(a, res.final))

@@ -15,7 +15,8 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -23,14 +24,19 @@ import numpy as np
 from . import dynamics, stability
 from .fixedpoint_rank import (assemble_Jg, build_fixed_point_system, matrix_rank,
                               skew_null_vectors, symmetric_rank_deficiency_check)
-from .graph import (DirectedGraph, complete_graph, random_connected_er,
-                    random_strongly_connected, random_symmetric_connected,
-                    ring_graph)
-from .state import Configuration, classify_configuration, random_configuration
+from .graph import (DirectedGraph, adjacency_matrix, complete_graph,
+                    random_connected_er, random_strongly_connected,
+                    random_symmetric_connected, ring_graph)
+from .state import (Configuration, classify_configuration, random_configuration,
+                    tangent_basis)
 from .weights import WeightMatrix, descent_matrix, sample_sdd
 
 RECORD_FIELDS = ["trial", "seed", "n", "d", "graph_hash", "matrix_hash", "class",
                  "rank", "iters", "residual_A", "residual_MA", "spec_radius"]
+
+
+class MissingSeedError(ValueError):
+    """A config without a master seed; there is no wall-clock seeding."""
 
 
 @dataclass
@@ -53,8 +59,9 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
+        self.n_range, self.d_range = tuple(self.n_range), tuple(self.d_range)
         if self.seed is None:
-            raise ValueError("a master seed is required (no wall-clock seeding)")
+            raise MissingSeedError("a master seed is required (no wall-clock seeding)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for name in ("fp_tol", "rank_tol", "consensus_tol", "margin", "slack"):
@@ -62,36 +69,19 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be > 0")
 
     @staticmethod
-    def from_json(path: str, **overrides) -> "ExperimentConfig":
-        with open(path) as fh:
-            obj = json.load(fh)
+    def from_json(path: Optional[str], **overrides) -> "ExperimentConfig":
+        """The fields of the JSON file at path (none if path is None) under
+        the overrides that are not None."""
+        obj = {"seed": None}
+        if path:
+            with open(path) as fh:
+                obj.update(json.load(fh))
         obj.update({k: v for k, v in overrides.items() if v is not None})
-        if "n_range" in obj:
-            obj["n_range"] = tuple(obj["n_range"])
-        if "d_range" in obj:
-            obj["d_range"] = tuple(obj["d_range"])
         return ExperimentConfig(**obj)
 
 
-@dataclass
-class TrialRecord:
-    trial: int
-    seed: int
-    n: int
-    d: int
-    graph_hash: str
-    matrix_hash: str
-    klass: str
-    rank: int
-    iters: int
-    residual_A: float
-    residual_MA: float
-    spec_radius: float
-
-    def as_row(self) -> list:
-        row = asdict(self)
-        row["class"] = row.pop("klass")
-        return [row[f] for f in RECORD_FIELDS]
+# one row of records.csv, in RECORD_FIELDS order; the field "class" is klass
+TrialRecord = namedtuple("TrialRecord", [f.replace("class", "klass") for f in RECORD_FIELDS])
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -131,7 +121,7 @@ def write_records_csv(path: str, records: list):
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
         for r in records:
-            writer.writerow(r.as_row())
+            writer.writerow(r)
 
 
 def write_summary_json(path: str, summary: dict):
@@ -139,11 +129,123 @@ def write_summary_json(path: str, summary: dict):
         json.dump(summary, fh, indent=2, default=str)
 
 
-def _emit(cfg: ExperimentConfig, records: list, summary: dict):
+def _emit(cfg: ExperimentConfig, records: Optional[list], summary: dict):
+    """Write summary.json, and records.csv unless records is None, to cfg.out."""
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
-        write_records_csv(os.path.join(cfg.out, "records.csv"), records)
+        if records is not None:
+            write_records_csv(os.path.join(cfg.out, "records.csv"), records)
         write_summary_json(os.path.join(cfg.out, "summary.json"), summary)
+
+
+# --------------------------------------------------------------------------
+# the trial pipeline: plan, group by (n, d), run in lockstep, classify
+# --------------------------------------------------------------------------
+
+@dataclass
+class _Trial:
+    """One planned trial: its draws and, once run, its outcome. error holds
+    the exception of a failed draw or a ZeroDivisionError for a zero-norm row
+    image; final is the limit configuration otherwise."""
+
+    t: int
+    n: int
+    d: int
+    symmetric: bool
+    graph: Optional[DirectedGraph] = None
+    weights: Optional[WeightMatrix] = None
+    start: Optional[np.ndarray] = None
+    error: Optional[Exception] = None
+    final: Optional[Configuration] = None
+    iters: int = 0
+    residual: float = float("nan")
+    potentials: Optional[np.ndarray] = None
+
+
+def _plan(cfg: ExperimentConfig, t: int, n: int, d: int, symmetric: bool,
+          symmetric_graph: bool = True) -> _Trial:
+    """Draw trial t's graph, weight matrix and start from its derived seeds."""
+    trial = _Trial(t, n, d, symmetric)
+    try:
+        trial.graph = _make_graph(cfg, n, symmetric_graph, derive_seed(cfg.seed, t, 1))
+        trial.weights = sample_sdd(trial.graph, cfg.margin, symmetric,
+                                   derive_seed(cfg.seed, t, 2))
+        trial.start = random_configuration(n, d, derive_seed(cfg.seed, t, 3)).rows
+    except Exception as exc:  # recorded by the command, never dropped
+        trial.error = exc
+    return trial
+
+
+def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool,
+                record_potential: bool = False):
+    """Run the planned trials, one dynamics.run_batch call per (n, d) group,
+    with the weight matrix itself or (descent) its descent matrix, and record
+    them in trial order. With record_potential, symmetric trials (grouped
+    apart) record their potential. A descent record names a limit only if it
+    converged and carries the residuals under A and under the descent matrix;
+    a plain record carries the residual and the spectral radius at the limit.
+    An error record keeps the hashes of every draw that succeeded.
+
+    Returns (records, error entries, summary fields of the run).
+    """
+    groups: dict = {}
+    for trial in trials:
+        if trial.error is None:
+            key = (trial.n, trial.d, record_potential and trial.symmetric)
+            groups.setdefault(key, []).append(trial)
+    for (_, _, potentials), members in groups.items():
+        weights = np.stack([tr.weights.entries for tr in members])
+        mats = (np.stack([descent_matrix(tr.weights, cfg.slack).entries for tr in members])
+                if descent else weights)
+        out = dynamics.run_batch(mats, np.stack([tr.start for tr in members]),
+                                 fp_tol=cfg.fp_tol, max_iter=cfg.max_iter,
+                                 potential_weights=weights if potentials else None)
+        for pos, trial in enumerate(members):
+            trial.iters, trial.residual = int(out.iters[pos]), float(out.residual[pos])
+            if out.failed[pos]:
+                try:
+                    dynamics.iterate(mats[pos], Configuration(out.rows[pos]))
+                except ZeroDivisionError as exc:  # names the agent
+                    trial.error = exc
+                    continue
+            trial.final = Configuration(out.rows[pos])
+            if potentials:
+                trial.potentials = out.potential_histories[pos]
+    records, errors, nan = [], [], float("nan")
+    for trial in trials:
+        tseed = derive_seed(cfg.seed, trial.t)
+        hashes = (graph_hash(trial.graph) if trial.graph else "",
+                  matrix_hash(trial.weights.entries) if trial.weights else "")
+        if trial.error is not None:
+            errors.append({"trial": trial.t, "error": str(trial.error)})
+            records.append(TrialRecord(trial.t, tseed, trial.n, trial.d, *hashes, "error",
+                                       0, trial.iters, nan, nan, nan))
+            continue
+        cls = classify_configuration(trial.final, cfg.consensus_tol, cfg.rank_tol)
+        if descent:
+            kind = cls.kind if trial.residual <= cfg.fp_tol else "nonconverged"
+            values = (dynamics.fixed_point_residual(trial.weights, trial.final),
+                      trial.residual, nan)
+        else:
+            kind = cls.kind
+            values = (trial.residual, nan,
+                      stability.spectral_radius(trial.weights, trial.final))
+        records.append(TrialRecord(trial.t, tseed, trial.n, trial.d, *hashes, kind,
+                                   cls.rank, trial.iters, *values))
+    ran = [tr.iters for tr in trials if tr.start is not None]
+    return records, errors, {"lockstep_groups": len(groups),
+                             "iteration_histogram": _iteration_histogram(ran, cfg.max_iter)}
+
+
+def _iteration_histogram(iters: list, max_iter: int) -> dict:
+    """Trial counts by decade of the iteration count (0-9, 10-99, ...), the
+    last decade cut at max_iter, which has a bin of its own."""
+    uppers = [10 ** k for k in range(1, len(str(max_iter))) if 10 ** k < max_iter]
+    uppers += [max_iter, max_iter + 1]
+    counts = np.bincount(np.searchsorted(uppers, iters, side="right"),
+                         minlength=len(uppers))
+    return {(f"{lo}-{hi - 1}" if hi - 1 > lo else f"{lo}"): int(c)
+            for lo, hi, c in zip([0] + uppers[:-1], uppers, counts)}
 
 
 # --------------------------------------------------------------------------
@@ -159,46 +261,41 @@ def cmd_consensus_sweep(cfg: ExperimentConfig):
     circulation-dominated topologies (e.g. a pure directed cycle) admit
     attracting rotating-wave orbits on the circle that never reach consensus,
     so they are probed separately (theorem2 command) rather than swept here.
+
+    The paper's consensus result needs sphere dimension >= 2, that is d >= 3.
+    On the circle (d = 2) a symmetric graph that is a bare cycle has stable
+    twisted fixed points, which a rare trial reaches; the summary counts the
+    non-consensus trials per d.
     """
-    records, errors = [], []
-    consensus_count = 0
-    min_potential_delta = np.inf
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xABCD))
+    trials = []
     for t in range(cfg.trials):
-        tseed = derive_seed(cfg.seed, t)
         n = cfg.n or int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
         d = cfg.d or int(rng.integers(cfg.d_range[0], cfg.d_range[1] + 1))
         symmetric = bool(rng.integers(0, 2)) if cfg.symmetric is None else cfg.symmetric
-        try:
-            g = _make_graph(cfg, n, True, derive_seed(cfg.seed, t, 1))
-            a = sample_sdd(g, cfg.margin, symmetric, derive_seed(cfg.seed, t, 2))
-            c0 = random_configuration(n, d, derive_seed(cfg.seed, t, 3))
-            res = dynamics.run(a, c0, fp_tol=cfg.fp_tol, max_iter=cfg.max_iter,
-                               record_potential=symmetric, a_for_potential=a if symmetric else None)
-            cls = classify_configuration(res.final, cfg.consensus_tol, cfg.rank_tol)
-            if symmetric and res.potential_history is not None and len(res.potential_history) > 1:
-                delta = float(np.diff(res.potential_history).min())
-                min_potential_delta = min(min_potential_delta, delta)
-            rho = stability.spectral_radius(a, res.final)
-            if cls.is_consensus:
-                consensus_count += 1
-            records.append(TrialRecord(t, tseed, n, d, graph_hash(g),
-                                       matrix_hash(a.entries), cls.kind, cls.rank,
-                                       res.iterations, res.residual, float("nan"), rho))
-        except Exception as exc:  # record, never drop silently
-            errors.append({"trial": t, "error": str(exc)})
-            records.append(TrialRecord(t, tseed, n, d, "", "", "error", 0, 0,
-                                       float("nan"), float("nan"), float("nan")))
+        trials.append(_plan(cfg, t, n, d, symmetric))
+    records, errors, run_fields = _run_trials(cfg, trials, descent=False,
+                                              record_potential=True)
+    min_potential_delta = min((float(np.diff(tr.potentials).min()) for tr in trials
+                               if tr.potentials is not None and len(tr.potentials) > 1),
+                              default=None)
+    nonconsensus_by_d: dict = {}
+    for r in records:
+        if r.klass != "error":
+            nonconsensus_by_d[r.d] = nonconsensus_by_d.get(r.d, 0) + (r.klass != "consensus")
+    nonconsensus = sum(nonconsensus_by_d.values())
     summary = {
         "experiment": "consensus_sweep",
         "seed": cfg.seed,
         "trials": cfg.trials,
-        "consensus_fraction": consensus_count / cfg.trials,
-        "nonconsensus_trials": cfg.trials - consensus_count - len(errors),
-        "min_potential_delta": None if min_potential_delta is np.inf else min_potential_delta,
+        "consensus_fraction": (cfg.trials - nonconsensus - len(errors)) / cfg.trials,
+        "nonconsensus_trials": nonconsensus,
+        "min_potential_delta": min_potential_delta,
         "errors": errors,
         "graph_model": cfg.graph,
         "margin": cfg.margin,
+        "nonconsensus_by_d": {str(d): k for d, k in sorted(nonconsensus_by_d.items())},
+        **run_fields,
     }
     _emit(cfg, records, summary)
     return records, summary
@@ -218,34 +315,17 @@ def cmd_rank_table(cfg: ExperimentConfig):
         raise ValueError("rank-table requires symmetric weight matrices")
     if cfg.n is None or cfg.d is None:
         raise ValueError("rank-table requires explicit n and d")
-    n, d = cfg.n, cfg.d
-    records, errors = [], []
+    trials = [_plan(cfg, t, cfg.n, cfg.d, True) for t in range(cfg.trials)]
+    records, errors, run_fields = _run_trials(cfg, trials, descent=True)
     rank_counts: dict = {}
-    for t in range(cfg.trials):
-        tseed = derive_seed(cfg.seed, t)
-        try:
-            g = _make_graph(cfg, n, True, derive_seed(cfg.seed, t, 1))
-            a = sample_sdd(g, cfg.margin, True, derive_seed(cfg.seed, t, 2))
-            c0 = random_configuration(n, d, derive_seed(cfg.seed, t, 3))
-            res = dynamics.find_nonconsensus_fixed_point(
-                a, c0, slack=cfg.slack, fp_tol=cfg.fp_tol, max_iter=cfg.max_iter)
-            cls = classify_configuration(res.final, cfg.consensus_tol, cfg.rank_tol)
-            if res.converged:
-                rank_counts[cls.rank] = rank_counts.get(cls.rank, 0) + 1
-            kind = cls.kind if res.converged else "nonconverged"
-            records.append(TrialRecord(t, tseed, n, d, graph_hash(g),
-                                       matrix_hash(a.entries), kind, cls.rank,
-                                       res.iterations, res.residual_weight,
-                                       res.residual, float("nan")))
-        except Exception as exc:
-            errors.append({"trial": t, "error": str(exc)})
-            records.append(TrialRecord(t, tseed, n, d, "", "", "error", 0, 0,
-                                       float("nan"), float("nan"), float("nan")))
+    for r in records:
+        if r.klass not in ("nonconverged", "error"):
+            rank_counts[r.rank] = rank_counts.get(r.rank, 0) + 1
     total = sum(rank_counts.values())
     summary = {
         "experiment": "rank_table",
         "seed": cfg.seed,
-        "n": n, "d": d,
+        "n": cfg.n, "d": cfg.d,
         "trials": cfg.trials,
         "rank_counts": {str(k): v for k, v in sorted(rank_counts.items())},
         "rank_frequencies": {str(k): v / total for k, v in sorted(rank_counts.items())},
@@ -255,6 +335,7 @@ def cmd_rank_table(cfg: ExperimentConfig):
         "edge_prob": cfg.edge_prob,
         "margin": cfg.margin,
         "slack": cfg.slack,
+        **run_fields,
     }
     _emit(cfg, records, summary)
     return records, summary
@@ -272,84 +353,32 @@ def cmd_theorem2_probe(cfg: ExperimentConfig):
     Without symmetry the descent iteration has no monotone potential, so many
     trajectories cycle instead of converging; those produce no fixed point and
     are recorded as non-converged rather than counted against the probe.
-    Trials are grouped by (n, d) and run in lockstep for speed.
     """
     if cfg.symmetric:
         raise ValueError("theorem2 probe requires non-symmetric weight matrices")
-    errors, counterexamples = [], []
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xF00D))
-
-    trials = []  # (t, n, d, graph, weight matrix, start rows) in trial order
+    complete = replace(cfg, graph="complete")
+    trials = []
     for t in range(cfg.trials):
         d = cfg.d or int(rng.choice([2, 3, 4]))
         n = cfg.n or int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
-        try:
-            if d >= 3:
-                g = complete_graph(n)
-            else:
-                g = _make_graph(cfg, n, False, derive_seed(cfg.seed, t, 1))
-            a = sample_sdd(g, cfg.margin, False, derive_seed(cfg.seed, t, 2))
-            c0 = random_configuration(n, d, derive_seed(cfg.seed, t, 3))
-            trials.append((t, n, d, g, a, c0.rows))
-        except Exception as exc:
-            errors.append({"trial": t, "error": str(exc)})
-            trials.append((t, n, d, None, None, None))
-
-    groups: dict = {}
-    by_trial = {t: (g, a, rows) for t, _, _, g, a, rows in trials}
-    for t, n, d, g, a, rows in trials:
-        if a is not None:
-            groups.setdefault((n, d), []).append(t)
-    results = {}  # trial index -> (final rows, iters, residual, failed)
-    for (n, d), members in groups.items():
-        mats = np.stack([descent_matrix(by_trial[t][1], cfg.slack).entries
-                         for t in members])
-        starts = np.stack([by_trial[t][2] for t in members])
-        finals, iters, residuals, failed = dynamics.run_batch(
-            mats, starts, fp_tol=cfg.fp_tol, max_iter=cfg.max_iter)
-        for pos, t in enumerate(members):
-            results[t] = (finals[pos], int(iters[pos]),
-                          float(residuals[pos]), bool(failed[pos]))
-
-    records = []
-    nonconverged = 0
-    for t, n, d, g, a, _ in trials:
-        tseed = derive_seed(cfg.seed, t)
-        if a is None:
-            records.append(TrialRecord(t, tseed, n, d, "", "", "error", 0, 0,
-                                       float("nan"), float("nan"), float("nan")))
-            continue
-        final_rows, iters, residual, failed = results[t]
-        if failed:
-            errors.append({"trial": t, "error": "zero-norm row image"})
-            records.append(TrialRecord(t, tseed, n, d, graph_hash(g),
-                                       matrix_hash(a.entries), "error", 0, iters,
-                                       float("nan"), float("nan"), float("nan")))
-            continue
-        final = Configuration(final_rows)
-        cls = classify_configuration(final, cfg.consensus_tol, cfg.rank_tol)
-        converged = residual <= cfg.fp_tol
-        if not converged:
-            nonconverged += 1
-        if converged and cls.rank >= 2:
-            counterexamples.append({
-                "trial": t, "matrix": a.entries.tolist(),
-                "graph": json.loads(g.to_json()),
-                "limit": json.loads(final.to_json()),
-            })
-        res_a = dynamics.fixed_point_residual(a, final)
-        kind = cls.kind if converged else "nonconverged"
-        records.append(TrialRecord(t, tseed, n, d, graph_hash(g),
-                                   matrix_hash(a.entries), kind, cls.rank,
-                                   iters, res_a, residual, float("nan")))
+        trials.append(_plan(complete if d >= 3 else cfg, t, n, d, False,
+                            symmetric_graph=False))
+    records, errors, run_fields = _run_trials(cfg, trials, descent=True)
+    counterexamples = [{
+        "trial": tr.t, "matrix": tr.weights.entries.tolist(),
+        "graph": json.loads(tr.graph.to_json()),
+        "limit": json.loads(tr.final.to_json()),
+    } for tr, r in zip(trials, records) if r.klass == "higher-rank"]
     summary = {
         "experiment": "theorem2_probe",
         "seed": cfg.seed,
         "trials": cfg.trials,
         "rank_ge2_count": len(counterexamples),
-        "nonconverged": nonconverged,
+        "nonconverged": sum(r.klass == "nonconverged" for r in records),
         "counterexamples": counterexamples,
         "errors": errors,
+        **run_fields,
     }
     _emit(cfg, records, summary)
     return records, summary
@@ -362,10 +391,7 @@ def cmd_theorem2_probe(cfg: ExperimentConfig):
 def pentagon_weight_matrix() -> WeightMatrix:
     """Circulant 5x5 matrix: diagonal 3, ring neighbors 1."""
     g = ring_graph(5)
-    a = 3.0 * np.eye(5)
-    for i, j in g.edges:
-        a[i - 1, j - 1] = 1.0
-    return WeightMatrix(a, g)
+    return WeightMatrix(3.0 * np.eye(5) + adjacency_matrix(g), g)
 
 
 def pentagon_configuration():
@@ -416,26 +442,29 @@ def collect_descent_fixed_points(cfg: ExperimentConfig, count: int,
     """Run descent trials until `count` non-consensus limits that are also
     fixed points of the plain weight iteration have been found, or the trial
     budget max(50 * count, 1000) is spent; a shortfall is warned of with a
-    RuntimeWarning."""
+    RuntimeWarning. Trials run in lockstep chunks; the first `count` hits in
+    trial order are kept, and the trials after the last hit do not count.
+    A chunk holds the missing hits over the hit rate seen so far (taken as 1
+    before the first chunk), so it runs few trials past the last hit kept."""
     out = []
     t = 0
     zero_norm = 0
     limit = max(50 * count, 1000)
     while len(out) < count and t < limit:
-        try:
-            g = _make_graph(cfg, cfg.n, True, derive_seed(cfg.seed, t, 1))
-            a = sample_sdd(g, cfg.margin, True, derive_seed(cfg.seed, t, 2))
-            c0 = random_configuration(cfg.n, cfg.d, derive_seed(cfg.seed, t, 3))
-            res = dynamics.find_nonconsensus_fixed_point(
-                a, c0, slack=cfg.slack, fp_tol=cfg.fp_tol, max_iter=cfg.max_iter)
-            cls = classify_configuration(res.final, cfg.consensus_tol, cfg.rank_tol)
-            if (res.converged and not cls.is_consensus
-                    and cls.rank >= require_rank_ge
-                    and res.residual_weight <= a_residual_tol):
-                out.append((a, res.final, t))
-        except ZeroDivisionError:
-            zero_norm += 1
-        t += 1
+        size = -(-(count - len(out)) * max(t, 1) // max(len(out), 1))  # ceiling
+        chunk = [_plan(cfg, s, cfg.n, cfg.d, True) for s in range(t, min(t + size, limit))]
+        records, _, _ = _run_trials(cfg, chunk, descent=True)
+        for trial, r in zip(chunk, records):
+            t = trial.t + 1
+            if isinstance(trial.error, ZeroDivisionError):
+                zero_norm += 1
+            elif trial.error is not None:
+                raise trial.error
+            elif (r.klass not in ("consensus", "nonconverged") and r.rank >= require_rank_ge
+                    and r.residual_A <= a_residual_tol):
+                out.append((trial.weights, trial.final, trial.t))
+                if len(out) == count:
+                    break
     if len(out) < count:
         warnings.warn(f"found {len(out)} of {count} descent fixed points in "
                       f"{t} trials ({zero_norm} zero-norm)", RuntimeWarning)
@@ -455,32 +484,27 @@ def cmd_stability_audit(cfg: ExperimentConfig, count: int = 100,
     if cfg.n is None:
         raise ValueError("stability audit requires explicit n")
     points = collect_descent_fixed_points(cfg, count, require_rank_ge=2)
-    certified = 0
-    trace_matches = 0
-    escapes = 0
     details = []
+    perturbed = []
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xE5C))
-    from .state import tangent_basis
     for a, c, t in points:
         cert = stability.instability_certificate(a, c, fp_tol=1e-8)
         trace = stability.trace_formula_check(a, c)
-        if cert.label == "unstable-certified":
-            certified += 1
-        if trace.match:
-            trace_matches += 1
-        # perturb along the tangent space and resume the plain iteration
-        basis = tangent_basis(c)
+        # perturb along the tangent space, to resume the plain iteration
         noise = rng.standard_normal(c.n * (c.d - 1))
         noise *= 1e-6 / np.linalg.norm(noise)
-        perturbed = Configuration(
-            (c.vector + basis.block_diagonal() @ noise).reshape(c.n, c.d))
-        res = dynamics.run(a, perturbed, fp_tol=cfg.fp_tol, max_iter=cfg.max_iter)
-        if classify_configuration(res.final, cfg.consensus_tol).is_consensus:
-            escapes += 1
+        perturbed.append(Configuration(
+            (c.vector + tangent_basis(c).block_diagonal() @ noise).reshape(c.n, c.d)).rows)
         details.append({"trial": t, "label": cert.label,
                         "spectral_radius": cert.spectral_radius,
                         "certificate_eigenvalue": cert.certificate_eigenvalue,
                         "trace_match": trace.match})
+    escapes = 0
+    if points:
+        out = dynamics.run_batch(np.stack([a.entries for a, _, _ in points]),
+                                 np.stack(perturbed), fp_tol=cfg.fp_tol, max_iter=cfg.max_iter)
+        escapes = sum(classify_configuration(Configuration(rows), cfg.consensus_tol).is_consensus
+                      for rows, failed in zip(out.rows, out.failed) if not failed)
     # determinant floor for sqrt(2)-condition matrices
     min_abs_det = np.inf
     for k in range(det_trials):
@@ -495,15 +519,13 @@ def cmd_stability_audit(cfg: ExperimentConfig, count: int = 100,
         "n": cfg.n, "d": cfg.d,
         "fixed_points": len(points),
         **points.counts,
-        "unstable_certified": certified,
-        "trace_matches": trace_matches,
+        "unstable_certified": sum(e["label"] == "unstable-certified" for e in details),
+        "trace_matches": sum(e["trace_match"] for e in details),
         "escapes_to_consensus": escapes,
         "min_abs_det_sqrt2": min_abs_det,
         "details": details,
     }
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        write_summary_json(os.path.join(cfg.out, "summary.json"), summary)
+    _emit(cfg, None, summary)
     return summary
 
 
@@ -517,30 +539,19 @@ def cmd_jg_rank(cfg: ExperimentConfig, count: int = 50):
     deficient by m(m-1)/2 (checked via explicit skew null vectors)."""
     if cfg.n is None or cfg.d is None:
         raise ValueError("jg-rank requires explicit n and d")
-    cfg_complete = ExperimentConfig(**{**asdict(cfg), "graph": "complete"})
-    points = collect_descent_fixed_points(cfg_complete, count, require_rank_ge=1)
+    points = collect_descent_fixed_points(replace(cfg, graph="complete"), count,
+                                          require_rank_ge=1)
     reports = []
-    full_rank_count = 0
-    deficiency_ok = 0
-    rank_ge2 = 0
-    max_null_residual = 0.0
     for a, c, t in points:
         sys = build_fixed_point_system(a, c)
-        nonsym = assemble_Jg(sys, symmetric=False)
-        r_nonsym = matrix_rank(nonsym.full)
-        if r_nonsym == sys.n * sys.m:
-            full_rank_count += 1
+        r_nonsym = matrix_rank(assemble_Jg(sys, symmetric=False).full)
         entry = {"trial": t, "m": sys.m, "nonsym_rank": r_nonsym,
                  "nonsym_full": r_nonsym == sys.n * sys.m}
         if sys.m >= 2:
-            rank_ge2 += 1
             rep = symmetric_rank_deficiency_check(sys)
-            if rep.satisfied:
-                deficiency_ok += 1
             null_vecs = skew_null_vectors(sys)
             jg = assemble_Jg(sys, symmetric=True).full
             resid = float(np.abs(null_vecs @ jg).max()) if null_vecs.size else 0.0
-            max_null_residual = max(max_null_residual, resid)
             entry.update({"sym_rank": rep.rank, "sym_bound": rep.bound,
                           "sym_deficient": rep.satisfied, "null_residual": resid})
         reports.append(entry)
@@ -550,13 +561,11 @@ def cmd_jg_rank(cfg: ExperimentConfig, count: int = 50):
         "n": cfg.n, "d": cfg.d,
         "fixed_points": len(points),
         **points.counts,
-        "nonsym_full_rank": full_rank_count,
-        "rank_ge2_points": rank_ge2,
-        "sym_deficiency_satisfied": deficiency_ok,
-        "max_null_residual": max_null_residual,
+        "nonsym_full_rank": sum(e["nonsym_full"] for e in reports),
+        "rank_ge2_points": sum("sym_rank" in e for e in reports),
+        "sym_deficiency_satisfied": sum(e.get("sym_deficient", False) for e in reports),
+        "max_null_residual": max((e.get("null_residual", 0.0) for e in reports), default=0.0),
         "reports": reports,
     }
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        write_summary_json(os.path.join(cfg.out, "summary.json"), summary)
+    _emit(cfg, None, summary)
     return summary

@@ -10,12 +10,12 @@ because the residual uses D as a multiplier.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .dynamics import _step
 from .graph import DirectedGraph, structure_matrix
 from .state import (Configuration, as_array, block_diagonal_matrix,
                     tangent_projectors)
@@ -26,10 +26,9 @@ RANK_RTOL = 1e-8
 
 def compute_D(a, c) -> np.ndarray:
     """Row norms of A X; the unique positive diagonal making the residual
-    vanish when x is a fixed point."""
-    norms = np.linalg.norm(as_array(a) @ as_array(c), axis=1)
-    if norms.min() <= 1e-14:
-        raise ZeroDivisionError("a row image of the configuration vanishes")
+    vanish when x is a fixed point. A vanishing row image raises
+    ZeroDivisionError naming the agent."""
+    _, norms = _step(as_array(a), as_array(c))
     return norms
 
 
@@ -191,13 +190,6 @@ class RankDeficiencyReport:
     bound: int
     satisfied: bool
     min_singular_value: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n, "m": self.m, "symmetric": self.symmetric,
-            "rank": self.rank, "bound": self.bound, "satisfied": self.satisfied,
-            "min_singular_value": self.min_singular_value,
-        })
 
 
 def symmetric_rank_deficiency_check(sys: FixedPointSystem,

@@ -35,10 +35,6 @@ class DirectedGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
 
-    def closed_neighbors(self, i: int) -> set:
-        """Node i together with every j such that (i,j) is an edge."""
-        return {i} | {j for (a, j) in self.edges if a == i}
-
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "edges": sorted(self.edges)})
 
@@ -54,10 +50,7 @@ def structure_matrix(g: DirectedGraph) -> np.ndarray:
     The diagonal is included so the mask also covers the diagonal entries of
     weight matrices; see structure_masks in fixedpoint_rank.
     """
-    b = np.eye(g.n)
-    for i, j in g.edges:
-        b[i - 1, j - 1] = 1.0
-    return b
+    return np.eye(g.n) + adjacency_matrix(g)
 
 
 def adjacency_matrix(g: DirectedGraph) -> np.ndarray:
@@ -111,6 +104,17 @@ def _hamiltonian_cycle_edges(n: int, rng: np.random.Generator) -> set:
     return {(int(order[k]), int(order[(k + 1) % n])) for k in range(n)}
 
 
+def _add_symmetric_pairs(n: int, edge_prob: float, rng: np.random.Generator,
+                         edges: set) -> DirectedGraph:
+    """Add each undirected pair i < j not yet in edges, in both directions,
+    with probability edge_prob (one draw per such pair, row-major)."""
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if (i, j) not in edges and rng.random() < edge_prob:
+                edges |= {(i, j), (j, i)}
+    return DirectedGraph(n, frozenset(edges))
+
+
 def random_strongly_connected(n: int, edge_prob: float, seed: int) -> DirectedGraph:
     """Random strongly connected digraph, deterministic per seed.
 
@@ -141,13 +145,7 @@ def random_connected_er(n: int, edge_prob: float, seed: int) -> DirectedGraph:
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
     for _ in range(100_000):
-        edges = set()
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if rng.random() < edge_prob:
-                    edges.add((i, j))
-                    edges.add((j, i))
-        g = DirectedGraph(n, frozenset(edges))
+        g = _add_symmetric_pairs(n, edge_prob, rng, set())
         if is_strongly_connected(g):
             return g
     raise RuntimeError(f"no connected sample in 100000 draws (n={n}, p={edge_prob})")
@@ -166,9 +164,4 @@ def random_symmetric_connected(n: int, edge_prob: float, seed: int) -> DirectedG
     for i, j in _hamiltonian_cycle_edges(n, rng):
         edges.add((i, j))
         edges.add((j, i))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i, j) not in edges and rng.random() < edge_prob:
-                edges.add((i, j))
-                edges.add((j, i))
-    return DirectedGraph(n, frozenset(edges))
+    return _add_symmetric_pairs(n, edge_prob, rng, edges)

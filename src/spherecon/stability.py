@@ -5,7 +5,6 @@ fixed-point stability classification.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,14 +75,6 @@ class DifferentialReport:
     spectral_radius: float
     det: float
     angles: np.ndarray  # arccos(x_i . y_i) per agent
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "eigenvalues": [[float(v.real), float(v.imag)] for v in self.eigenvalues],
-            "spectral_radius": self.spectral_radius,
-            "det": self.det,
-            "angles": self.angles.tolist(),
-        })
 
 
 def differential_report(m, c: Configuration,

@@ -5,13 +5,11 @@ points.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph, is_symmetric
+from .graph import DirectedGraph, adjacency_matrix, is_symmetric
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -31,13 +29,11 @@ class WeightMatrix:
             raise ValueError(f"entries shape {a.shape} does not match n={n}")
         if np.any(a < 0):
             raise ValueError("weight matrix entries must be non-negative")
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    if (a[i, j] > 0) != self.graph.has_edge(i + 1, j + 1):
-                        raise ValueError(
-                            f"entry ({i + 1},{j + 1}) violates the graph zero-structure"
-                        )
+        bad = np.argwhere(((a > 0) != (adjacency_matrix(self.graph) > 0))
+                          & ~np.eye(n, dtype=bool))
+        if len(bad):
+            i, j = bad[0] + 1
+            raise ValueError(f"entry ({i},{j}) violates the graph zero-structure")
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
@@ -49,17 +45,6 @@ class WeightMatrix:
     def is_symmetric(self) -> bool:
         """Exact symmetry: the symmetric-only certificate paths need a == a^T."""
         return bool(np.array_equal(self.entries, self.entries.T))
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "rows": self.entries.tolist()})
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        n = self.n
-        buf.write(",".join(f"c{j + 1}" for j in range(n)) + "\n")
-        for i in range(n):
-            buf.write(",".join(repr(v) for v in self.entries[i]) + "\n")
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from spherecon.dynamics import (find_nonconsensus_fixed_point,
+from spherecon.dynamics import (_step, find_nonconsensus_fixed_point,
                                 fixed_point_residual, iterate,
-                                normalization_diagonal, potential, run)
-from spherecon.graph import DirectedGraph, complete_graph
+                                normalization_diagonal, potential, run,
+                                run_batch)
+from spherecon.graph import (DirectedGraph, complete_graph,
+                             random_strongly_connected,
+                             random_symmetric_connected)
 from spherecon.state import (Configuration, classify_configuration,
                              consensus_configuration, random_configuration)
 from spherecon.weights import (WeightMatrix, descent_matrix,
@@ -175,3 +178,74 @@ def test_trajectory_json():
     obj = json.loads(res.to_json())
     assert obj["converged"] is True
     assert obj["iterations"] == res.iterations
+
+
+def _per_trial_run(entries, rows, fp_tol, max_iter, weights):
+    """The per-trial step loop the lockstep kernel replaced, kept as its
+    reference: (final rows, iterations, residual, potential history)."""
+    history = []
+    for k in range(max_iter + 1):
+        history.append(np.einsum("ij,ik,jk->", weights, rows, rows))
+        nxt, _ = _step(entries, rows)
+        residual = float(np.linalg.norm(nxt - rows))
+        if residual <= fp_tol or k == max_iter:
+            break
+        rows = nxt
+    return rows, k, residual, np.asarray(history)
+
+
+def test_lockstep_matches_per_trial_loop():
+    # plain and descent iterations on symmetric and non-symmetric weights,
+    # batched by (n, d) so that trials of very different lengths share a run
+    rng = np.random.default_rng(40)
+    groups = {}
+    for case in range(240):
+        n, d = int(rng.integers(3, 9)), int(rng.integers(2, 6))
+        symmetric = bool(case % 2)
+        g = (random_symmetric_connected if symmetric else random_strongly_connected)(
+            n, 0.5, 3000 + case)
+        a = sample_sdd(g, margin=0.1, symmetric=symmetric, seed=4000 + case)
+        m = descent_matrix(a, slack=0.25).entries if case % 3 == 0 else a.entries
+        rows = random_configuration(n, d, seed=5000 + case).rows
+        groups.setdefault((n, d), []).append((m, rows, a.entries))
+    max_iter, lengths = 300, []
+    for members in groups.values():
+        mats, starts, weights = (np.stack(x) for x in zip(*members))
+        out = run_batch(mats, starts, fp_tol=1e-12, max_iter=max_iter,
+                        potential_weights=weights)
+        assert not out.failed.any()
+        for t, (m, rows, w) in enumerate(members):
+            final, iters, residual, history = _per_trial_run(m, rows, 1e-12, max_iter, w)
+            assert np.array_equal(Configuration(out.rows[t]).rows, Configuration(final).rows)
+            assert out.iters[t] == iters
+            assert out.residual[t] == residual
+            assert np.array_equal(out.potential_histories[t], history)
+            lengths.append(iters)
+            if iters == max_iter:
+                assert residual > 1e-12
+    assert len(lengths) == 240 and min(lengths) < 50 and lengths.count(max_iter) > 0
+
+
+def test_stopped_at_max_iter_is_not_converged():
+    a = sample_sdd(complete_graph(5), margin=0.1, symmetric=True, seed=23)
+    res = run(a, random_configuration(5, 3, seed=24), max_iter=3)
+    assert res.iterations == 3 and not res.converged and res.residual > 1e-12
+
+
+def test_zero_row_image_fails_only_its_trial():
+    # the two-agent antipodal all-ones case inside a healthy batch
+    ones, antipodal = np.ones((2, 2)), np.array([[1.0, 0.0], [-1.0, 0.0]])
+    mats = [sample_sdd(complete_graph(2), 0.1, False, seed=s).entries for s in range(4)]
+    starts = [random_configuration(2, 2, seed=10 + s) for s in range(4)]
+    mats.insert(2, ones)
+    starts.insert(2, Configuration(antipodal))
+    rows, iters, residual, failed = run_batch(np.stack(mats),
+                                              np.stack([c.rows for c in starts]))
+    assert failed.tolist() == [False, False, True, False, False]
+    assert iters[2] == 0 and residual[2] == np.inf
+    assert np.array_equal(rows[2], antipodal)
+    for t in (0, 1, 3, 4):
+        assert residual[t] <= 1e-12
+        assert np.array_equal(Configuration(rows[t]).rows, run(mats[t], starts[t]).final.rows)
+    with pytest.raises(ZeroDivisionError, match="agent 1"):
+        run(ones, Configuration(antipodal))

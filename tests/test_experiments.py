@@ -49,6 +49,10 @@ def test_sweep_small_consensus(tmp_path):
     assert len(rows) == 21
     assert json.loads((tmp_path / "o" / "summary.json").read_text())[
         "consensus_fraction"] == 1.0
+    assert sum(summary["iteration_histogram"].values()) == 20
+    # symmetric trials, which record their potential, are grouped apart
+    shapes = len({(r.n, r.d) for r in records})
+    assert shapes < summary["lockstep_groups"] <= 2 * shapes
 
 
 def test_sweep_deterministic(tmp_path):
@@ -90,7 +94,26 @@ def test_rank_table_counts_converged_limits_only():
     stalled = [r for r in records if r.klass == "nonconverged"]
     assert summary["nonconverged"] == len(stalled) > 0
     assert all(r.iters == cfg.max_iter for r in stalled)
+    assert summary["lockstep_groups"] == 1
+    assert list(summary["iteration_histogram"]) == ["0-9", "10-99", "100-149", "150"]
+    assert summary["iteration_histogram"]["150"] == len(stalled)
     assert sum(summary["rank_counts"].values()) == cfg.trials - len(stalled)
+
+
+def test_sweep_reports_twisted_circle_limit_by_d():
+    # on the circle a bare 6-cycle has a stable twisted fixed point; trial 23
+    # of this seed converges to it, outside the paper's d >= 3 consensus result
+    from spherecon.experiments import graph_hash
+    from spherecon.graph import random_symmetric_connected
+    records, summary = cmd_consensus_sweep(ExperimentConfig(seed=230000714, trials=24))
+    rec = records[23]
+    assert (rec.n, rec.d, rec.klass, rec.rank) == (6, 2, "higher-rank", 2)
+    assert rec.spec_radius == pytest.approx(1.0, abs=1e-9)
+    cycle = random_symmetric_connected(6, 0.5, derive_seed(230000714, 23, 1))
+    assert len(cycle.edges) == 12 and graph_hash(cycle) == rec.graph_hash
+    assert summary["nonconsensus_trials"] == 1
+    assert summary["nonconsensus_by_d"]["2"] == 1
+    assert sum(summary["nonconsensus_by_d"].values()) == 1
 
 
 def test_theorem2_probe_zero_counterexamples():
@@ -98,6 +121,7 @@ def test_theorem2_probe_zero_counterexamples():
     _, summary = cmd_theorem2_probe(cfg)
     assert summary["rank_ge2_count"] == 0
     assert summary["counterexamples"] == []
+    assert summary["iteration_histogram"]["100000"] == summary["nonconverged"]
 
 
 def test_theorem2_perturbation_of_symmetric_matrix():
@@ -179,6 +203,53 @@ def test_descent_search_reports_shortfall():
     assert (summary["requested"], summary["trials_run"]) == (2, 1000)
 
 
+def test_descent_search_matches_per_trial_search():
+    # the chunked lockstep search keeps the hits a trial-by-trial search finds
+    from spherecon.dynamics import find_nonconsensus_fixed_point
+    from spherecon.experiments import _make_graph
+    from spherecon.state import classify_configuration, random_configuration
+    from spherecon.weights import sample_sdd
+    for graph, rank in (("random", 2), ("complete", 1)):
+        cfg = ExperimentConfig(seed=1, n=4, d=3, symmetric=True, graph=graph)
+        points = collect_descent_fixed_points(cfg, count=6, require_rank_ge=rank)
+        hits = []
+        for t in range(points.counts["trials_run"]):
+            a = sample_sdd(_make_graph(cfg, 4, True, derive_seed(1, t, 1)), cfg.margin,
+                           True, derive_seed(1, t, 2))
+            res = find_nonconsensus_fixed_point(
+                a, random_configuration(4, 3, derive_seed(1, t, 3)), slack=cfg.slack,
+                fp_tol=cfg.fp_tol, max_iter=cfg.max_iter)
+            cls = classify_configuration(res.final, cfg.consensus_tol, cfg.rank_tol)
+            if (res.converged and not cls.is_consensus and cls.rank >= rank
+                    and res.residual_weight <= 1e-9):
+                hits.append((a, res.final, t))
+        assert [t for _, _, t in points] == [t for _, _, t in hits]
+        assert hits[-1][2] == points.counts["trials_run"] - 1
+        for (a, c, _), (ref_a, ref_c, _) in zip(points, hits):
+            assert np.array_equal(a.entries, ref_a.entries)
+            assert np.array_equal(c.rows, ref_c.rows)
+
+
+def test_zero_norm_trial_keeps_its_hashes_and_names_the_agent():
+    from spherecon.experiments import _run_trials, _Trial, graph_hash, matrix_hash
+    from spherecon.graph import complete_graph
+    from spherecon.weights import WeightMatrix, sample_sdd
+    g = complete_graph(2)
+    ones = WeightMatrix(np.ones((2, 2)), g)
+    healthy = sample_sdd(g, 0.1, True, seed=3)
+    trials = [_Trial(t, 2, 2, True, g, a, rows) for t, (a, rows) in enumerate([
+        (healthy, np.array([[1.0, 0.0], [0.0, 1.0]])),
+        (ones, np.array([[1.0, 0.0], [-1.0, 0.0]]))])]
+    records, errors, _ = _run_trials(ExperimentConfig(seed=1), trials, descent=False,
+                                     record_potential=True)
+    assert records[0].klass == "consensus" and trials[0].potentials is not None
+    assert errors == [{"trial": 1, "error": "agent 1: combined state has near-zero "
+                                            "norm, projection undefined"}]
+    assert records[1].klass == "error" and trials[1].potentials is None
+    assert (records[1].graph_hash, records[1].matrix_hash) == (graph_hash(g),
+                                                               matrix_hash(ones.entries))
+
+
 def _run_cli(*args):
     return subprocess.run([sys.executable, "-m", "spherecon.cli", *args],
                           capture_output=True, text=True)
@@ -211,6 +282,15 @@ def test_cli_rank_table_with_config(tmp_path):
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((tmp_path / "rt" / "summary.json").read_text())
     assert sum(summary["rank_counts"].values()) == 10
+
+
+def test_cli_requires_seed_with_or_without_config(tmp_path):
+    from spherecon.cli import main
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": 3}))
+    for argv in (["sweep", "--trials", "3"], ["sweep", "--config", str(cfg_path)]):
+        with pytest.raises(SystemExit, match="--seed is required"):
+            main(argv)
 
 
 def test_cli_theorem2_and_flag_overrides(tmp_path):
