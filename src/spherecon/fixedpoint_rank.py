@@ -1,6 +1,7 @@
 """Parametric fixed-point analysis: the residual map g(A, D, x), structure
-masks, the duplication matrix, Jacobian assembly with respect to (A, D, x),
-and the rank checks behind the measure-zero statements for weight matrices.
+masks, Jacobian assembly with respect to (A, D, x), and the rank checks
+behind the measure-zero statements for weight matrices. The duplication
+matrix is kept as the dense reference of the symmetric A-block.
 
 Conventions: the residual and its Jacobian act on agent-major vectors
 (row-major flattening of the state matrix). D here stores the row norms of
@@ -17,11 +18,9 @@ import numpy as np
 
 from .dynamics import _step
 from .graph import DirectedGraph, structure_matrix
-from .state import (Configuration, as_array, block_diagonal_matrix,
+from .state import (RANK_TOL, Configuration, as_array, block_diagonal_matrix,
                     tangent_projectors)
 from .weights import WeightMatrix
-
-RANK_RTOL = 1e-8
 
 
 def compute_D(a, c) -> np.ndarray:
@@ -67,8 +66,7 @@ def duplication_matrix(n: int) -> np.ndarray:
 
 def vech(c: np.ndarray) -> np.ndarray:
     """Lower triangle (diagonal included) stacked column-wise."""
-    n = c.shape[0]
-    return np.concatenate([c[j:, j] for j in range(n)])
+    return c.T[np.triu_indices(c.shape[0])]
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class FixedPointSystem:
         return float(np.abs(residual_g(self.a, self.dvec, self.x)).max())
 
 
-def pin_configuration(c: Configuration, rank_tol: float = RANK_RTOL):
+def pin_configuration(c: Configuration, rank_tol: float = RANK_TOL):
     """Rotate a configuration so its state matrix has its last d - m columns
     zero and its first row equal to the first coordinate axis, then drop the
     zero columns. Returns (pinned n x m array, m)."""
@@ -111,7 +109,7 @@ def pin_configuration(c: Configuration, rank_tol: float = RANK_RTOL):
 
 
 def build_fixed_point_system(a: WeightMatrix, c: Configuration,
-                             rank_tol: float = RANK_RTOL) -> FixedPointSystem:
+                             rank_tol: float = RANK_TOL) -> FixedPointSystem:
     """Pin a configuration and pair it with the diagonal multiplier that
     annihilates the residual at fixed points."""
     xm, m = pin_configuration(c, rank_tol)
@@ -135,50 +133,69 @@ def assemble_Jg(sys: FixedPointSystem, symmetric: bool,
     """First-order expansion of the residual in (A, D, x) at a pinned fixed
     point.
 
-    The A-block is (I_n ot X^T) masked by the graph structure, or composed
-    with the duplication matrix when A is constrained symmetric; the D-block
-    is -(I_n ot X^T) restricted to diagonal positions; the x-block is
-    ((A - D) ot I_m) projected onto the tangent spaces, with the first
-    agent's tangent directions removed (the pinning freezes that row).
-    graph=None means the complete graph (no masking of the A-block).
+    The A-block is (I_n ot X^T) on the n^2 entries of a row-major vec(A),
+    masked by the graph structure; when A is constrained symmetric it acts on
+    the n(n+1)/2 entries of vech(A) and equals (I_n ot X^T) times the
+    duplication matrix. The D-block acts on the n entries of D: column i is
+    -e_i ot x_i. The x-block is ((A - D) ot I_m) projected onto the tangent
+    spaces, with the first agent's tangent directions removed (the pinning
+    freezes that row). graph=None means the complete graph (no masking of
+    the A-block).
     """
-    n, m = sys.n, sys.m
-    ixt = np.kron(np.eye(n), sys.x.T)  # nm x n^2, acts on row-major vec(A)
+    n, m, x = sys.n, sys.m, sys.x
     if symmetric:
-        a_part = ixt @ duplication_matrix(n)
-    elif graph is None:
-        a_part = ixt
+        # column (lo, hi) of vech order holds x_hi in row block lo and x_lo
+        # in row block hi (one x_lo when lo == hi)
+        lo, hi = np.triu_indices(n)
+        a_part = np.zeros((n, m, lo.size))
+        a_part[lo, :, np.arange(lo.size)] = x[hi]
+        a_part[hi, :, np.arange(lo.size)] = x[lo]
+        a_part = a_part.reshape(n * m, -1)
     else:
-        k_a, _ = structure_masks(graph)
-        a_part = ixt * k_a + 0.0
-    # + 0.0 makes the -0.0 of a masked negative entry +0.0, as the product
-    # with the diagonal K_A or K_D does: LAPACK reads the sign of a zero
-    d_part = -ixt * np.eye(n).reshape(-1) + 0.0
+        a_part = block_diagonal_matrix(np.broadcast_to(x.T, (n, m, n)))
+        if graph is not None:
+            k_a, _ = structure_masks(graph)
+            # + 0.0 makes the -0.0 of a masked negative entry +0.0, as the
+            # product with the diagonal K_A does: LAPACK reads the sign of a zero
+            a_part = a_part * k_a + 0.0
+    d_part = block_diagonal_matrix((0.0 - x)[:, :, None])
     x_full = (np.kron(sys.a - np.diag(sys.dvec), np.eye(m))
-              @ block_diagonal_matrix(tangent_projectors(sys.x)))
+              @ block_diagonal_matrix(tangent_projectors(x)))
     x_part = x_full[:, m:]  # drop the pinned first agent's directions
     return JgParts(a_part, d_part, x_part)
 
 
-def matrix_rank(mat: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    s = np.linalg.svd(mat, compute_uv=False)
+def _singular_values(mat: np.ndarray) -> np.ndarray:
+    """Singular values of mat in descending order. A wide matrix is first
+    reduced to the square R of a QR factorization of its transpose, which has
+    the same singular values: one Householder pass over the long side, then
+    an SVD of a min(shape) square."""
+    if mat.shape[0] < mat.shape[1]:
+        mat = np.linalg.qr(mat.T, mode="r")
+    return np.linalg.svd(mat, compute_uv=False)
+
+
+def _rank(s: np.ndarray, rtol: float) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rtol * s[0]))
+
+
+def matrix_rank(mat: np.ndarray, rtol: float = RANK_TOL) -> int:
+    return _rank(_singular_values(mat), rtol)
 
 
 def skew_null_vectors(sys: FixedPointSystem) -> np.ndarray:
     """The m(m-1)/2 agent-major vectors built from skew rotations of the
     pinned state matrix; at fixed points of the symmetric parametrization they
     span a left null space of the residual Jacobian."""
-    n, m = sys.n, sys.m
-    vecs = []
-    for p in range(m):
-        for q in range(p + 1, m):
-            r0 = np.zeros((m, m))
-            r0[p, q], r0[q, p] = 1.0, -1.0
-            vecs.append((sys.x @ r0.T).reshape(-1))
-    return np.asarray(vecs).reshape(len(vecs), n * m)
+    n, m, x = sys.n, sys.m, sys.x
+    p, q = np.triu_indices(m, 1)
+    vecs = np.zeros((p.size, n, m))
+    # X R^T with R_pq = 1 = -R_qp; + 0.0 and 0.0 - give that product's +0.0
+    vecs[np.arange(p.size), :, p] = x[:, q].T + 0.0
+    vecs[np.arange(p.size), :, q] = 0.0 - x[:, p].T
+    return vecs.reshape(p.size, n * m)
 
 
 @dataclass(frozen=True)
@@ -193,13 +210,11 @@ class RankDeficiencyReport:
 
 
 def symmetric_rank_deficiency_check(sys: FixedPointSystem,
-                                    rtol: float = RANK_RTOL) -> RankDeficiencyReport:
+                                    rtol: float = RANK_TOL) -> RankDeficiencyReport:
     """Rank of the symmetric-parametrization Jacobian against the bound
     nm - m(m-1)/2 (complete graph)."""
-    parts = assemble_Jg(sys, symmetric=True)
-    full = parts.full
-    s = np.linalg.svd(full, compute_uv=False)
-    rank = int(np.sum(s > rtol * s[0]))
+    s = _singular_values(assemble_Jg(sys, symmetric=True).full)
+    rank = _rank(s, rtol)
     bound = sys.n * sys.m - sys.m * (sys.m - 1) // 2
     return RankDeficiencyReport(
         n=sys.n, m=sys.m, symmetric=True, rank=rank, bound=bound,

@@ -82,11 +82,13 @@ def differential_report(m, c: Configuration,
                         basis_y: Optional[TangentBasis] = None) -> DifferentialReport:
     """Compute the projected Jacobian, the reduced matrix, its spectrum and
     determinant, and the per-agent rotation angles of one iteration step."""
-    _, y_rows = _scaled_entries(m, c)
+    da, y_rows = _scaled_entries(m, c)
     bx = basis_x if basis_x is not None else tangent_basis(c)
     by = basis_y if basis_y is not None else tangent_basis(Configuration(y_rows))
-    jac = projected_jacobian(m, c)
-    red = reduced_matrix(m, c, bx, by)
+    # projected_jacobian and reduced_matrix, sharing one iteration step
+    jac = _scaled_block_products(da, tangent_projectors(y_rows),
+                                 tangent_projectors(c.rows))
+    red = _scaled_block_products(da, by.blocks.transpose(0, 2, 1), bx.blocks)
     eig = np.linalg.eigvals(red)
     dots = np.clip(np.einsum("ij,ij->i", c.rows, y_rows), -1.0, 1.0)
     return DifferentialReport(
