@@ -23,7 +23,7 @@ def main():
     res = run(a, c0, record_potential=True, a_for_potential=a)
     v = res.potential_history
 
-    print(f"{n} agents on S^{d - 1}, {len(g.edges)} directed edges")
+    print(f"{n} agents on S^{d - 1}, {g.adjacency.sum()} directed edges")
     print(f"converged after {res.iterations} iterations, "
           f"residual {res.residual:.2e}")
     print()

@@ -21,7 +21,7 @@ from spherecon.graph import DirectedGraph
 
 def main():
     # Pure directed 3-cycle: 1 -> 2 -> 3 -> 1 (each agent hears one other).
-    g = DirectedGraph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
+    g = DirectedGraph.from_edges(3, [(1, 2), (2, 3), (3, 1)])
     a = sample_sdd(g, margin=0.1, symmetric=False, seed=0)
     c = random_configuration(3, 2, seed=10009)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dynamics, stability
 from .fixedpoint_rank import (assemble_Jg, build_fixed_point_system, matrix_rank,
-                              skew_null_vectors, symmetric_rank_deficiency_check)
+                              symmetric_rank_deficiency_check)
 from .graph import (DirectedGraph, adjacency_matrix, complete_graph,
                     random_connected_er, random_strongly_connected,
                     random_symmetric_connected, ring_graph)
@@ -159,7 +159,7 @@ class _Trial:
     final: Optional[Configuration] = None
     iters: int = 0
     residual: float = float("nan")
-    potentials: Optional[np.ndarray] = None
+    min_potential_step: Optional[float] = None
 
 
 def _plan(cfg: ExperimentConfig, t: int, n: int, d: int, symmetric: bool,
@@ -209,8 +209,8 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool,
                     trial.error = exc
                     continue
             trial.final = Configuration(out.rows[pos])
-            if potentials:
-                trial.potentials = out.potential_histories[pos]
+            if potentials and len(out.potential_histories[pos]) > 1:
+                trial.min_potential_step = float(np.diff(out.potential_histories[pos]).min())
     records, errors, nan = [], [], float("nan")
     for trial in trials:
         tseed = derive_seed(cfg.seed, trial.t)
@@ -276,9 +276,8 @@ def cmd_consensus_sweep(cfg: ExperimentConfig):
         trials.append(_plan(cfg, t, n, d, symmetric))
     records, errors, run_fields = _run_trials(cfg, trials, descent=False,
                                               record_potential=True)
-    min_potential_delta = min((float(np.diff(tr.potentials).min()) for tr in trials
-                               if tr.potentials is not None and len(tr.potentials) > 1),
-                              default=None)
+    min_potential_delta = min((tr.min_potential_step for tr in trials
+                               if tr.min_potential_step is not None), default=None)
     nonconsensus_by_d: dict = {}
     for r in records:
         if r.klass != "error":
@@ -295,6 +294,9 @@ def cmd_consensus_sweep(cfg: ExperimentConfig):
         "graph_model": cfg.graph,
         "margin": cfg.margin,
         "nonconsensus_by_d": {str(d): k for d, k in sorted(nonconsensus_by_d.items())},
+        "d2_bare_cycle_trials": sum(tr.d == 2 and tr.graph is not None
+                                    and bool((tr.graph.adjacency.sum(axis=1) == 2).all())
+                                    for tr in trials),
         **run_fields,
     }
     _emit(cfg, records, summary)
@@ -549,11 +551,8 @@ def cmd_jg_rank(cfg: ExperimentConfig, count: int = 50):
                  "nonsym_full": r_nonsym == sys.n * sys.m}
         if sys.m >= 2:
             rep = symmetric_rank_deficiency_check(sys)
-            null_vecs = skew_null_vectors(sys)
-            jg = assemble_Jg(sys, symmetric=True).full
-            resid = float(np.abs(null_vecs @ jg).max()) if null_vecs.size else 0.0
             entry.update({"sym_rank": rep.rank, "sym_bound": rep.bound,
-                          "sym_deficient": rep.satisfied, "null_residual": resid})
+                          "sym_deficient": rep.satisfied, "null_residual": rep.null_residual})
         reports.append(entry)
     summary = {
         "experiment": "jg_rank",

@@ -207,16 +207,19 @@ class RankDeficiencyReport:
     bound: int
     satisfied: bool
     min_singular_value: float
+    null_residual: float  # max |v^T Jg| over the skew null vectors v
 
 
 def symmetric_rank_deficiency_check(sys: FixedPointSystem,
                                     rtol: float = RANK_TOL) -> RankDeficiencyReport:
     """Rank of the symmetric-parametrization Jacobian against the bound
-    nm - m(m-1)/2 (complete graph)."""
-    s = _singular_values(assemble_Jg(sys, symmetric=True).full)
+    nm - m(m-1)/2 (complete graph), and the skew null vectors' residual."""
+    jg = assemble_Jg(sys, symmetric=True).full
+    s = _singular_values(jg)
     rank = _rank(s, rtol)
     bound = sys.n * sys.m - sys.m * (sys.m - 1) // 2
     return RankDeficiencyReport(
         n=sys.n, m=sys.m, symmetric=True, rank=rank, bound=bound,
         satisfied=rank <= bound, min_singular_value=float(s[-1]),
+        null_residual=float(np.abs(skew_null_vectors(sys) @ jg).max(initial=0.0)),
     )

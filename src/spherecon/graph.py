@@ -1,47 +1,60 @@
 """Directed graphs, connectivity checks, and generators for experiment sweeps.
 
-Nodes are 1-based in all external formats. Graphs are immutable after
-construction and safe to share read-only across experiment workers.
+A graph is one read-only (n, n) bool adjacency array with a false diagonal:
+the off-diagonal zero structure of its weight matrices. Nodes are 1-based
+only in edge lists (DirectedGraph.from_edges, JSON). Graphs are immutable
+and safe to share read-only across experiment workers.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
-    """A directed graph on nodes {1..n} with no stored self-loops."""
+    """A directed graph on nodes {1..n} with no self-loops."""
 
-    n: int
-    edges: frozenset = field(default_factory=frozenset)
+    adjacency: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"node count must be positive, got {self.n}")
-        edges = frozenset((int(i), int(j)) for i, j in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for i, j in edges:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            if i == j:
-                raise ValueError(f"self-loop ({i},{i}) not allowed in edge set")
+        adj = np.array(self.adjacency, dtype=bool)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] < 1:
+            raise ValueError(f"adjacency must be a non-empty square array, got {adj.shape}")
+        if adj.diagonal().any():
+            i = int(adj.diagonal().argmax()) + 1
+            raise ValueError(f"self-loop ({i},{i}) not allowed in edge set")
+        adj.flags.writeable = False
+        object.__setattr__(self, "adjacency", adj)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
+    @staticmethod
+    def from_edges(n: int, edges) -> "DirectedGraph":
+        """The graph on nodes {1..n} with the given 1-based (i, j) edges."""
+        if n < 1:
+            raise ValueError(f"node count must be positive, got {n}")
+        adj = np.zeros((n, n), dtype=bool)
+        for i, j in edges:
+            i, j = int(i), int(j)
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+            adj[i - 1, j - 1] = True
+        return DirectedGraph(adj)
 
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": sorted(self.edges)})
+        # argwhere is row-major: the edge list comes out sorted
+        return json.dumps({"n": self.n, "edges": (np.argwhere(self.adjacency) + 1).tolist()})
 
     @staticmethod
     def from_json(text: str) -> "DirectedGraph":
-        obj = json.loads(text)
-        return DirectedGraph(obj["n"], frozenset(tuple(e) for e in obj["edges"]))
+        return DirectedGraph.from_edges(**json.loads(text))
 
 
 def structure_matrix(g: DirectedGraph) -> np.ndarray:
@@ -55,64 +68,54 @@ def structure_matrix(g: DirectedGraph) -> np.ndarray:
 
 def adjacency_matrix(g: DirectedGraph) -> np.ndarray:
     """0/1 adjacency without the diagonal."""
-    a = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        a[i - 1, j - 1] = 1.0
-    return a
+    return g.adjacency.astype(float)
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
     """True iff every ordered node pair is joined by a directed path."""
-    if g.n == 1:
-        return True
-    if not g.edges:
-        return False
-    rows = [i - 1 for i, _ in g.edges]
-    cols = [j - 1 for _, j in g.edges]
-    m = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
-    ncomp, _ = connected_components(m, directed=True, connection="strong")
+    ncomp, _ = connected_components(g.adjacency, directed=True, connection="strong")
     return ncomp == 1
 
 
 def is_symmetric(g: DirectedGraph) -> bool:
     """True iff the edge set is closed under pair reversal."""
-    return all((j, i) in g.edges for i, j in g.edges)
+    return bool(np.array_equal(g.adjacency, g.adjacency.T))
 
 
 def complete_graph(n: int) -> DirectedGraph:
     """All n(n-1) ordered pairs."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    edges = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
-    return DirectedGraph(n, edges)
+    return DirectedGraph(~np.eye(n, dtype=bool))
 
 
 def ring_graph(n: int) -> DirectedGraph:
     """Symmetric ring: edges (i, i +/- 1 mod n) stored in both directions."""
     if n < 3:
         raise ValueError("ring requires n >= 3")
-    edges = set()
-    for i in range(1, n + 1):
-        j = i % n + 1
-        edges.add((i, j))
-        edges.add((j, i))
-    return DirectedGraph(n, frozenset(edges))
+    cycle = _directed_cycle(np.arange(n))
+    return DirectedGraph(cycle | cycle.T)
 
 
-def _hamiltonian_cycle_edges(n: int, rng: np.random.Generator) -> set:
-    order = rng.permutation(n) + 1
-    return {(int(order[k]), int(order[(k + 1) % n])) for k in range(n)}
+def _directed_cycle(order: np.ndarray) -> np.ndarray:
+    """Adjacency of the cycle order[0] -> order[1] -> ... -> order[0]."""
+    adj = np.zeros((order.size, order.size), dtype=bool)
+    adj[order[:-1], order[1:]] = adj[order[-1], order[0]] = True
+    return adj
 
 
-def _add_symmetric_pairs(n: int, edge_prob: float, rng: np.random.Generator,
-                         edges: set) -> DirectedGraph:
-    """Add each undirected pair i < j not yet in edges, in both directions,
+# The generators draw one uniform per free entry in row-major order with one
+# rng.random(k), which equals k scalar draws bit for bit, stream state included.
+
+
+def _add_symmetric_pairs(adj: np.ndarray, edge_prob: float, rng) -> DirectedGraph:
+    """Add each undirected pair i < j not yet in adj, in both directions,
     with probability edge_prob (one draw per such pair, row-major)."""
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i, j) not in edges and rng.random() < edge_prob:
-                edges |= {(i, j), (j, i)}
-    return DirectedGraph(n, frozenset(edges))
+    r = np.arange(adj.shape[0])
+    free = (r[:, None] < r) & ~adj
+    new = np.zeros_like(adj)
+    new[free] = rng.random(np.count_nonzero(free)) < edge_prob
+    return DirectedGraph(adj | new | new.T)
 
 
 def random_strongly_connected(n: int, edge_prob: float, seed: int) -> DirectedGraph:
@@ -125,12 +128,10 @@ def random_strongly_connected(n: int, edge_prob: float, seed: int) -> DirectedGr
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
-    edges = _hamiltonian_cycle_edges(n, rng)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and (i, j) not in edges and rng.random() < edge_prob:
-                edges.add((i, j))
-    return DirectedGraph(n, frozenset(edges))
+    adj = _directed_cycle(rng.permutation(n))  # a random Hamiltonian cycle
+    free = ~(adj | np.eye(n, dtype=bool))
+    adj[free] = rng.random(np.count_nonzero(free)) < edge_prob
+    return DirectedGraph(adj)
 
 
 def random_connected_er(n: int, edge_prob: float, seed: int) -> DirectedGraph:
@@ -145,7 +146,7 @@ def random_connected_er(n: int, edge_prob: float, seed: int) -> DirectedGraph:
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
     for _ in range(100_000):
-        g = _add_symmetric_pairs(n, edge_prob, rng, set())
+        g = _add_symmetric_pairs(np.zeros((n, n), dtype=bool), edge_prob, rng)
         if is_strongly_connected(g):
             return g
     raise RuntimeError(f"no connected sample in 100000 draws (n={n}, p={edge_prob})")
@@ -160,8 +161,5 @@ def random_symmetric_connected(n: int, edge_prob: float, seed: int) -> DirectedG
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
-    edges = set()
-    for i, j in _hamiltonian_cycle_edges(n, rng):
-        edges.add((i, j))
-        edges.add((j, i))
-    return _add_symmetric_pairs(n, edge_prob, rng, edges)
+    cycle = _directed_cycle(rng.permutation(n))
+    return _add_symmetric_pairs(cycle | cycle.T, edge_prob, rng)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph, adjacency_matrix, is_symmetric
+from .graph import DirectedGraph, is_symmetric
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -29,8 +29,7 @@ class WeightMatrix:
             raise ValueError(f"entries shape {a.shape} does not match n={n}")
         if np.any(a < 0):
             raise ValueError("weight matrix entries must be non-negative")
-        bad = np.argwhere(((a > 0) != (adjacency_matrix(self.graph) > 0))
-                          & ~np.eye(n, dtype=bool))
+        bad = np.argwhere(((a > 0) != self.graph.adjacency) & ~np.eye(n, dtype=bool))
         if len(bad):
             i, j = bad[0] + 1
             raise ValueError(f"entry ({i},{j}) violates the graph zero-structure")
@@ -99,14 +98,13 @@ def sample_sdd(g: DirectedGraph, margin: float, symmetric: bool, seed: int) -> W
     rng = np.random.default_rng(seed)
     n = g.n
     a = np.zeros((n, n))
-    for i, j in sorted(g.edges):
-        a[i - 1, j - 1] = 1.0 - rng.random()  # uniform on (0, 1]
+    # one uniform on (0, 1] per edge, row-major
+    a[g.adjacency] = 1.0 - rng.random(np.count_nonzero(g.adjacency))
     if symmetric:
         a = 0.5 * (a + a.T)
     off = a.sum(axis=1)
-    a[np.diag_indices(n)] = (1.0 + margin) * off
     # isolated nodes have zero off-diagonal sum; give them a unit diagonal
-    a[np.diag_indices(n)] = np.where(off > 0, a.diagonal(), 1.0)
+    a[np.diag_indices(n)] = np.where(off > 0, (1.0 + margin) * off, 1.0)
     return WeightMatrix(a, g)
 
 

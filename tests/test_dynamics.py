@@ -45,7 +45,7 @@ def test_normalization_diagonal():
     c = consensus_configuration(3, np.array([1.0, 0.0]))
     assert np.allclose(normalization_diagonal(a, c),
                        1.0 / a.entries.sum(axis=1), atol=1e-14)
-    ident = WeightMatrix(np.eye(2), DirectedGraph(2, frozenset()))
+    ident = WeightMatrix(np.eye(2), DirectedGraph.from_edges(2, []))
     c2 = Configuration(np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert np.allclose(normalization_diagonal(ident, c2), 1.0)
     assert np.allclose(normalization_diagonal(_a22(), c2),

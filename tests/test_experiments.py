@@ -110,10 +110,23 @@ def test_sweep_reports_twisted_circle_limit_by_d():
     assert (rec.n, rec.d, rec.klass, rec.rank) == (6, 2, "higher-rank", 2)
     assert rec.spec_radius == pytest.approx(1.0, abs=1e-9)
     cycle = random_symmetric_connected(6, 0.5, derive_seed(230000714, 23, 1))
-    assert len(cycle.edges) == 12 and graph_hash(cycle) == rec.graph_hash
+    assert cycle.adjacency.sum() == 12 and graph_hash(cycle) == rec.graph_hash
     assert summary["nonconsensus_trials"] == 1
     assert summary["nonconsensus_by_d"]["2"] == 1
     assert sum(summary["nonconsensus_by_d"].values()) == 1
+
+
+def test_sweep_counts_d2_bare_cycle_trials():
+    # trial 23 of this seed is a d = 2 trial on a bare 6-cycle; the count is
+    # every d = 2 trial whose graph gives each node exactly two neighbours
+    from spherecon.experiments import _make_graph
+    cfg = ExperimentConfig(seed=230000714, trials=24)
+    records, summary = cmd_consensus_sweep(cfg)
+    bare = [r.trial for r in records if r.d == 2 and set(
+        _make_graph(cfg, r.n, True, derive_seed(cfg.seed, r.trial, 1))
+        .adjacency.sum(axis=1)) == {2}]
+    assert 23 in bare
+    assert summary["d2_bare_cycle_trials"] == len(bare)
 
 
 def test_theorem2_probe_zero_counterexamples():
@@ -242,10 +255,10 @@ def test_zero_norm_trial_keeps_its_hashes_and_names_the_agent():
         (ones, np.array([[1.0, 0.0], [-1.0, 0.0]]))])]
     records, errors, _ = _run_trials(ExperimentConfig(seed=1), trials, descent=False,
                                      record_potential=True)
-    assert records[0].klass == "consensus" and trials[0].potentials is not None
+    assert records[0].klass == "consensus" and trials[0].min_potential_step is not None
     assert errors == [{"trial": 1, "error": "agent 1: combined state has near-zero "
                                             "norm, projection undefined"}]
-    assert records[1].klass == "error" and trials[1].potentials is None
+    assert records[1].klass == "error" and trials[1].min_potential_step is None
     assert (records[1].graph_hash, records[1].matrix_hash) == (graph_hash(g),
                                                                matrix_hash(ones.entries))
 

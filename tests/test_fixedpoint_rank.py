@@ -74,7 +74,7 @@ def test_structure_masks_complete_graph():
 
 
 def test_structure_masks_partial_graph():
-    g = DirectedGraph(2, frozenset({(1, 2)}))
+    g = DirectedGraph.from_edges(2, [(1, 2)])
     k_a, k_d = structure_masks(g)
     # structure matrix [[1,1],[0,1]], flattened row-major
     assert np.array_equal(k_a, [1, 1, 0, 1])
