@@ -20,7 +20,7 @@ def main():
     a = sample_sdd(g, margin=0.1, symmetric=True, seed=seed + 1)
     c0 = random_configuration(n, d, seed + 2)
 
-    res = run(a, c0, record_potential=True, a_for_potential=a)
+    res = run(a, c0, a_for_potential=a)
     v = res.potential_history
 
     print(f"{n} agents on S^{d - 1}, {g.adjacency.sum()} directed edges")

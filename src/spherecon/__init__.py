@@ -14,11 +14,10 @@ from .weights import (DescentMatrix, WeightMatrix, descent_matrix,
                       sample_sdd, satisfies_sqrt2_condition)
 from .state import (Configuration, ConfigurationClass, TangentBasis,
                     classify_configuration, consensus_configuration,
-                    normalize_rows, numerical_rank, projection_matrix,
-                    random_configuration, tangent_basis, unvec)
+                    numerical_rank, projection_matrix, random_configuration,
+                    tangent_basis)
 from .dynamics import (TrajectoryResult, find_nonconsensus_fixed_point,
-                       fixed_point_residual, iterate, normalization_diagonal,
-                       potential, run, run_batch)
+                       fixed_point_residual, iterate, potential, run, run_batch)
 from .stability import (DifferentialReport, StabilityClassification,
                         certificate_matrix, determinant_nonzero_check,
                         differential_report, instability_certificate,

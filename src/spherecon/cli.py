@@ -16,28 +16,36 @@ from .experiments import (ExperimentConfig, MissingSeedError, cmd_consensus_swee
                           cmd_stability_audit, cmd_theorem2_probe)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--seed", type=int, help="master seed (required)")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--slack", type=float)
-    p.add_argument("--edge-prob", type=float, dest="edge_prob")
-    p.add_argument("--graph", choices=["random", "complete", "ring", "er"])
-    p.add_argument("--symmetric", action="store_true", default=None)
-    p.add_argument("--out", help="output directory for records.csv / summary.json")
+FLAGS = {"config": {"help": "JSON config file; flags override its fields"},
+         "seed": {"type": int, "help": "master seed (required)"},
+         "n": {"type": int}, "d": {"type": int}, "margin": {"type": float},
+         "trials": {"type": int}, "slack": {"type": float}, "edge_prob": {"type": float},
+         "graph": {"choices": ["random", "complete", "ring", "er"]},
+         "symmetric": {"action": "store_true", "default": None},
+         "out": {"help": "output directory for records.csv / summary.json"}}
+# per subcommand: its help and the flags it reads beyond config, seed, n, d,
+# margin and out
+COMMANDS = {
+    "sweep": ("random-trial consensus sweep of the plain iteration",
+              ("trials", "edge_prob", "graph", "symmetric")),
+    "rank-table": ("rank distribution of descent-mode limits (symmetric)",
+                   ("trials", "slack", "edge_prob", "graph")),
+    "theorem2": ("non-symmetric descent probe: limits stay rank one",
+                 ("trials", "slack", "edge_prob", "graph")),
+    "audit": ("instability certificates at d>=3 fixed points",
+              ("slack", "edge_prob", "graph")),
+    "jg-rank": ("parametric Jacobian rank checks at fixed points", ("slack",)),
+}
 
 
 def _build_config(args) -> ExperimentConfig:
-    flags = ("seed", "trials", "n", "d", "margin", "slack", "edge_prob", "graph",
-             "symmetric", "out")
     try:
-        return ExperimentConfig.from_json(args.config,
-                                          **{k: getattr(args, k, None) for k in flags})
+        return ExperimentConfig.from_json(
+            args.config, **{k: getattr(args, k, None) for k in FLAGS if k != "config"})
     except MissingSeedError:
         raise SystemExit("--seed is required (directly or via --config)") from None
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def main(argv=None) -> int:
@@ -47,15 +55,10 @@ def main(argv=None) -> int:
                     "reproducible outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in [
-        ("sweep", "random-trial consensus sweep of the plain iteration"),
-        ("rank-table", "rank distribution of descent-mode limits (symmetric)"),
-        ("theorem2", "non-symmetric descent probe: limits stay rank one"),
-        ("audit", "instability certificates at d>=3 fixed points"),
-        ("jg-rank", "parametric Jacobian rank checks at fixed points"),
-    ]:
+    for name, (help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        for flag in ("config", "seed", "n", "d", "margin", *options, "out"):
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, **FLAGS[flag])
     sub.choices["audit"].add_argument("--count", type=int, default=100)
     sub.choices["jg-rank"].add_argument("--count", type=int, default=50)
     p_pent = sub.add_parser("pentagon", help="pentagon fixed-point demo")

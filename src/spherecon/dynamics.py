@@ -7,18 +7,16 @@ non-consensus fixed points.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .state import Configuration, ConfigurationClass, as_array, classify_configuration
+from .tolerances import FP_TOL, MIN_ROW_NORM
 from .weights import WeightMatrix, descent_matrix
 
-FP_TOL = 1e-12
 MAX_ITER = 10 ** 6
-_MIN_ROW_NORM = 1e-14
 
 
 def _step(entries: np.ndarray, rows: np.ndarray):
@@ -29,7 +27,7 @@ def _step(entries: np.ndarray, rows: np.ndarray):
     """
     z = entries @ rows
     norms = np.linalg.norm(z, axis=1)
-    if norms.min() <= _MIN_ROW_NORM:
+    if norms.min() <= MIN_ROW_NORM:
         bad = int(np.argmin(norms)) + 1
         raise ZeroDivisionError(
             f"agent {bad}: combined state has near-zero norm, projection undefined"
@@ -42,12 +40,6 @@ def iterate(m, c: Configuration) -> Configuration:
     M X."""
     rows, _ = _step(as_array(m), c.rows)
     return Configuration(rows)
-
-
-def normalization_diagonal(m, c: Configuration) -> np.ndarray:
-    """Diagonal of D(MX): the reciprocal row norms of M X."""
-    _, norms = _step(as_array(m), c.rows)
-    return 1.0 / norms
 
 
 def potential(a: WeightMatrix, c: Configuration) -> float:
@@ -65,24 +57,6 @@ class TrajectoryResult:
     # populated by the descent mode
     classification: Optional[ConfigurationClass] = None
     residual_weight: Optional[float] = None
-
-    def to_json(self) -> str:
-        obj = {
-            "final": json.loads(self.final.to_json()),
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-        }
-        if self.potential_history is not None:
-            obj["potential_history"] = list(map(float, self.potential_history))
-        if self.classification is not None:
-            obj["classification"] = {
-                "kind": self.classification.kind,
-                "rank": self.classification.rank,
-            }
-        if self.residual_weight is not None:
-            obj["residual_weight"] = self.residual_weight
-        return json.dumps(obj)
 
 
 @dataclass(frozen=True)
@@ -128,8 +102,8 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
         z = m @ x
         norms = np.sqrt(np.add.reduce(z * z, axis=2, keepdims=True))
         bad = None
-        if norms.min() <= _MIN_ROW_NORM:
-            bad = norms.min(axis=(1, 2)) <= _MIN_ROW_NORM
+        if norms.min() <= MIN_ROW_NORM:
+            bad = norms.min(axis=(1, 2)) <= MIN_ROW_NORM
             norms[bad] = 1.0  # their images are discarded
         nxt = z / norms
         flat = (nxt - x).reshape(len(idx), -1)
@@ -168,17 +142,14 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
 
 
 def run(m, c0: Configuration, fp_tol: float = FP_TOL, max_iter: int = MAX_ITER,
-        record_potential: bool = False,
         a_for_potential: Optional[WeightMatrix] = None) -> TrajectoryResult:
     """Iterate until the fixed-point residual ||f(x) - x||_2 drops to fp_tol
-    or max_iter steps have been taken. Optionally records the potential of
-    a_for_potential at every visited configuration. A lockstep run of one
-    trial; a zero-norm row image raises ZeroDivisionError naming the agent."""
-    if record_potential and a_for_potential is None:
-        raise ValueError("record_potential requires a_for_potential")
+    or max_iter steps have been taken. With a_for_potential, records its
+    potential at every visited configuration. A lockstep run of one trial; a
+    zero-norm row image raises ZeroDivisionError naming the agent."""
     entries = as_array(m)
-    out = _lockstep(entries[None], c0.rows[None], fp_tol, max_iter,
-                    a_for_potential.entries[None] if record_potential else None)
+    weights = None if a_for_potential is None else a_for_potential.entries[None]
+    out = _lockstep(entries[None], c0.rows[None], fp_tol, max_iter, weights)
     if out.failed[0]:
         _step(entries, out.rows[0])  # raises, naming the agent
     residual = float(out.residual[0])
@@ -187,7 +158,7 @@ def run(m, c0: Configuration, fp_tol: float = FP_TOL, max_iter: int = MAX_ITER,
         iterations=int(out.iters[0]),
         residual=residual,
         converged=residual <= fp_tol,
-        potential_history=out.potential_histories[0] if record_potential else None,
+        potential_history=None if weights is None else out.potential_histories[0],
     )
 
 
@@ -214,7 +185,7 @@ def fixed_point_residual(m, c: Configuration) -> float:
 
 
 def find_nonconsensus_fixed_point(a: WeightMatrix, c0: Configuration,
-                                  slack: float = 0.25, fp_tol: float = FP_TOL,
+                                  slack: float = 0.25,
                                   max_iter: int = MAX_ITER) -> TrajectoryResult:
     """Run the iteration with the descent matrix alpha*I - A instead of A.
 
@@ -223,6 +194,6 @@ def find_nonconsensus_fixed_point(a: WeightMatrix, c0: Configuration,
     result records both the descent residual and the residual under A itself
     (the latter need not be small), plus the limit's classification.
     """
-    res = run(descent_matrix(a, slack), c0, fp_tol=fp_tol, max_iter=max_iter)
+    res = run(descent_matrix(a, slack), c0, max_iter=max_iter)
     return replace(res, classification=classify_configuration(res.final),
                    residual_weight=fixed_point_residual(a, res.final))

@@ -16,7 +16,7 @@ import json
 import os
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -29,6 +29,8 @@ from .graph import (DirectedGraph, adjacency_matrix, complete_graph,
                     random_symmetric_connected, ring_graph)
 from .state import (Configuration, classify_configuration, random_configuration,
                     tangent_basis)
+from .tolerances import (A_RESIDUAL_TOL, AUDIT_PERTURBATION, FP_TOL, LIMIT_RANK_TOL,
+                         NEUTRAL_TOL)
 from .weights import WeightMatrix, descent_matrix, sample_sdd
 
 RECORD_FIELDS = ["trial", "seed", "n", "d", "graph_hash", "matrix_hash", "class",
@@ -52,10 +54,7 @@ class ExperimentConfig:
     symmetric: Optional[bool] = None
     margin: float = 0.1
     slack: float = 0.25
-    fp_tol: float = 1e-12
     max_iter: int = 100_000
-    rank_tol: float = 1e-6
-    consensus_tol: float = 1e-9
     out: Optional[str] = None
 
     def __post_init__(self):
@@ -64,19 +63,23 @@ class ExperimentConfig:
             raise MissingSeedError("a master seed is required (no wall-clock seeding)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        for name in ("fp_tol", "rank_tol", "consensus_tol", "margin", "slack"):
+        for name in ("margin", "slack"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
     @staticmethod
     def from_json(path: Optional[str], **overrides) -> "ExperimentConfig":
         """The fields of the JSON file at path (none if path is None) under
-        the overrides that are not None."""
+        the overrides that are not None. A key that names no field is a
+        ValueError naming every such key."""
         obj = {"seed": None}
         if path:
             with open(path) as fh:
                 obj.update(json.load(fh))
         obj.update({k: v for k, v in overrides.items() if v is not None})
+        unknown = sorted(set(obj) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return ExperimentConfig(**obj)
 
 
@@ -176,12 +179,11 @@ def _plan(cfg: ExperimentConfig, t: int, n: int, d: int, symmetric: bool,
     return trial
 
 
-def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool,
-                record_potential: bool = False):
+def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
     """Run the planned trials, one dynamics.run_batch call per (n, d) group,
     with the weight matrix itself or (descent) its descent matrix, and record
-    them in trial order. With record_potential, symmetric trials (grouped
-    apart) record their potential. A descent record names a limit only if it
+    them in trial order. Without descent, symmetric trials (grouped apart)
+    record their potential. A descent record names a limit only if it
     converged and carries the residuals under A and under the descent matrix;
     a plain record carries the residual and the spectral radius at the limit.
     An error record keeps the hashes of every draw that succeeded.
@@ -191,14 +193,14 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool,
     groups: dict = {}
     for trial in trials:
         if trial.error is None:
-            key = (trial.n, trial.d, record_potential and trial.symmetric)
+            key = (trial.n, trial.d, not descent and trial.symmetric)
             groups.setdefault(key, []).append(trial)
     for (_, _, potentials), members in groups.items():
         weights = np.stack([tr.weights.entries for tr in members])
         mats = (np.stack([descent_matrix(tr.weights, cfg.slack).entries for tr in members])
                 if descent else weights)
         out = dynamics.run_batch(mats, np.stack([tr.start for tr in members]),
-                                 fp_tol=cfg.fp_tol, max_iter=cfg.max_iter,
+                                 max_iter=cfg.max_iter,
                                  potential_weights=weights if potentials else None)
         for pos, trial in enumerate(members):
             trial.iters, trial.residual = int(out.iters[pos]), float(out.residual[pos])
@@ -221,9 +223,9 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool,
             records.append(TrialRecord(trial.t, tseed, trial.n, trial.d, *hashes, "error",
                                        0, trial.iters, nan, nan, nan))
             continue
-        cls = classify_configuration(trial.final, cfg.consensus_tol, cfg.rank_tol)
+        cls = classify_configuration(trial.final, LIMIT_RANK_TOL)
         if descent:
-            kind = cls.kind if trial.residual <= cfg.fp_tol else "nonconverged"
+            kind = cls.kind if trial.residual <= FP_TOL else "nonconverged"
             values = (dynamics.fixed_point_residual(trial.weights, trial.final),
                       trial.residual, nan)
         else:
@@ -274,8 +276,7 @@ def cmd_consensus_sweep(cfg: ExperimentConfig):
         d = cfg.d or int(rng.integers(cfg.d_range[0], cfg.d_range[1] + 1))
         symmetric = bool(rng.integers(0, 2)) if cfg.symmetric is None else cfg.symmetric
         trials.append(_plan(cfg, t, n, d, symmetric))
-    records, errors, run_fields = _run_trials(cfg, trials, descent=False,
-                                              record_potential=True)
+    records, errors, run_fields = _run_trials(cfg, trials, descent=False)
     min_potential_delta = min((tr.min_potential_step for tr in trials
                                if tr.min_potential_step is not None), default=None)
     nonconsensus_by_d: dict = {}
@@ -418,7 +419,7 @@ def cmd_pentagon_demo(out: Optional[str] = None) -> dict:
         "spectral_radius": rho,
         "neighbor_dots": neighbor_dots,
         "expected_neighbor_dot": float(np.cos(2.0 * np.pi / 5.0)),
-        "neutral": bool(abs(rho - 1.0) <= 1e-9),
+        "neutral": bool(abs(rho - 1.0) <= NEUTRAL_TOL),
     }
     if out:
         os.makedirs(out, exist_ok=True)
@@ -440,7 +441,7 @@ class DescentPoints(list):
 
 def collect_descent_fixed_points(cfg: ExperimentConfig, count: int,
                                  require_rank_ge: int = 2,
-                                 a_residual_tol: float = 1e-9) -> DescentPoints:
+                                 a_residual_tol: float = A_RESIDUAL_TOL) -> DescentPoints:
     """Run descent trials until `count` non-consensus limits that are also
     fixed points of the plain weight iteration have been found, or the trial
     budget max(50 * count, 1000) is spent; a shortfall is warned of with a
@@ -490,11 +491,11 @@ def cmd_stability_audit(cfg: ExperimentConfig, count: int = 100,
     perturbed = []
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xE5C))
     for a, c, t in points:
-        cert = stability.instability_certificate(a, c, fp_tol=1e-8)
+        cert = stability.instability_certificate(a, c)
         trace = stability.trace_formula_check(a, c)
         # perturb along the tangent space, to resume the plain iteration
         noise = rng.standard_normal(c.n * (c.d - 1))
-        noise *= 1e-6 / np.linalg.norm(noise)
+        noise *= AUDIT_PERTURBATION / np.linalg.norm(noise)
         perturbed.append(Configuration(
             (c.vector + tangent_basis(c).block_diagonal() @ noise).reshape(c.n, c.d)).rows)
         details.append({"trial": t, "label": cert.label,
@@ -504,8 +505,8 @@ def cmd_stability_audit(cfg: ExperimentConfig, count: int = 100,
     escapes = 0
     if points:
         out = dynamics.run_batch(np.stack([a.entries for a, _, _ in points]),
-                                 np.stack(perturbed), fp_tol=cfg.fp_tol, max_iter=cfg.max_iter)
-        escapes = sum(classify_configuration(Configuration(rows), cfg.consensus_tol).is_consensus
+                                 np.stack(perturbed), max_iter=cfg.max_iter)
+        escapes = sum(classify_configuration(Configuration(rows)).is_consensus
                       for rows, failed in zip(out.rows, out.failed) if not failed)
     # determinant floor for sqrt(2)-condition matrices
     min_abs_det = np.inf

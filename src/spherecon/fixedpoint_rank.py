@@ -18,8 +18,8 @@ import numpy as np
 
 from .dynamics import _step
 from .graph import DirectedGraph, structure_matrix
-from .state import (RANK_TOL, Configuration, as_array, block_diagonal_matrix,
-                    tangent_projectors)
+from .state import Configuration, as_array, block_diagonal_matrix, tangent_projectors
+from .tolerances import PIN_TOL, RANK_TOL
 from .weights import WeightMatrix
 
 
@@ -88,19 +88,19 @@ class FixedPointSystem:
         return float(np.abs(residual_g(self.a, self.dvec, self.x)).max())
 
 
-def pin_configuration(c: Configuration, rank_tol: float = RANK_TOL):
+def pin_configuration(c: Configuration):
     """Rotate a configuration so its state matrix has its last d - m columns
     zero and its first row equal to the first coordinate axis, then drop the
     zero columns. Returns (pinned n x m array, m)."""
     rows = c.rows
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    m = int(np.sum(s > rank_tol * s[0]))
+    m = _rank(s)
     xm = rows @ vt[:m].T
     # reflect the first row onto e_1 within R^m
     x1 = xm[0] / np.linalg.norm(xm[0])
     e1 = np.zeros(m)
     e1[0] = 1.0
-    if np.linalg.norm(x1 - e1) > 1e-14:
+    if np.linalg.norm(x1 - e1) > PIN_TOL:
         v = x1 - e1
         hm = np.eye(m) - 2.0 * np.outer(v, v) / (v @ v)
         xm = xm @ hm
@@ -108,11 +108,10 @@ def pin_configuration(c: Configuration, rank_tol: float = RANK_TOL):
     return xm, m
 
 
-def build_fixed_point_system(a: WeightMatrix, c: Configuration,
-                             rank_tol: float = RANK_TOL) -> FixedPointSystem:
+def build_fixed_point_system(a: WeightMatrix, c: Configuration) -> FixedPointSystem:
     """Pin a configuration and pair it with the diagonal multiplier that
     annihilates the residual at fixed points."""
-    xm, m = pin_configuration(c, rank_tol)
+    xm, m = pin_configuration(c)
     entries = np.asarray(a.entries)
     return FixedPointSystem(entries, compute_D(entries, xm), xm, m)
 
@@ -175,14 +174,14 @@ def _singular_values(mat: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mat, compute_uv=False)
 
 
-def _rank(s: np.ndarray, rtol: float) -> int:
+def _rank(s: np.ndarray) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def matrix_rank(mat: np.ndarray, rtol: float = RANK_TOL) -> int:
-    return _rank(_singular_values(mat), rtol)
+def matrix_rank(mat: np.ndarray) -> int:
+    return _rank(_singular_values(mat))
 
 
 def skew_null_vectors(sys: FixedPointSystem) -> np.ndarray:
@@ -210,13 +209,12 @@ class RankDeficiencyReport:
     null_residual: float  # max |v^T Jg| over the skew null vectors v
 
 
-def symmetric_rank_deficiency_check(sys: FixedPointSystem,
-                                    rtol: float = RANK_TOL) -> RankDeficiencyReport:
+def symmetric_rank_deficiency_check(sys: FixedPointSystem) -> RankDeficiencyReport:
     """Rank of the symmetric-parametrization Jacobian against the bound
     nm - m(m-1)/2 (complete graph), and the skew null vectors' residual."""
     jg = assemble_Jg(sys, symmetric=True).full
     s = _singular_values(jg)
-    rank = _rank(s, rtol)
+    rank = _rank(s)
     bound = sys.n * sys.m - sys.m * (sys.m - 1) // 2
     return RankDeficiencyReport(
         n=sys.n, m=sys.m, symmetric=True, rank=rank, bound=bound,

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +70,19 @@ def adjacency_matrix(g: DirectedGraph) -> np.ndarray:
     return g.adjacency.astype(float)
 
 
+def _reaches_all(adj: np.ndarray) -> bool:
+    """True iff a frontier grown from node 1 along adj's edges reaches every node."""
+    seen = frontier = np.arange(adj.shape[0]) == 0
+    while frontier.any():
+        frontier = (frontier @ adj) & ~seen  # boolean: one step along the edges
+        seen = seen | frontier
+    return bool(seen.all())
+
+
 def is_strongly_connected(g: DirectedGraph) -> bool:
-    """True iff every ordered node pair is joined by a directed path."""
-    ncomp, _ = connected_components(g.adjacency, directed=True, connection="strong")
-    return ncomp == 1
+    """True iff every ordered node pair is joined by a directed path: node 1
+    reaches every node along the edges and against them."""
+    return _reaches_all(g.adjacency) and _reaches_all(g.adjacency.T)
 
 
 def is_symmetric(g: DirectedGraph) -> bool:

@@ -11,12 +11,11 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import _step, fixed_point_residual
-from .state import (RANK_TOL, Configuration, TangentBasis, as_array,
-                    block_diagonal_matrix, classify_configuration, tangent_basis,
-                    tangent_projectors)
+from .state import (Configuration, TangentBasis, as_array, block_diagonal_matrix,
+                    classify_configuration, tangent_basis, tangent_projectors)
+from .tolerances import (A_RESIDUAL_TOL, CERTIFICATE_FP_TOL, CLASS_TOL, NEUTRAL_TOL,
+                         RANK_TOL, TRACE_TOL)
 from .weights import WeightMatrix, satisfies_sqrt2_condition
-
-CLASS_TOL = 1e-7
 
 
 def _scaled_entries(m, c: Configuration):
@@ -154,15 +153,14 @@ class StabilityClassification:
 
 
 def instability_certificate(a: WeightMatrix, c: Configuration,
-                            fp_tol: float = 1e-9,
-                            class_tol: float = CLASS_TOL) -> StabilityClassification:
+                            fp_tol: float = CERTIFICATE_FP_TOL) -> StabilityClassification:
     """Classify the stability of a fixed point of the weight iteration.
 
     For symmetric A, a positive top eigenvalue of the symmetric certificate
     matrix implies an eigenvalue of the differential strictly beyond 1; both
     facts are verified numerically. Non-symmetric A falls back to the
     spectral radius of the reduced matrix alone. Spectral radii within
-    class_tol of 1 on non-consensus points are reported neutral, never stable.
+    CLASS_TOL of 1 on non-consensus points are reported neutral, never stable.
     """
     res = fixed_point_residual(a, c)
     if res > fp_tol:
@@ -176,11 +174,11 @@ def instability_certificate(a: WeightMatrix, c: Configuration,
     if a.is_symmetric():
         h = certificate_matrix(a, c)
         lam_h = float(np.linalg.eigvalsh(h).max())
-        if lam_h > class_tol and rho > 1.0 + class_tol:
+        if lam_h > CLASS_TOL and rho > 1.0 + CLASS_TOL:
             return StabilityClassification("unstable-certified", rho, lam_h)
-    if rho > 1.0 + class_tol:
+    if rho > 1.0 + CLASS_TOL:
         return StabilityClassification("unstable-certified", rho, lam_h)
-    if rho >= 1.0 - class_tol:
+    if rho >= 1.0 - CLASS_TOL:
         return StabilityClassification("neutral-nonconsensus", rho, lam_h)
     return StabilityClassification("inconclusive", rho, lam_h)
 
@@ -192,8 +190,7 @@ class TraceCheck:
     match: bool
 
 
-def trace_formula_check(a: WeightMatrix, c: Configuration,
-                        tol: float = 1e-10) -> TraceCheck:
+def trace_formula_check(a: WeightMatrix, c: Configuration) -> TraceCheck:
     """Closed form for the trace of the certificate matrix collapsed over
     agents.
 
@@ -217,21 +214,19 @@ def trace_formula_check(a: WeightMatrix, c: Configuration,
     gram = c.rows @ c.rows.T
     off = entries * (1.0 - np.eye(n))
     rhs = float(np.sum(off * (d - 2 + gram ** 2 - (d - 1) * gram)))
-    return TraceCheck(lhs, rhs, abs(lhs - rhs) <= tol * (1.0 + abs(rhs)))
+    return TraceCheck(lhs, rhs, abs(lhs - rhs) <= TRACE_TOL * (1.0 + abs(rhs)))
 
 
-def positive_dot_neutrality_check(a: WeightMatrix, c: Configuration,
-                                  fp_tol: float = 1e-9,
-                                  tol: float = 1e-9) -> Optional[bool]:
+def positive_dot_neutrality_check(a: WeightMatrix, c: Configuration) -> Optional[bool]:
     """For d = 2 fixed points with positive neighbor dot products: is the
     spectral radius of the reduced matrix 1? Returns None when the
     preconditions do not apply."""
     if c.d != 2:
         return None
-    if fixed_point_residual(a, c) > fp_tol:
+    if fixed_point_residual(a, c) > A_RESIDUAL_TOL:
         return None
     gram = c.rows @ c.rows.T
     mask = (a.entries > 0) & ~np.eye(c.n, dtype=bool)
     if np.any(gram[mask] <= 0):
         return None
-    return bool(abs(spectral_radius(a, c) - 1.0) <= tol)
+    return bool(abs(spectral_radius(a, c) - 1.0) <= NEUTRAL_TOL)

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RANK_TOL = 1e-8
-CONSENSUS_TOL = 1e-9
+from .tolerances import CONSENSUS_TOL, MIN_ROW_NORM, RANK_TOL, UNIT_NORM_TOL
 
 
 @dataclass(frozen=True)
 class Configuration:
-    """n unit rows in R^d."""
+    """n unit rows in R^d: each row of the given array divided by its norm;
+    a row of norm at most MIN_ROW_NORM is rejected."""
 
     rows: np.ndarray
 
@@ -28,7 +28,7 @@ class Configuration:
         if rows.ndim != 2 or rows.shape[1] < 2:
             raise ValueError("rows must be an n x d array with d >= 2")
         norms = np.linalg.norm(rows, axis=1)
-        if np.any(norms <= 1e-14):
+        if np.any(norms <= MIN_ROW_NORM):
             bad = int(np.argmin(norms)) + 1
             raise ValueError(f"row {bad} has near-zero norm")
         rows /= norms[:, None]
@@ -45,7 +45,7 @@ class Configuration:
 
     @property
     def vector(self) -> np.ndarray:
-        """Agent-major vectorization vec(X^T)."""
+        """Agent-major vectorization vec(X^T); reshape(n, d) inverts it."""
         return self.rows.reshape(-1)
 
     def to_json(self) -> str:
@@ -55,11 +55,6 @@ class Configuration:
     def from_json(text: str) -> "Configuration":
         obj = json.loads(text)
         return Configuration(np.asarray(obj["rows"], dtype=float))
-
-
-def unvec(x: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Inverse of Configuration.vector: agent-major vector back to n x d rows."""
-    return np.asarray(x, dtype=float).reshape(n, d)
 
 
 @dataclass(frozen=True)
@@ -88,11 +83,6 @@ class TangentBasis:
         return block_diagonal_matrix(self.blocks)
 
 
-def normalize_rows(raw: np.ndarray) -> Configuration:
-    """Divide each row by its norm; rejects near-zero rows."""
-    return Configuration(np.asarray(raw, dtype=float))
-
-
 def random_configuration(n: int, d: int, seed) -> Configuration:
     """Rows i.i.d. uniform on the unit sphere (normalized Gaussians)."""
     if n < 1 or d < 2:
@@ -105,7 +95,7 @@ def consensus_configuration(n: int, xbar: np.ndarray) -> Configuration:
     """All n rows equal to the unit vector xbar."""
     xbar = np.asarray(xbar, dtype=float)
     nrm = np.linalg.norm(xbar)
-    if abs(nrm - 1.0) > 1e-9:
+    if abs(nrm - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"xbar must be a unit vector, got norm {nrm}")
     return Configuration(np.tile(xbar / nrm, (n, 1)))
 
@@ -129,12 +119,13 @@ class ConfigurationClass:
         return self.kind == "consensus"
 
 
-def classify_configuration(c: Configuration, tol: float = CONSENSUS_TOL,
+def classify_configuration(c: Configuration,
                            rank_tol: float = RANK_TOL) -> ConfigurationClass:
-    """Consensus iff all pairwise row dot products are >= 1 - tol; otherwise
-    antipodal if X has numerical rank one; otherwise higher-rank."""
+    """Consensus iff all pairwise row dot products are >= 1 - CONSENSUS_TOL;
+    otherwise antipodal if X has numerical rank one (relative cutoff
+    rank_tol); otherwise higher-rank."""
     gram = c.rows @ c.rows.T
-    if gram.min() >= 1.0 - tol:
+    if gram.min() >= 1.0 - CONSENSUS_TOL:
         return ConfigurationClass("consensus", 1)
     m = numerical_rank(c, rank_tol)
     if m == 1:

@@ -1,0 +1,31 @@
+"""Every numerical threshold of the package, each with one line on its value.
+"Inherited from the seed, not derived" marks a value kept from the first
+version of the code without a derivation."""
+
+# ||f(x) - x||_2 at which a trajectory stops as converged; inherited from the seed, not derived
+FP_TOL = 1e-12
+# a row or row-image norm this small is zero: about 45 ulp of a unit row, only cancellation hits it
+MIN_ROW_NORM = 1e-14
+# relative singular-value cutoff of ranks: about sqrt(eps), far above round-off; not derived
+RANK_TOL = 1e-8
+# rank cutoff at trajectory limits, looser than RANK_TOL because a limit stopped at FP_TOL lies
+# up to FP_TOL / (1 - contraction rate) off its fixed point; inherited from the seed, not derived
+LIMIT_RANK_TOL = 1e-6
+# consensus iff every pairwise row dot product is >= 1 - CONSENSUS_TOL; inherited, not derived
+CONSENSUS_TOL = 1e-9
+# a spectral radius this close to 1 is neutral, never certified; inherited from the seed, not derived
+CLASS_TOL = 1e-7
+# residual an instability certificate demands: what the audit and the benchmark pass; not derived
+CERTIFICATE_FP_TOL = 1e-8
+# residual under A that makes a point a fixed point of A in the analyses; inherited, not derived
+A_RESIDUAL_TOL = 1e-9
+# |rho - 1| of a spectrally neutral fixed point; inherited from the seed, not derived
+NEUTRAL_TOL = 1e-9
+# relative gap |lhs - rhs| / (1 + |rhs|) of the collapsed-trace identity; inherited, not derived
+TRACE_TOL = 1e-10
+# how far a consensus direction's norm may be from 1; inherited from the seed, not derived
+UNIT_NORM_TOL = 1e-9
+# distance to e_1 below which pinning skips its (then undefined) reflection; inherited, not derived
+PIN_TOL = 1e-14
+# norm of the audit's tangent perturbation: far above FP_TOL, small enough to stay linear; not derived
+AUDIT_PERTURBATION = 1e-6

@@ -37,6 +37,17 @@ def test_config_from_json_with_overrides(tmp_path):
     assert cfg.seed == 7 and cfg.trials == 5 and cfg.n == 4
 
 
+def test_config_from_json_names_unknown_keys(tmp_path):
+    # the tolerances are constants of the package, not config fields
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 7, "fp_tol": 1e-10, "rank_tol": 1e-6}))
+    with pytest.raises(ValueError, match="unknown config keys: fp_tol, rank_tol"):
+        ExperimentConfig.from_json(str(path))
+    from spherecon.cli import main
+    with pytest.raises(SystemExit, match="unknown config keys: fp_tol, rank_tol"):
+        main(["sweep", "--config", str(path)])
+
+
 def test_sweep_small_consensus(tmp_path):
     cfg = ExperimentConfig(seed=11, trials=20, out=str(tmp_path / "o"))
     records, summary = cmd_consensus_sweep(cfg)
@@ -221,6 +232,7 @@ def test_descent_search_matches_per_trial_search():
     from spherecon.dynamics import find_nonconsensus_fixed_point
     from spherecon.experiments import _make_graph
     from spherecon.state import classify_configuration, random_configuration
+    from spherecon.tolerances import A_RESIDUAL_TOL, LIMIT_RANK_TOL
     from spherecon.weights import sample_sdd
     for graph, rank in (("random", 2), ("complete", 1)):
         cfg = ExperimentConfig(seed=1, n=4, d=3, symmetric=True, graph=graph)
@@ -231,10 +243,10 @@ def test_descent_search_matches_per_trial_search():
                            True, derive_seed(1, t, 2))
             res = find_nonconsensus_fixed_point(
                 a, random_configuration(4, 3, derive_seed(1, t, 3)), slack=cfg.slack,
-                fp_tol=cfg.fp_tol, max_iter=cfg.max_iter)
-            cls = classify_configuration(res.final, cfg.consensus_tol, cfg.rank_tol)
+                max_iter=cfg.max_iter)
+            cls = classify_configuration(res.final, LIMIT_RANK_TOL)
             if (res.converged and not cls.is_consensus and cls.rank >= rank
-                    and res.residual_weight <= 1e-9):
+                    and res.residual_weight <= A_RESIDUAL_TOL):
                 hits.append((a, res.final, t))
         assert [t for _, _, t in points] == [t for _, _, t in hits]
         assert hits[-1][2] == points.counts["trials_run"] - 1
@@ -253,8 +265,7 @@ def test_zero_norm_trial_keeps_its_hashes_and_names_the_agent():
     trials = [_Trial(t, 2, 2, True, g, a, rows) for t, (a, rows) in enumerate([
         (healthy, np.array([[1.0, 0.0], [0.0, 1.0]])),
         (ones, np.array([[1.0, 0.0], [-1.0, 0.0]]))])]
-    records, errors, _ = _run_trials(ExperimentConfig(seed=1), trials, descent=False,
-                                     record_potential=True)
+    records, errors, _ = _run_trials(ExperimentConfig(seed=1), trials, descent=False)
     assert records[0].klass == "consensus" and trials[0].min_potential_step is not None
     assert errors == [{"trial": 1, "error": "agent 1: combined state has near-zero "
                                             "norm, projection undefined"}]
@@ -304,6 +315,33 @@ def test_cli_requires_seed_with_or_without_config(tmp_path):
     for argv in (["sweep", "--trials", "3"], ["sweep", "--config", str(cfg_path)]):
         with pytest.raises(SystemExit, match="--seed is required"):
             main(argv)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("sweep", "--slack"),
+    ("rank-table", "--symmetric"),
+    ("theorem2", "--symmetric"),
+    ("audit", "--symmetric"),
+    ("audit", "--trials"),
+    ("jg-rank", "--symmetric"),
+    ("jg-rank", "--trials"),
+    ("jg-rank", "--graph"),
+    ("jg-rank", "--edge-prob"),
+])
+def test_cli_rejects_flags_a_command_does_not_read(command, flag, capsys):
+    from spherecon.cli import main
+    value = {"--symmetric": [], "--graph": ["ring"]}.get(flag, ["3"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1", "--n", "4", "--d", "3", flag, *value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, spherecon.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_theorem2_and_flag_overrides(tmp_path):

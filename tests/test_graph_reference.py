@@ -1,6 +1,7 @@
 """The array generators and sample_sdd against a reference copy of the
 edge-tuple implementation they replaced: same adjacency, same graph hash,
 same weight entries, bit for bit, and the same random stream consumed.
+The numpy strong-connectivity predicate against scipy's strong components.
 
 The reference below keeps graphs as (n, frozenset of 1-based edge tuples)
 and draws one scalar uniform per candidate pair, as the tuple code did.
@@ -15,8 +16,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from spherecon.experiments import graph_hash
-from spherecon.graph import (random_connected_er, random_strongly_connected,
-                             random_symmetric_connected)
+from spherecon.graph import (DirectedGraph, is_strongly_connected, random_connected_er,
+                             random_strongly_connected, random_symmetric_connected)
 from spherecon.weights import sample_sdd
 
 PROBS = (0.0, 0.3, 0.57, 1.0)
@@ -141,3 +142,17 @@ def test_vector_draw_equals_scalar_draws():
         assert vec.random(k).tobytes() == np.array([scalar.random() for _ in range(k)]).tobytes()
         assert vec.bit_generator.state == scalar.bit_generator.state
 
+
+
+def test_strong_connectivity_matches_scipy_strong_components():
+    # 10^4 seeded digraphs, n in [1, 12], each at its own edge density
+    rng = np.random.default_rng(20260826)
+    outcomes = []
+    for _ in range(10_000):
+        n = int(rng.integers(1, 13))
+        adj = rng.random((n, n)) < rng.random()
+        np.fill_diagonal(adj, False)
+        ncomp, _ = connected_components(adj, directed=True, connection="strong")
+        outcomes.append(is_strongly_connected(DirectedGraph(adj)))
+        assert outcomes[-1] == (ncomp == 1), adj.astype(int)
+    assert 2000 < sum(outcomes) < 8000  # both answers well represented

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spherecon.state import (Configuration, classify_configuration,
-                             consensus_configuration, normalize_rows,
-                             numerical_rank, projection_matrix,
-                             random_configuration, tangent_basis, unvec)
+                             consensus_configuration, numerical_rank,
+                             projection_matrix, random_configuration,
+                             tangent_basis)
 
 
 def pentagon():
@@ -15,12 +15,12 @@ def pentagon():
 
 
 def test_normalize_rows():
-    c = normalize_rows(np.array([[2.0, 0.0], [0.0, -5.0]]))
+    c = Configuration(np.array([[2.0, 0.0], [0.0, -5.0]]))
     assert np.allclose(c.rows, [[1, 0], [0, -1]])
     unit = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(normalize_rows(unit).rows, unit)
+    assert np.allclose(Configuration(unit).rows, unit)
     with pytest.raises(ValueError):
-        normalize_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        Configuration(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
 def test_random_configuration_unit_rows_and_determinism():
@@ -70,7 +70,7 @@ def test_vector_ordering_and_unvec_round_trip():
     c = random_configuration(4, 3, seed=5)
     x = c.vector
     assert np.array_equal(x[:3], c.rows[0])  # agent-major ordering
-    assert np.array_equal(unvec(x, 4, 3), c.rows)
+    assert np.array_equal(x.reshape(4, 3), c.rows)  # inverse of vector
 
 
 def test_tangent_basis_d2_quarter_turn():
