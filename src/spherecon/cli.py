@@ -36,6 +36,8 @@ COMMANDS = {
               ("slack", "edge_prob", "graph")),
     "jg-rank": ("parametric Jacobian rank checks at fixed points", ("slack",)),
 }
+# the weight symmetry each descent command runs; a config that sets another is an error
+SYMMETRY = {"rank-table": True, "theorem2": False, "audit": True, "jg-rank": True}
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -72,19 +74,22 @@ def main(argv=None) -> int:
         return 0
 
     cfg = _build_config(args)
+    if args.command in SYMMETRY:
+        required = SYMMETRY[args.command]
+        if cfg.symmetric not in (None, required):
+            raise SystemExit(f"{args.command} runs {'' if required else 'non-'}symmetric "
+                             f"weight matrices, but the config sets "
+                             f"\"symmetric\": {json.dumps(cfg.symmetric)}")
+        cfg.symmetric = required
     if args.command == "sweep":
         _, summary = cmd_consensus_sweep(cfg)
     elif args.command == "rank-table":
-        cfg.symmetric = True
         _, summary = cmd_rank_table(cfg)
     elif args.command == "theorem2":
-        cfg.symmetric = False
         _, summary = cmd_theorem2_probe(cfg)
     elif args.command == "audit":
-        cfg.symmetric = True
         summary = cmd_stability_audit(cfg, count=args.count)
     elif args.command == "jg-rank":
-        cfg.symmetric = True
         summary = cmd_jg_rank(cfg, count=args.count)
     else:  # pragma: no cover
         raise SystemExit(f"unknown command {args.command}")

@@ -6,6 +6,10 @@ seeds are derived through numpy's SeedSequence with the key
 results. Records are written as CSV with the schema
 trial,seed,n,d,graph_hash,matrix_hash,class,rank,iters,residual_A,residual_MA,spec_radius
 and each command also emits a summary dict (JSON on disk).
+
+The trajectory commands share one pipeline: plan every trial from its seeds,
+group the trials by d, run each group as one lockstep call with the agents
+padded to its largest n, then strip the pad rows and classify each limit.
 """
 
 from __future__ import annotations
@@ -142,7 +146,7 @@ def _emit(cfg: ExperimentConfig, records: Optional[list], summary: dict):
 
 
 # --------------------------------------------------------------------------
-# the trial pipeline: plan, group by (n, d), run in lockstep, classify
+# the trial pipeline: plan, group by d, run in lockstep, classify
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -179,40 +183,52 @@ def _plan(cfg: ExperimentConfig, t: int, n: int, d: int, symmetric: bool,
     return trial
 
 
+def _run_group(cfg: ExperimentConfig, members: list, descent: bool):
+    """Run trials of one d as one dynamics.run_batch call, agents padded to
+    the largest n (dynamics.pad_agents), with the weight matrix itself or
+    (descent) its descent matrix, and store each outcome on its trial, pad
+    rows stripped. Without descent, symmetric trials record their potential."""
+    weights = None
+    if descent:
+        mats = [descent_matrix(tr.weights, cfg.slack).entries for tr in members]
+    else:  # symmetric trials first: the kernel records their potential
+        members.sort(key=lambda tr: not tr.symmetric)
+        mats = [tr.weights.entries for tr in members]
+        weights = [m for m, tr in zip(mats, members) if tr.symmetric]
+    entries, starts, weights, agents = dynamics.pad_agents(
+        mats, [tr.start for tr in members], weights)
+    out = dynamics.run_batch(entries, starts, max_iter=cfg.max_iter,
+                             potential_weights=weights, agents=agents)
+    histories = out.potential_histories or []
+    for pos, trial in enumerate(members):
+        trial.iters, trial.residual = int(out.iters[pos]), float(out.residual[pos])
+        rows = out.rows[pos, :trial.n]
+        if out.failed[pos]:
+            try:
+                dynamics.iterate(mats[pos], Configuration(rows))
+            except ZeroDivisionError as exc:  # names the agent
+                trial.error = exc
+                continue
+        trial.final = Configuration(rows)
+        if pos < len(histories) and len(histories[pos]) > 1:
+            trial.min_potential_step = float(np.diff(histories[pos]).min())
+
+
 def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
-    """Run the planned trials, one dynamics.run_batch call per (n, d) group,
-    with the weight matrix itself or (descent) its descent matrix, and record
-    them in trial order. Without descent, symmetric trials (grouped apart)
-    record their potential. A descent record names a limit only if it
-    converged and carries the residuals under A and under the descent matrix;
-    a plain record carries the residual and the spectral radius at the limit.
-    An error record keeps the hashes of every draw that succeeded.
+    """Run the planned trials, one `_run_group` per d, and record them in
+    trial order. A descent record names a limit only if it converged and
+    carries the residuals under A and under the descent matrix; a plain
+    record carries the residual and the spectral radius at the limit. An
+    error record keeps the hashes of every draw that succeeded.
 
     Returns (records, error entries, summary fields of the run).
     """
     groups: dict = {}
     for trial in trials:
         if trial.error is None:
-            key = (trial.n, trial.d, not descent and trial.symmetric)
-            groups.setdefault(key, []).append(trial)
-    for (_, _, potentials), members in groups.items():
-        weights = np.stack([tr.weights.entries for tr in members])
-        mats = (np.stack([descent_matrix(tr.weights, cfg.slack).entries for tr in members])
-                if descent else weights)
-        out = dynamics.run_batch(mats, np.stack([tr.start for tr in members]),
-                                 max_iter=cfg.max_iter,
-                                 potential_weights=weights if potentials else None)
-        for pos, trial in enumerate(members):
-            trial.iters, trial.residual = int(out.iters[pos]), float(out.residual[pos])
-            if out.failed[pos]:
-                try:
-                    dynamics.iterate(mats[pos], Configuration(out.rows[pos]))
-                except ZeroDivisionError as exc:  # names the agent
-                    trial.error = exc
-                    continue
-            trial.final = Configuration(out.rows[pos])
-            if potentials and len(out.potential_histories[pos]) > 1:
-                trial.min_potential_step = float(np.diff(out.potential_histories[pos]).min())
+            groups.setdefault(trial.d, []).append(trial)
+    for members in groups.values():
+        _run_group(cfg, members, descent)
     records, errors, nan = [], [], float("nan")
     for trial in trials:
         tseed = derive_seed(cfg.seed, trial.t)

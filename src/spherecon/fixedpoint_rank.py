@@ -18,8 +18,9 @@ import numpy as np
 
 from .dynamics import _step
 from .graph import DirectedGraph, structure_matrix
-from .state import Configuration, as_array, block_diagonal_matrix, tangent_projectors
-from .tolerances import PIN_TOL, RANK_TOL
+from .state import (Configuration, as_array, block_diagonal_matrix, relative_rank,
+                    tangent_projectors)
+from .tolerances import PIN_TOL
 from .weights import WeightMatrix
 
 
@@ -94,7 +95,7 @@ def pin_configuration(c: Configuration):
     zero columns. Returns (pinned n x m array, m)."""
     rows = c.rows
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    m = _rank(s)
+    m = relative_rank(s)
     xm = rows @ vt[:m].T
     # reflect the first row onto e_1 within R^m
     x1 = xm[0] / np.linalg.norm(xm[0])
@@ -174,14 +175,8 @@ def _singular_values(mat: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mat, compute_uv=False)
 
 
-def _rank(s: np.ndarray) -> int:
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
-
-
 def matrix_rank(mat: np.ndarray) -> int:
-    return _rank(_singular_values(mat))
+    return relative_rank(_singular_values(mat))
 
 
 def skew_null_vectors(sys: FixedPointSystem) -> np.ndarray:
@@ -214,7 +209,7 @@ def symmetric_rank_deficiency_check(sys: FixedPointSystem) -> RankDeficiencyRepo
     nm - m(m-1)/2 (complete graph), and the skew null vectors' residual."""
     jg = assemble_Jg(sys, symmetric=True).full
     s = _singular_values(jg)
-    rank = _rank(s)
+    rank = relative_rank(s)
     bound = sys.n * sys.m - sys.m * (sys.m - 1) // 2
     return RankDeficiencyReport(
         n=sys.n, m=sys.m, symmetric=True, rank=rank, bound=bound,

@@ -12,9 +12,10 @@ import numpy as np
 
 from .dynamics import _step, fixed_point_residual
 from .state import (Configuration, TangentBasis, as_array, block_diagonal_matrix,
-                    classify_configuration, tangent_basis, tangent_projectors)
+                    classify_configuration, relative_rank, tangent_basis,
+                    tangent_projectors)
 from .tolerances import (A_RESIDUAL_TOL, CERTIFICATE_FP_TOL, CLASS_TOL, NEUTRAL_TOL,
-                         RANK_TOL, TRACE_TOL)
+                         TRACE_TOL)
 from .weights import WeightMatrix, satisfies_sqrt2_condition
 
 
@@ -124,7 +125,7 @@ def determinant_nonzero_check(a: WeightMatrix, c: Configuration) -> DeterminantC
     scale = float(np.prod(np.linalg.norm(red, axis=1)))
     s = np.linalg.svd(red, compute_uv=False)
     cond = satisfies_sqrt2_condition(a)
-    return DeterminantCheck(det, scale, cond, cond and bool(s[-1] > RANK_TOL * s[0]))
+    return DeterminantCheck(det, scale, cond, cond and relative_rank(s) == s.size)
 
 
 def _projected_shift(entries: np.ndarray, shift: np.ndarray,

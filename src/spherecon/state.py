@@ -100,10 +100,17 @@ def consensus_configuration(n: int, xbar: np.ndarray) -> Configuration:
     return Configuration(np.tile(xbar / nrm, (n, 1)))
 
 
+def relative_rank(s: np.ndarray, tol: float = RANK_TOL) -> int:
+    """Number of the descending singular values s above tol times the
+    largest; 0 when s is empty or all zero."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol * s[0]))
+
+
 def numerical_rank(c: Configuration, tol: float = RANK_TOL) -> int:
     """Number of singular values of X above tol times the largest."""
-    s = np.linalg.svd(c.rows, compute_uv=False)
-    return int(np.sum(s > tol * s[0]))
+    return relative_rank(np.linalg.svd(c.rows, compute_uv=False), tol)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ version of the code without a derivation."""
 
 # ||f(x) - x||_2 at which a trajectory stops as converged; inherited from the seed, not derived
 FP_TOL = 1e-12
+# relative margin of the lockstep kernel's squared-step screen: far above the 2 * L * eps by which
+# two summation orders of the same L non-negative terms can differ
+STEP_FILTER_MARGIN = 1e-9
 # a row or row-image norm this small is zero: about 45 ulp of a unit row, only cancellation hits it
 MIN_ROW_NORM = 1e-14
 # relative singular-value cutoff of ranks: about sqrt(eps), far above round-off; not derived

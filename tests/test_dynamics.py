@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from spherecon.dynamics import (_step, find_nonconsensus_fixed_point,
-                                fixed_point_residual, iterate, potential, run,
-                                run_batch)
+from spherecon.dynamics import (_row_norms, _step, find_nonconsensus_fixed_point,
+                                fixed_point_residual, iterate, pad_agents, potential,
+                                run, run_batch)
 from spherecon.fixedpoint_rank import compute_D
 from spherecon.graph import (DirectedGraph, complete_graph,
                              random_strongly_connected,
                              random_symmetric_connected)
 from spherecon.state import (Configuration, classify_configuration,
                              consensus_configuration, random_configuration)
+from spherecon.tolerances import STEP_FILTER_MARGIN
 from spherecon.weights import (WeightMatrix, descent_matrix,
                                left_scale_normalize, sample_sdd)
 
@@ -241,3 +242,125 @@ def test_zero_row_image_fails_only_its_trial():
         assert np.array_equal(Configuration(rows[t]).rows, run(mats[t], starts[t]).final.rows)
     with pytest.raises(ZeroDivisionError, match="agent 1"):
         run(ones, Configuration(antipodal))
+
+
+def test_row_norms_are_numpys_bit_for_bit():
+    # the column loop below PAIRWISE_SUM_FROM columns, numpy's reduction above
+    rng = np.random.default_rng(42)
+    for d in range(1, 13):
+        for shape in ((1,), (5,), (7, 9), (300, 8)):
+            z = rng.standard_normal(shape + (d,)) * 10.0 ** rng.uniform(-8, 3, shape + (d,))
+            assert np.array_equal(_row_norms(z), np.linalg.norm(z, axis=-1))
+
+
+def _per_shape_and_padded(mats, starts, weights, fp_tol=1e-12, max_iter=300):
+    """Trials of one d run as one padded call and as one call per n, the
+    first len(weights) recording their potential; yields, per trial, its
+    padded and its same-shape outcome (rows, iters, residual, failed, history
+    or None), the padded rows stripped of their pad agents after a check that
+    those stayed e_1."""
+    entries, padded, stacked, agents = pad_agents(mats, starts, weights)
+    out = run_batch(entries, padded, fp_tol, max_iter, stacked, agents)
+    shapes = {}
+    for t, rows in enumerate(starts):
+        shapes.setdefault(len(rows), []).append(t)
+    alone = {}
+    for members in shapes.values():
+        weighted = [weights[t] for t in members if t < len(weights)]
+        ref = run_batch(np.stack([mats[t] for t in members]),
+                        np.stack([starts[t] for t in members]), fp_tol=fp_tol,
+                        max_iter=max_iter,
+                        potential_weights=np.stack(weighted) if weighted else None)
+        histories = ref.potential_histories or []
+        for pos, t in enumerate(members):
+            alone[t] = (ref.rows[pos], ref.iters[pos], ref.residual[pos], ref.failed[pos],
+                        histories[pos] if pos < len(histories) else None)
+    for t, rows in enumerate(starts):
+        n = len(rows)
+        pad = out.rows[t, n:]
+        assert np.array_equal(pad, np.eye(1, pad.shape[1]).repeat(len(pad), axis=0))
+        history = out.potential_histories[t] if t < len(weights) else None
+        yield (out.rows[t, :n], out.iters[t], out.residual[t], out.failed[t],
+               history), alone[t]
+
+
+def _assert_same(padded, alone):
+    rows, iters, residual, failed, history = padded
+    assert np.array_equal(rows, alone[0])
+    assert iters == alone[1] and failed == alone[3]
+    assert residual == alone[2] or (np.isnan(residual) and np.isnan(alone[2]))
+    assert (history is None and alone[4] is None) or np.array_equal(history, alone[4])
+
+
+def test_padded_lockstep_matches_one_call_per_shape():
+    # mixed n in [2, 9] at each d in [2, 5]; symmetric weights, whose trials
+    # come first and record their potential, and non-symmetric ones; plain and
+    # descent matrices; some trials stopped at max_iter
+    rng = np.random.default_rng(41)
+    by_d = {}
+    for case in range(320):
+        n, d = int(rng.integers(2, 10)), int(rng.integers(2, 6))
+        symmetric = bool(case % 2)
+        g = (random_symmetric_connected if symmetric else random_strongly_connected)(
+            n, 0.5, 6000 + case)
+        a = sample_sdd(g, margin=0.1, symmetric=symmetric, seed=7000 + case)
+        m = descent_matrix(a, slack=0.25).entries if case % 3 == 0 else a.entries
+        by_d.setdefault(d, []).append(
+            (not symmetric, m, random_configuration(n, d, seed=8000 + case).rows, a.entries))
+    lengths = []
+    for members in by_d.values():
+        members.sort(key=lambda member: member[0])  # symmetric trials first
+        _, mats, starts, weights = (list(x) for x in zip(*members))
+        symmetric = sum(not member[0] for member in members)
+        for padded, alone in _per_shape_and_padded(mats, starts, weights[:symmetric]):
+            _assert_same(padded, alone)
+            lengths.append(int(padded[1]))
+    assert len(by_d) == 4 and min(lengths) < 50 and lengths.count(300) > 0
+
+
+def _fails_at_step_one():
+    """Agent 2 flips its sign each step and agent 3 sums agents 1 and 2, so
+    from x_1 = x_2 agent 3's row image vanishes on the second step."""
+    m = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 1.0, 0.0]])
+    return m, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def test_zero_norm_trial_inside_a_padded_batch():
+    m, start = _fails_at_step_one()
+    mats = [sample_sdd(complete_graph(n), 0.1, True, seed=n).entries for n in (5, 4, 2)]
+    starts = [random_configuration(n, 2, seed=20 + n).rows for n in (5, 4, 2)]
+    mats.insert(1, m)
+    starts.insert(1, start)
+    outcomes = list(_per_shape_and_padded(mats, starts, mats))
+    for padded, alone in outcomes:
+        _assert_same(padded, alone)
+    failed = outcomes[1][0]
+    # it fails on step 1 and keeps the count and the residual of step 0
+    assert failed[3] and failed[1] == 0 and failed[2] == np.linalg.norm(
+        iterate(m, Configuration(start)).rows - start)
+    assert [o[0][3] for o in outcomes] == [False, True, False, False]
+    with pytest.raises(ZeroDivisionError, match="agent 3"):
+        iterate(m, Configuration(failed[0]))
+
+
+def test_padded_step_inside_the_screen_band_is_decided_exactly():
+    # a trial whose squared step at step 6 lies within the screen's margin
+    # above fp_tol^2 runs past it, and with fp_tol at that step stops there.
+    # Under OpenBLAS, this trial's padded square at step 6 exceeds
+    # fp_tol * fp_tol and its root differs from the exact residual, so only
+    # the exact path stops it and records the right residual.
+    a = sample_sdd(random_symmetric_connected(4, 0.5, 9), 0.1, True, seed=10)
+    start = random_configuration(4, 3, seed=11).rows
+    _, _, step6, _ = _per_trial_run(a.entries, start, 0.0, 6, a.entries)
+    others = [sample_sdd(complete_graph(n), 0.1, True, seed=60 + n) for n in (7, 9)]
+    mats = [a.entries] + [o.entries for o in others]
+    starts = [start] + [random_configuration(n, 3, seed=70 + n).rows for n in (7, 9)]
+    for fp_tol, stop in ((step6 * (1.0 - 1e-10), False), (step6, True)):
+        assert fp_tol ** 2 <= step6 ** 2 <= fp_tol ** 2 * (1.0 + STEP_FILTER_MARGIN)
+        outcomes = list(_per_shape_and_padded(mats, starts, mats, fp_tol, 40))
+        for padded, alone in outcomes:
+            _assert_same(padded, alone)
+        final, iters, residual, _ = _per_trial_run(a.entries, start, fp_tol, 40, a.entries)
+        rows, k, res = outcomes[0][0][:3]
+        assert np.array_equal(rows, final) and k == iters and res == residual
+        assert (k == 6 and res == step6) if stop else k > 6

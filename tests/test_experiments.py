@@ -61,9 +61,8 @@ def test_sweep_small_consensus(tmp_path):
     assert json.loads((tmp_path / "o" / "summary.json").read_text())[
         "consensus_fraction"] == 1.0
     assert sum(summary["iteration_histogram"].values()) == 20
-    # symmetric trials, which record their potential, are grouped apart
-    shapes = len({(r.n, r.d) for r in records})
-    assert shapes < summary["lockstep_groups"] <= 2 * shapes
+    # one lockstep call per d: every n, symmetric or not, shares it
+    assert summary["lockstep_groups"] == len({r.d for r in records})
 
 
 def test_sweep_deterministic(tmp_path):
@@ -335,6 +334,19 @@ def test_cli_rejects_flags_a_command_does_not_read(command, flag, capsys):
         main([command, "--seed", "1", "--n", "4", "--d", "3", flag, *value])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, symmetric", [
+    ("theorem2", True), ("rank-table", False), ("audit", False), ("jg-rank", False),
+])
+def test_cli_names_a_config_symmetry_the_command_cannot_run(command, symmetric, tmp_path):
+    from spherecon.cli import main
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, "n": 4, "d": 3, "symmetric": symmetric}))
+    extra = ["--count", "1"] if command in ("audit", "jg-rank") else ["--trials", "2"]
+    with pytest.raises(SystemExit, match=f'config sets "symmetric": {json.dumps(symmetric)}'):
+        main([command, "--config", str(path), *extra, "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_import_leaves_scipy_out():

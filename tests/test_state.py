@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from spherecon.state import (Configuration, classify_configuration,
+from spherecon.fixedpoint_rank import matrix_rank
+from spherecon.state import (RANK_TOL, Configuration, classify_configuration,
                              consensus_configuration, numerical_rank,
                              projection_matrix, random_configuration,
-                             tangent_basis)
+                             relative_rank, tangent_basis)
 
 
 def pentagon():
@@ -124,3 +125,24 @@ def test_configuration_json_round_trip():
     again = Configuration.from_json(c.to_json())
     assert np.allclose(again.rows, c.rows, atol=1e-15)
     assert again.n == 3 and again.d == 4
+
+
+def test_relative_rank_keeps_the_three_rules_it_replaced():
+    # the cutoff s > tol * s[0] as numerical_rank, fixedpoint_rank's guarded
+    # rank and the determinant check's full-rank test each wrote it
+    rng = np.random.default_rng(30)
+    for k in range(2000):
+        size = int(rng.integers(1, 7))
+        s = np.sort(10.0 ** rng.uniform(-12, 2, size))[::-1]
+        s[rng.random(size) < 0.3] = 0.0
+        s = np.sort(s)[::-1]
+        if k % 4 == 0 and size > 1:
+            s[-1] = RANK_TOL * s[0]  # exactly at the cutoff: not counted
+        tol = RANK_TOL if k % 2 else 1e-6
+        expected = 0 if s[0] == 0.0 else int(np.sum(s > tol * s[0]))
+        assert relative_rank(s, tol) == expected
+        assert (relative_rank(s) == s.size) == bool(s[-1] > RANK_TOL * s[0])
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        assert matrix_rank(np.zeros(shape)) == 0
+    assert matrix_rank(np.zeros((3, 4))) == 0 and relative_rank(np.zeros(3)) == 0
+    assert numerical_rank(random_configuration(5, 3, seed=31)) == 3

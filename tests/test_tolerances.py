@@ -32,5 +32,7 @@ def test_every_entry_has_its_value_and_a_reason():
         "CONSENSUS_TOL": 1e-9, "CLASS_TOL": 1e-7, "CERTIFICATE_FP_TOL": 1e-8,
         "A_RESIDUAL_TOL": 1e-9, "NEUTRAL_TOL": 1e-9, "TRACE_TOL": 1e-10,
         "UNIT_NORM_TOL": 1e-9, "PIN_TOL": 1e-14, "AUDIT_PERTURBATION": 1e-6,
+        # added with the padded lockstep kernel; no value before it
+        "STEP_FILTER_MARGIN": 1e-9,
     }
     assert all(getattr(tolerances, name) == value for name, value in entries.items())

@@ -1,0 +1,101 @@
+"""Alternating before/after pairs of the benchmark, written to a BENCH_*.json.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload sweep \
+        --pairs 10 --out BENCH_8.json [--seconds 30]
+
+DIR is a checkout of each side; each side runs its own `perfbench/run.py`
+in its own directory, untraced. Pair k runs the parent first when k is even
+and the change first when k is odd. Every run's end-to-end metrics are kept,
+and per metric the file gives each side's median and quartiles and the number
+of pairs the change won. Results for other workloads already in --out are
+kept, so one file can hold every workload of a change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BETTER = {"trials_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
+
+
+def run_side(checkout: Path, workload: str, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", str(seconds)], cwd=checkout, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"{checkout}: benchmark exited {proc.returncode}\n{proc.stderr}")
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": line["correct"], "attempted": line["attempted"],
+            "failed": line["failed"],
+            **{name: entry["value"] for name, entry in line["metrics"].items()}}
+
+
+def quartiles(values: list) -> list:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, median, q3]
+
+
+def summarise(pairs: list) -> dict:
+    out = {}
+    for metric, better in BETTER.items():
+        parent = [p["parent"][metric] for p in pairs]
+        change = [p["change"][metric] for p in pairs]
+        sign = 1 if better == "higher" else -1
+        out[metric] = {
+            "better": better,
+            "parent_q1_median_q3": quartiles(parent),
+            "change_q1_median_q3": quartiles(change),
+            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def git_revision(checkout: Path) -> str:
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+
+    pairs = []
+    for k in range(args.pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        pair = {side: run_side(getattr(args, side), args.workload, args.seconds)
+                for side in order}
+        pairs.append({"first": order[0], **pair})
+        print(f"{args.workload} pair {k}: parent {pair['parent']['trials_per_s']:.4g}, "
+              f"change {pair['change']['trials_per_s']:.4g} trials/s", flush=True)
+
+    result = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
+    result["machine"] = {"python": platform.python_version(), "processor": platform.machine(),
+                         "cpus": os.cpu_count(), "system": platform.platform()}
+    result["workloads"][args.workload] = {
+        "parent_revision": git_revision(args.parent),
+        "change_revision": git_revision(args.change),
+        "seconds": args.seconds,
+        "summary": summarise(pairs),
+        "pairs": pairs,
+    }
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
