@@ -19,22 +19,27 @@ from .weights import WeightMatrix, descent_matrix
 MAX_ITER = 10 ** 6
 # numpy adds fewer terms than this in one plain loop, and more pairwise
 PAIRWISE_SUM_FROM = 8
+# steps a block takes between two exit decisions: spreads their calls thin, wastes few steps
+BLOCK_STEPS = 32
+# floats of one block's states (256 KB), which stay in cache; a larger working set steps singly
+BLOCK_FLOATS = 2 ** 15
 
 
 def _step(entries: np.ndarray, rows: np.ndarray):
     """One update on raw rows; returns (new rows, row norms of entries@rows).
+    Both may carry leading batch axes (a stack of trials).
 
     A vanishing row image is impossible for strictly diagonally dominant
     weight matrices; it is checked here whatever the matrix.
     """
     z = entries @ rows
-    norms = np.linalg.norm(z, axis=1)
+    norms = np.linalg.norm(z, axis=-1)
     if norms.min() <= MIN_ROW_NORM:
-        bad = int(np.argmin(norms)) + 1
+        *trial, agent = np.unravel_index(np.argmin(norms), norms.shape)
         raise ZeroDivisionError(
-            f"agent {bad}: combined state has near-zero norm, projection undefined"
-        )
-    return z / norms[:, None], norms
+            "".join(f"trial {t}, " for t in trial)
+            + f"agent {agent + 1}: combined state has near-zero norm, projection undefined")
+    return z / norms[..., None], norms
 
 
 def iterate(m, c: Configuration) -> Configuration:
@@ -77,18 +82,19 @@ class BatchResult:
         return iter((self.rows, self.iters, self.residual, self.failed))
 
 
-def _row_norms(z: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(z, axis=-1) bit for bit. Below PAIRWISE_SUM_FROM
-    columns numpy adds each row's squares in order, so a loop over the
-    columns adds them in the same order at one call per column rather than
-    numpy's cost per row, which dominates a large working set."""
+def _row_norms(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """np.linalg.norm(z, axis=-1) bit for bit, into out if given. Below
+    PAIRWISE_SUM_FROM columns numpy adds each row's squares in order, so a
+    loop over the columns adds them in the same order at one call per column
+    rather than numpy's cost per row, which dominates a large working set."""
     squares = z * z
     if z.shape[-1] >= PAIRWISE_SUM_FROM:
-        return np.sqrt(np.add.reduce(squares, axis=-1))
-    total = squares[..., 0].copy()
-    for k in range(1, z.shape[-1]):
-        total += squares[..., k]
-    return np.sqrt(total, out=total)
+        total = np.add.reduce(squares, axis=-1)
+    else:
+        total = squares[..., 0] + squares[..., 1] if z.shape[-1] > 1 else squares[..., 0].copy()
+        for k in range(2, z.shape[-1]):
+            total += squares[..., k]
+    return np.sqrt(total, out=total if out is None else out)
 
 
 def _norm(flat: np.ndarray) -> float:
@@ -105,13 +111,18 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     belongs to the first S trials.
 
     Active trials form a compact working set (matrices, rows, last steps,
-    potential weights) that is re-gathered only on a step where a trial
-    leaves: by converging, by a zero-norm row image, or at max_iter. A trial's
-    iteration count, residual and final rows are written only when it leaves.
-    A failed trial keeps the rows it failed at and the count and residual of
-    its last completed step. With weights, the potential tr(X^T W X) of each
-    of the first S trials is recorded before every step; as trials leave in
-    order, those stay a prefix of the working set.
+    potential weights) that takes blocks of steps: up to BLOCK_STEPS, fewer
+    where the block's states would pass BLOCK_FLOATS or max_iter, at least
+    one. Inside a block only the update runs; after it, every step of the
+    block is screened at once, and a trial leaves at its first step that
+    converges, whose row image vanishes, or that is max_iter. The steps a
+    trial took past that inside the block are discarded. The working set is
+    re-gathered only after a block in which a trial left, and a trial's
+    iteration count, residual and final rows are written only then. A failed
+    trial keeps the rows it failed at and the count and residual of its last
+    completed step. With weights, the potential tr(X^T W X) of each of the
+    first S trials is recorded at every state; as trials leave in order,
+    those stay a prefix of the working set.
 
     A step's size is screened by the squared norm of the whole padded step,
     one batched dot per step. Trailing pad zeros can change the last bit of
@@ -129,61 +140,88 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     idx, m, x, w = np.arange(t_count), entries, rows, weights
     last = None  # the flat previous step of each active trial
     cutoff = fp_tol * fp_tol * (1.0 + STEP_FILTER_MARGIN)
-    segments, recorded = [], []  # potentials per working set
-    for k in range(max_iter + 1 if t_count else 0):
-        if w is not None:
-            recorded.append(np.einsum("tij,tik,tjk->t", w, x[:len(w)], x[:len(w)]))
-        z = m @ x
-        norms = _row_norms(z)
-        bad = None
-        if norms.min() <= MIN_ROW_NORM:
-            bad = norms.min(axis=1) <= MIN_ROW_NORM
-            norms[bad] = 1.0  # their images are discarded
-        nxt = np.divide(z, norms[:, :, None], out=z)
-        flat = (nxt - x).reshape(len(idx), -1)
-        squares = np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]
-        if bad is None and k < max_iter and squares.min() > cutoff:
-            x, last = nxt, flat
-            continue
-        step = np.full(len(idx), np.inf)
-        exact = (squares <= cutoff) | (k == max_iter)
-        if bad is not None:
-            exact &= ~bad
-            if last is not None:  # a failed trial keeps its previous step
-                for p in np.flatnonzero(bad):
-                    step[p] = _norm(last[p, :spans[idx[p]]])
-        for p in np.flatnonzero(exact):
-            step[p] = _norm(flat[p, :spans[idx[p]]])
-        done = (step <= fp_tol) | (k == max_iter)
-        if bad is not None:
-            done |= bad
-        if not done.any():
-            x, last = nxt, flat
-            continue
-        gone = idx[done]
-        iters[gone] = k
-        residual[gone] = step[done]
-        final[gone] = x[done]
-        if bad is not None:
-            failed[idx[bad]] = True
-            iters[idx[bad]] = max(k - 1, 0)
-        if w is not None:
-            # a block of potentials and the prefix positions that leave after it
-            segments.append((np.array(recorded), np.flatnonzero(done[:len(w)])))
-            recorded = []
-        keep = ~done
-        idx, m, x, last = idx[keep], m[keep], nxt[keep], flat[keep]
-        if w is not None:
-            w = w[keep[:len(w)]]
-        if not len(idx):
-            break
+    segments, recorded = [], []  # potentials per working set, one block of states each
+    if w is not None:
+        recorded.append(np.einsum("tij,stik,stjk->st", w, x[None, :len(w)], x[None, :len(w)]))
+    k, states = 0, np.empty(0)
+    with np.errstate(all="ignore"):  # steps after a zero-norm image are discarded
+        while len(idx) and k <= max_iter:
+            count = len(idx)
+            steps = max(1, min(BLOCK_STEPS, BLOCK_FLOATS // (count * size * d),
+                               max_iter - k + 1))
+            if states.shape[:2] != (steps, count):
+                # two alternating buffers, so a block never writes the state it starts from
+                states, spare = np.empty((2, steps, count, size, d))
+                norms = np.empty((steps, count, size))
+            prev = x
+            for s in range(steps):  # the states after steps k .. k + steps - 1
+                z = np.matmul(m, prev, out=states[s])
+                prev = np.divide(z, _row_norms(z, out=norms[s])[..., None], out=z)
+            if w is not None:
+                recorded.append(np.einsum("tij,stik,stjk->st", w, states[:, :len(w)],
+                                          states[:, :len(w)]))
+            flat = np.empty_like(states)
+            np.subtract(states[0], x, out=flat[0])
+            if steps > 1:
+                np.subtract(states[1:], states[:-1], out=flat[1:])
+            flat = flat.reshape(steps, count, -1)
+            squares = np.matmul(flat[:, :, None, :], flat[:, :, :, None])[:, :, 0, 0]
+            clear = norms.min() > MIN_ROW_NORM  # false on NaN too
+            at_max = k + steps > max_iter
+            if clear and not at_max and squares.min() > cutoff:
+                x, last, k = states[-1], flat[-1], k + steps
+                states, spare = spare, states
+                continue
+            # the first step at which each trial leaves; steps if it stays
+            fails = np.full(count, steps)
+            if not clear:
+                bad = ~(norms > MIN_ROW_NORM).all(axis=2)
+                hit = bad.any(axis=0)
+                fails[hit] = bad.argmax(axis=0)[hit]
+            leave = np.minimum(fails, steps - 1) if at_max else fails.copy()
+            step = np.full(count, np.inf)
+            band = (squares <= cutoff) & (np.arange(steps)[:, None] < leave)
+            for p, s in zip(*np.nonzero(band.T)):  # each trial's steps in order
+                if s < leave[p]:
+                    exact = _norm(flat[s, p, :spans[idx[p]]])
+                    if exact <= fp_tol:
+                        leave[p], step[p] = s, exact
+            gone = np.flatnonzero(leave < steps)
+            failing = fails[gone] == leave[gone]
+            for p in gone[failing]:  # a failed trial keeps its previous step
+                s = leave[p]
+                before = flat[s - 1, p] if s else last[p] if last is not None else None
+                step[p] = np.inf if before is None else _norm(before[:spans[idx[p]]])
+            if at_max:
+                for p in gone[~failing & np.isinf(step[gone])]:
+                    step[p] = _norm(flat[-1, p, :spans[idx[p]]])
+            at, trials = leave[gone], idx[gone]
+            iters[trials] = k + at
+            residual[trials] = step[gone]
+            final[trials] = np.where((at == 0)[:, None, None], x[gone], states[at - 1, gone])
+            failed[trials[failing]] = True
+            iters[trials[failing]] = np.maximum(k + at[failing] - 1, 0)
+            if w is not None and len(gone):
+                # the blocks of potentials and the prefix positions that leave after them
+                segments.append((recorded, np.flatnonzero(leave[:len(w)] < steps)))
+                recorded = []
+            keep = leave == steps
+            if len(gone):
+                idx, m, x, last = idx[keep], m[keep], states[-1][keep], flat[-1][keep]
+                if w is not None:
+                    w = w[keep[:len(w)]]
+            else:
+                x, last = states[-1], flat[-1]
+                states, spare = spare, states
+            k += steps
     histories = None
     if weights is not None:
         # trial t's history is the slice starts[t]:starts[t + 1] of one buffer
         starts = np.concatenate(([0], np.cumsum(iters[:len(weights)] + 1)))
         buffer = np.empty(starts[-1])
         ids, first = np.arange(len(weights)), 0
-        for block, gone in segments:
+        for blocks, gone in segments:
+            block = np.concatenate(blocks)
             ks = np.arange(first, first + len(block))[:, None]
             inside = ks <= iters[ids]
             buffer[(starts[ids] + ks)[inside]] = block[inside]

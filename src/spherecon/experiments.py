@@ -70,6 +70,15 @@ class ExperimentConfig:
         for name in ("margin", "slack"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        if not 0.0 <= self.edge_prob <= 1.0:
+            raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
+        for name in ("n_range", "d_range"):
+            bounds = getattr(self, name)
+            if len(bounds) != 2 or not 2 <= bounds[0] <= bounds[1]:
+                raise ValueError(f"{name} must be (lo, hi) with 2 <= lo <= hi, got {bounds}")
+        for name in ("n", "d"):
+            if getattr(self, name) is not None and getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
 
     @staticmethod
     def from_json(path: Optional[str], **overrides) -> "ExperimentConfig":
@@ -229,6 +238,7 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
             groups.setdefault(trial.d, []).append(trial)
     for members in groups.values():
         _run_group(cfg, members, descent)
+    radii = {} if descent else _spectral_radii(trials)
     records, errors, nan = [], [], float("nan")
     for trial in trials:
         tseed = derive_seed(cfg.seed, trial.t)
@@ -246,13 +256,27 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
                       trial.residual, nan)
         else:
             kind = cls.kind
-            values = (trial.residual, nan,
-                      stability.spectral_radius(trial.weights, trial.final))
+            values = (trial.residual, nan, radii[trial.t])
         records.append(TrialRecord(trial.t, tseed, trial.n, trial.d, *hashes, kind,
                                    cls.rank, trial.iters, *values))
     ran = [tr.iters for tr in trials if tr.start is not None]
     return records, errors, {"lockstep_groups": len(groups),
                              "iteration_histogram": _iteration_histogram(ran, cfg.max_iter)}
+
+
+def _spectral_radii(trials: list) -> dict:
+    """The spectral radius at each limit, by trial index: one stacked
+    `stability.spectral_radius` call per (n, d)."""
+    shapes: dict = {}
+    for trial in trials:
+        if trial.final is not None:
+            shapes.setdefault((trial.n, trial.d), []).append(trial)
+    radii = {}
+    for members in shapes.values():
+        rho = stability.spectral_radius(np.stack([tr.weights.entries for tr in members]),
+                                        np.stack([tr.final.rows for tr in members]))
+        radii.update((tr.t, float(r)) for tr, r in zip(members, rho))
+    return radii
 
 
 def _iteration_histogram(iters: list, max_iter: int) -> dict:

@@ -13,31 +13,34 @@ import numpy as np
 from .dynamics import _step, fixed_point_residual
 from .state import (Configuration, TangentBasis, as_array, block_diagonal_matrix,
                     classify_configuration, relative_rank, tangent_basis,
-                    tangent_projectors)
+                    tangent_projectors, unit_rows)
 from .tolerances import (A_RESIDUAL_TOL, CERTIFICATE_FP_TOL, CLASS_TOL, NEUTRAL_TOL,
                          TRACE_TOL)
 from .weights import WeightMatrix, satisfies_sqrt2_condition
 
 
-def _scaled_entries(m, c: Configuration):
+def _scaled_entries(m, c):
     """Returns (D(MX) M, new rows): the row-normalized coefficient matrix of
-    the linearization, and the image configuration rows."""
+    the linearization, and the image configuration rows; m and c may carry
+    leading batch axes."""
     entries = as_array(m)
-    y_rows, norms = _step(entries, c.rows)
-    return entries / norms[:, None], y_rows
+    y_rows, norms = _step(entries, as_array(c))
+    return entries / norms[..., None], y_rows
 
 
 def _scaled_block_products(da: np.ndarray, left: np.ndarray,
                            right: np.ndarray) -> np.ndarray:
     """Block matrix whose (i,j) block is da_ij * left[i] @ right[j], from
-    (n, p, k) and (n, k, q) stacks, with the products of all pairs with
-    da_ij != 0 in one matmul; the other blocks stay exactly zero."""
-    n, p, _ = left.shape
-    q = right.shape[2]
-    i, j = np.nonzero(da)
-    blocks = np.zeros((n, n, p, q))
-    blocks[i, j] = da[i, j, None, None] * np.matmul(left[i], right[j])
-    return blocks.transpose(0, 2, 1, 3).reshape(n * p, n * q)
+    (..., n, n) da and (..., n, p, k) and (..., n, k, q) stacks, one matrix
+    per leading index, with the products of all pairs with da_ij != 0 in one
+    matmul; the other blocks stay exactly zero."""
+    *lead, n, p, k = left.shape
+    q = right.shape[-1]
+    da, left, right = da.reshape(-1, n, n), left.reshape(-1, n, p, k), right.reshape(-1, n, k, q)
+    b, i, j = np.nonzero(da)
+    blocks = np.zeros((len(da), n, n, p, q))
+    blocks[b, i, j] = da[b, i, j, None, None] * np.matmul(left[b, i], right[b, j])
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(*lead, n * p, n * q)
 
 
 def projected_jacobian(m, c: Configuration) -> np.ndarray:
@@ -50,17 +53,19 @@ def projected_jacobian(m, c: Configuration) -> np.ndarray:
                                   tangent_projectors(c.rows))
 
 
-def reduced_matrix(m, c: Configuration, basis_x: Optional[TangentBasis] = None,
+def reduced_matrix(m, c, basis_x: Optional[TangentBasis] = None,
                    basis_y: Optional[TangentBasis] = None) -> np.ndarray:
     """n(d-1) x n(d-1) representation of the differential with respect to
-    orthonormal tangent bases at x and at its image y.
+    orthonormal tangent bases at x and at its image y. With a (T, n, n) stack
+    of matrices and a (T, n, d) stack of unit rows, a (T, n(d-1), n(d-1))
+    stack.
 
     Block (i,j) is m_ij * R_{y_i}^T R_{x_j} / ||row i of M X||.
     """
     da, y_rows = _scaled_entries(m, c)
     bx = basis_x if basis_x is not None else tangent_basis(c)
-    by = basis_y if basis_y is not None else tangent_basis(Configuration(y_rows))
-    return _scaled_block_products(da, by.blocks.transpose(0, 2, 1), bx.blocks)
+    by = basis_y if basis_y is not None else tangent_basis(unit_rows(y_rows))
+    return _scaled_block_products(da, np.swapaxes(by.blocks, -1, -2), bx.blocks)
 
 
 @dataclass(frozen=True)
@@ -103,9 +108,12 @@ def differential_report(m, c: Configuration,
     )
 
 
-def spectral_radius(m, c: Configuration) -> float:
-    red = reduced_matrix(m, c)
-    return float(np.abs(np.linalg.eigvals(red)).max())
+def spectral_radius(m, c):
+    """Largest eigenvalue modulus of the reduced matrix at c. For a stack of
+    trials of one shape, as `reduced_matrix` takes it, an array of one radius
+    per trial from one eigvals call."""
+    radii = np.abs(np.linalg.eigvals(reduced_matrix(m, c))).max(axis=-1)
+    return float(radii) if radii.ndim == 0 else radii
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,10 @@ class Configuration:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=float)
+        rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] < 2:
             raise ValueError("rows must be an n x d array with d >= 2")
-        norms = np.linalg.norm(rows, axis=1)
-        if np.any(norms <= MIN_ROW_NORM):
-            bad = int(np.argmin(norms)) + 1
-            raise ValueError(f"row {bad} has near-zero norm")
-        rows /= norms[:, None]
+        rows = unit_rows(rows)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
@@ -57,12 +53,25 @@ class Configuration:
         return Configuration(np.asarray(obj["rows"], dtype=float))
 
 
+def unit_rows(rows) -> np.ndarray:
+    """A new array of the rows (along the last axis) each divided by its
+    norm; a row of norm at most MIN_ROW_NORM is rejected."""
+    rows = np.array(rows, dtype=float)
+    norms = np.linalg.norm(rows, axis=-1)
+    if np.any(norms <= MIN_ROW_NORM):
+        bad = int(np.argmin(norms)) + 1
+        raise ValueError(f"row {bad} has near-zero norm")
+    rows /= norms[..., None]
+    return rows
+
+
 @dataclass(frozen=True)
 class TangentBasis:
     """Per-agent orthonormal bases of the sphere tangent spaces.
 
     blocks is an (n, d, d-1) array (a sequence of d x (d-1) blocks is
-    stacked); blocks[i] has orthonormal columns orthogonal to row i.
+    stacked), or a stack of them with leading batch axes; blocks[..., i, :, :]
+    has orthonormal columns orthogonal to row i.
     """
 
     blocks: np.ndarray
@@ -72,11 +81,11 @@ class TangentBasis:
 
     @property
     def n(self) -> int:
-        return self.blocks.shape[0]
+        return self.blocks.shape[-3]
 
     @property
     def d(self) -> int:
-        return self.blocks.shape[1]
+        return self.blocks.shape[-2]
 
     def block_diagonal(self) -> np.ndarray:
         """The nd x n(d-1) block-diagonal aggregate."""
@@ -157,21 +166,24 @@ def block_diagonal_matrix(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(n * p, n * q)
 
 
-def tangent_basis(c: Configuration) -> TangentBasis:
-    """Per-agent orthonormal tangent bases, deterministic in the rows.
+def tangent_basis(c) -> TangentBasis:
+    """Per-agent orthonormal tangent bases, deterministic in the rows: of a
+    Configuration, or of a (..., n, d) stack of unit rows, whose leading axes
+    the blocks keep.
 
     d = 2 uses the quarter-turn [x2, -x1]. For d >= 3, reflect each row onto
     a signed first coordinate axis with a Householder matrix and keep its last
     d-1 columns, which are orthonormal and orthogonal to the row.
     """
-    rows = c.rows
-    if c.d == 2:
-        return TangentBasis(np.stack([rows[:, 1], -rows[:, 0]], axis=1)[:, :, None])
+    rows = as_array(c)
+    d = rows.shape[-1]
+    if d == 2:
+        return TangentBasis(np.stack([rows[..., 1], -rows[..., 0]], axis=-1)[..., None])
     v = rows.copy()
-    v[:, 0] -= np.where(rows[:, 0] < 0, 1.0, -1.0)  # reflect away from x_i for stability
-    outer = v[:, :, None] * v[:, None, :]
-    h = np.eye(c.d) - 2.0 * outer / (v[:, None, :] @ v[:, :, None])
-    return TangentBasis(h[:, :, 1:])
+    v[..., 0] -= np.where(rows[..., 0] < 0, 1.0, -1.0)  # reflect away from x_i for stability
+    outer = v[..., :, None] * v[..., None, :]
+    h = np.eye(d) - 2.0 * outer / (v[..., None, :] @ v[..., :, None])
+    return TangentBasis(h[..., 1:])
 
 
 def projection_matrix(c: Configuration) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spherecon import dynamics
 from spherecon.dynamics import (_row_norms, _step, find_nonconsensus_fixed_point,
                                 fixed_point_residual, iterate, pad_agents, potential,
                                 run, run_batch)
@@ -187,9 +188,11 @@ def _per_trial_run(entries, rows, fp_tol, max_iter, weights):
     return rows, k, residual, np.asarray(history)
 
 
-def test_lockstep_matches_per_trial_loop():
-    # plain and descent iterations on symmetric and non-symmetric weights,
-    # batched by (n, d) so that trials of very different lengths share a run
+def _lockstep_against_per_trial_loop(max_iter=300):
+    """Plain and descent iterations on symmetric and non-symmetric weights,
+    batched by (n, d) so that trials of very different lengths share a run,
+    each checked against the per-trial loop bit for bit; returns the
+    iteration counts."""
     rng = np.random.default_rng(40)
     groups = {}
     for case in range(240):
@@ -201,7 +204,7 @@ def test_lockstep_matches_per_trial_loop():
         m = descent_matrix(a, slack=0.25).entries if case % 3 == 0 else a.entries
         rows = random_configuration(n, d, seed=5000 + case).rows
         groups.setdefault((n, d), []).append((m, rows, a.entries))
-    max_iter, lengths = 300, []
+    lengths = []
     for members in groups.values():
         mats, starts, weights = (np.stack(x) for x in zip(*members))
         out = run_batch(mats, starts, fp_tol=1e-12, max_iter=max_iter,
@@ -216,7 +219,60 @@ def test_lockstep_matches_per_trial_loop():
             lengths.append(iters)
             if iters == max_iter:
                 assert residual > 1e-12
-    assert len(lengths) == 240 and min(lengths) < 50 and lengths.count(max_iter) > 0
+    return lengths
+
+
+def test_lockstep_matches_per_trial_loop():
+    lengths = _lockstep_against_per_trial_loop(max_iter=300)
+    assert len(lengths) == 240 and min(lengths) < 50 and lengths.count(300) > 0
+
+
+def _assert_matches_per_trial_run(out, t, m, start, max_iter):
+    """Trial t of a run_batch result, whose potential weights are its
+    iteration matrices, against the per-trial loop."""
+    final, iters, residual, history = _per_trial_run(m, start, 1e-12, max_iter, m)
+    assert np.array_equal(out.rows[t], final) and out.iters[t] == iters
+    assert out.residual[t] == residual
+    assert np.array_equal(out.potential_histories[t], history)
+
+
+@pytest.mark.parametrize("block_steps, block_floats", [
+    (1, 2 ** 15), (2, 2 ** 15), (3, 2 ** 15), (5, 2 ** 15), (32, 100),
+])
+def test_block_boundaries_match_per_trial_loop(monkeypatch, block_steps, block_floats):
+    # max_iter + 1 = 301 steps is no multiple of 2, 3 or 5, so the last block
+    # is cut short; with 100 floats the block length follows the working set
+    monkeypatch.setattr(dynamics, "BLOCK_STEPS", block_steps)
+    monkeypatch.setattr(dynamics, "BLOCK_FLOATS", block_floats)
+    lengths = _lockstep_against_per_trial_loop(max_iter=300)
+    if block_floats == 2 ** 15:  # every block but the last has block_steps steps
+        converged = {k % block_steps for k in lengths if k < 300}
+        assert {0, block_steps - 1} <= converged  # a block's first and last step
+        assert max(lengths) >= 3 * block_steps  # potential histories span blocks
+    # a trial that converges at step 0 from consensus, beside two that do not
+    a = [sample_sdd(complete_graph(4), 0.1, True, seed=s).entries for s in range(3)]
+    starts = [consensus_configuration(4, np.array([0.6, 0.8])).rows] + [
+        random_configuration(4, 2, seed=30 + s).rows for s in range(2)]
+    out = run_batch(np.stack(a), np.stack(starts), max_iter=40, potential_weights=np.stack(a))
+    for t in range(3):
+        _assert_matches_per_trial_run(out, t, a[t], starts[t], 40)
+    assert out.iters[0] == 0 and out.iters[1:].min() > 0
+    # zero-norm failures on a block's first and second step and on step 1;
+    # the first keeps the residual of the last step of the block before
+    for fail_at in {1, block_steps, block_steps + 1}:
+        m, start = _fails_at_step(fail_at)
+        n = len(start)
+        mats = [m] + [sample_sdd(complete_graph(n), 0.1, True, seed=s).entries for s in (1, 2)]
+        starts = [start] + [random_configuration(n, 2, seed=40 + s).rows for s in (1, 2)]
+        out = run_batch(np.stack(mats), np.stack(starts), max_iter=60,
+                        potential_weights=np.stack(mats))
+        assert out.failed.tolist() == [True, False, False]
+        rows, iters, residual, history = _per_trial_run(m, start, 0.0, fail_at - 1, m)
+        assert out.iters[0] == fail_at - 1 and out.residual[0] == residual
+        assert np.array_equal(out.rows[0], iterate(m, Configuration(rows)).rows)
+        assert np.array_equal(out.potential_histories[0], history)
+        for t in (1, 2):
+            _assert_matches_per_trial_run(out, t, mats[t], starts[t], 60)
 
 
 def test_stopped_at_max_iter_is_not_converged():
@@ -318,15 +374,24 @@ def test_padded_lockstep_matches_one_call_per_shape():
     assert len(by_d) == 4 and min(lengths) < 50 and lengths.count(300) > 0
 
 
-def _fails_at_step_one():
-    """Agent 2 flips its sign each step and agent 3 sums agents 1 and 2, so
-    from x_1 = x_2 agent 3's row image vanishes on the second step."""
-    m = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 1.0, 0.0]])
-    return m, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+def _fails_at_step(step):
+    """Agent 2 flips its sign each step, agents 3 .. step + 1 pass it on with
+    a delay of one step each, and the last agent sums agent 1 and the end of
+    that line, so from x_1 = x_2 = ... the last agent's row image first
+    vanishes on the given step."""
+    n = step + 2
+    m = np.zeros((n, n))
+    m[0, 0], m[1, 1] = 1.0, -1.0
+    for i in range(2, n - 1):
+        m[i, i - 1] = 1.0
+    m[n - 1, 0] = m[n - 1, n - 2] = 1.0
+    start = np.tile([1.0, 0.0], (n, 1))
+    start[n - 1] = [0.0, 1.0]
+    return m, start
 
 
 def test_zero_norm_trial_inside_a_padded_batch():
-    m, start = _fails_at_step_one()
+    m, start = _fails_at_step(1)
     mats = [sample_sdd(complete_graph(n), 0.1, True, seed=n).entries for n in (5, 4, 2)]
     starts = [random_configuration(n, 2, seed=20 + n).rows for n in (5, 4, 2)]
     mats.insert(1, m)

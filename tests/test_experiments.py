@@ -48,6 +48,23 @@ def test_config_from_json_names_unknown_keys(tmp_path):
         main(["sweep", "--config", str(path)])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("edge_prob", 1.7), ("edge_prob", -0.5),
+    ("d_range", (5, 3)), ("d_range", (1, 1)), ("n_range", (6, 4)), ("n_range", (1, 5)),
+    ("n", 1), ("d", 1),
+])
+def test_config_rejects_values_no_trial_can_use(field, value, tmp_path):
+    # a probability outside [0, 1], an empty range, or a dimension below 2
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        ExperimentConfig(seed=1, **{field: value})
+    from spherecon.cli import main
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({field: value}))
+    with pytest.raises(SystemExit, match=f"^{field} must"):
+        main(["sweep", "--seed", "1", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_small_consensus(tmp_path):
     cfg = ExperimentConfig(seed=11, trials=20, out=str(tmp_path / "o"))
     records, summary = cmd_consensus_sweep(cfg)

@@ -274,6 +274,27 @@ def test_spectral_radius_matches_report():
     assert spectral_radius(a, c) == pytest.approx(rep.spectral_radius, rel=1e-12)
 
 
+def test_stacked_spectral_radii_are_the_per_trial_ones_bit_for_bit():
+    # one stack per (n, d): bases, reduced matrices and radii equal the calls
+    # on each trial alone, sparse and dense weights, d = 2 and d >= 3
+    rng = np.random.default_rng(24)
+    for n, d in [(2, 2), (3, 2), (5, 3), (8, 5), (6, 4)]:
+        mats, rows = [], []
+        for t in range(40):
+            g = random_symmetric_connected(n, 0.5, 7000 + t)
+            mats.append(sample_sdd(g, 0.1, bool(t % 2), seed=7100 + t).entries)
+            rows.append(random_configuration(n, d, seed=int(rng.integers(2 ** 32))))
+        stacked = np.stack([c.rows for c in rows])
+        radii = spectral_radius(np.stack(mats), stacked)
+        reduced = reduced_matrix(np.stack(mats), stacked)
+        bases = tangent_basis(stacked).blocks
+        assert radii.shape == (40,) and reduced.shape == (40, n * (d - 1), n * (d - 1))
+        for t, c in enumerate(rows):
+            assert radii[t] == spectral_radius(mats[t], c)
+            assert np.array_equal(reduced[t], reduced_matrix(mats[t], c))
+            assert np.array_equal(bases[t], tangent_basis(c).blocks)
+
+
 def test_sqrt2_intermediate_bound_via_normalization():
     # the alignment cosine bound underlying the determinant result
     rng = np.random.default_rng(23)

@@ -1,14 +1,15 @@
 """Alternating before/after pairs of the benchmark, written to a BENCH_*.json.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload sweep \
-        --pairs 10 --out BENCH_8.json [--seconds 30]
+        --pairs 10 --out BENCH_8.json [--seconds 30] [--seed N]
 
 DIR is a checkout of each side; each side runs its own `perfbench/run.py`
-in its own directory, untraced. Pair k runs the parent first when k is even
-and the change first when k is odd. Every run's end-to-end metrics are kept,
-and per metric the file gives each side's median and quartiles and the number
-of pairs the change won. Results for other workloads already in --out are
-kept, so one file can hold every workload of a change.
+in its own directory, untraced, at the workload's own seed or at --seed.
+Pair k runs the parent first when k is even and the change first when k is
+odd. Every run's end-to-end metrics are kept, and per metric the file gives
+each side's median and quartiles and the number of pairs the change won.
+Results for other workloads already in --out are kept, so one file can hold
+every workload of a change.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from pathlib import Path
 BETTER = {"trials_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 
 
-def run_side(checkout: Path, workload: str, seconds: float) -> dict:
+def run_side(checkout: Path, workload: str, seconds: float, seed=None) -> dict:
+    seed_args = [] if seed is None else ["--seed", str(seed)]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seconds", str(seconds)], cwd=checkout, capture_output=True, text=True)
+         "--seconds", str(seconds), *seed_args], cwd=checkout, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"{checkout}: benchmark exited {proc.returncode}\n{proc.stderr}")
     line = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -71,13 +73,14 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--seed", type=int, help="master seed of the workload (default: its own)")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
     pairs = []
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        pair = {side: run_side(getattr(args, side), args.workload, args.seconds)
+        pair = {side: run_side(getattr(args, side), args.workload, args.seconds, args.seed)
                 for side in order}
         pairs.append({"first": order[0], **pair})
         print(f"{args.workload} pair {k}: parent {pair['parent']['trials_per_s']:.4g}, "
@@ -90,6 +93,7 @@ def main(argv=None) -> int:
         "parent_revision": git_revision(args.parent),
         "change_revision": git_revision(args.change),
         "seconds": args.seconds,
+        "seed": args.seed,
         "summary": summarise(pairs),
         "pairs": pairs,
     }
