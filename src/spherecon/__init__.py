@@ -27,7 +27,6 @@ from .fixedpoint_rank import (FixedPointSystem, assemble_Jg,
                               build_fixed_point_system, compute_D,
                               duplication_matrix, matrix_rank,
                               pin_configuration, residual_g, skew_null_vectors,
-                              structure_masks, symmetric_rank_deficiency_check,
-                              vech)
+                              symmetric_rank_deficiency_check, vech)
 
 __version__ = "0.1.0"

@@ -264,18 +264,23 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
                              "iteration_histogram": _iteration_histogram(ran, cfg.max_iter)}
 
 
+SPECTRAL_STACK = 64  # trials per spectral_radius call: caps its stacks at a few MB
+
+
 def _spectral_radii(trials: list) -> dict:
-    """The spectral radius at each limit, by trial index: one stacked
-    `stability.spectral_radius` call per (n, d)."""
+    """The spectral radius at each limit, by trial index: stacked
+    `stability.spectral_radius` calls per (n, d), SPECTRAL_STACK trials each."""
     shapes: dict = {}
     for trial in trials:
         if trial.final is not None:
             shapes.setdefault((trial.n, trial.d), []).append(trial)
     radii = {}
     for members in shapes.values():
-        rho = stability.spectral_radius(np.stack([tr.weights.entries for tr in members]),
-                                        np.stack([tr.final.rows for tr in members]))
-        radii.update((tr.t, float(r)) for tr, r in zip(members, rho))
+        for k in range(0, len(members), SPECTRAL_STACK):
+            part = members[k:k + SPECTRAL_STACK]
+            rho = stability.spectral_radius(np.stack([tr.weights.entries for tr in part]),
+                                            np.stack([tr.final.rows for tr in part]))
+            radii.update((tr.t, float(r)) for tr, r in zip(part, rho))
     return radii
 
 

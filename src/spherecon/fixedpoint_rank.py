@@ -1,7 +1,10 @@
-"""Parametric fixed-point analysis: the residual map g(A, D, x), structure
-masks, Jacobian assembly with respect to (A, D, x), and the rank checks
-behind the measure-zero statements for weight matrices. The duplication
-matrix is kept as the dense reference of the symmetric A-block.
+"""Parametric fixed-point analysis: the residual map g(A, D, x), Jacobian
+assembly with respect to (A, D, x), and the rank checks behind the
+measure-zero statements for weight matrices. The duplication matrix is kept
+as the dense reference of the symmetric A-block.
+Non-symmetric A-blocks come as a factor with the A-block's Gram matrix, not
+as its columns; all computed from them (rank, singular values, left null
+residuals) depends only on J J^T.
 
 Conventions: the residual and its Jacobian act on agent-major vectors
 (row-major flattening of the state matrix). D here stores the row norms of
@@ -37,17 +40,6 @@ def residual_g(a, dvec, c) -> np.ndarray:
     rows = as_array(c)
     dvec = np.asarray(dvec, dtype=float)
     return (as_array(a) @ rows - dvec[:, None] * rows).reshape(-1)
-
-
-def structure_masks(g: DirectedGraph):
-    """Diagonals (k_A, k_D), as length-n^2 0/1 vectors, of the projections
-    K_A and K_D onto the free entries of a row-major vec(A).
-
-    k_A is the row-major flattening of the binary structure matrix (which
-    carries a unit diagonal, so the element-wise product of k_A and k_D is
-    k_D). k_D selects the diagonal positions.
-    """
-    return structure_matrix(g).reshape(-1), np.eye(g.n).reshape(-1)
 
 
 def duplication_matrix(n: int) -> np.ndarray:
@@ -119,6 +111,9 @@ def build_fixed_point_system(a: WeightMatrix, c: Configuration) -> FixedPointSys
 
 @dataclass(frozen=True)
 class JgParts:
+    """Column blocks of the residual Jacobian; a non-symmetric a_part is a
+    factor with the A-block's Gram matrix, not its columns (assemble_Jg)."""
+
     a_part: np.ndarray
     d_part: np.ndarray
     x_part: np.ndarray
@@ -133,14 +128,17 @@ def assemble_Jg(sys: FixedPointSystem, symmetric: bool,
     """First-order expansion of the residual in (A, D, x) at a pinned fixed
     point.
 
-    The A-block is (I_n ot X^T) on the n^2 entries of a row-major vec(A),
-    masked by the graph structure; when A is constrained symmetric it acts on
-    the n(n+1)/2 entries of vech(A) and equals (I_n ot X^T) times the
-    duplication matrix. The D-block acts on the n entries of D: column i is
-    -e_i ot x_i. The x-block is ((A - D) ot I_m) projected onto the tangent
-    spaces, with the first agent's tangent directions removed (the pinning
-    freezes that row). graph=None means the complete graph (no masking of
-    the A-block).
+    When A is constrained symmetric the A-block acts on the n(n+1)/2 entries
+    of vech(A) and equals (I_n ot X^T) times the duplication matrix.
+    Otherwise a_part is a factor of the A-block, not its columns: row block i
+    of (I_n ot X^T) on a row-major vec(A), masked by the graph (None means
+    complete), has Gram matrix (S_i X)^T S_i X = R_i^T R_i, with S_i X the
+    rows of agent i's closed neighbours (the rest zeroed) and R_i its m x m QR
+    factor. The block diagonal of the R_i^T, nm x nm in place of nm x n^2,
+    gives the same J J^T, hence singular values, rank and left null space.
+    The D-block acts on the n entries of D: column i is -e_i ot x_i. The
+    x-block is ((A - D) ot I_m) projected onto the tangent spaces, with the
+    first agent's tangent directions removed (the pinning freezes that row).
     """
     n, m, x = sys.n, sys.m, sys.x
     if symmetric:
@@ -152,12 +150,10 @@ def assemble_Jg(sys: FixedPointSystem, symmetric: bool,
         a_part[hi, :, np.arange(lo.size)] = x[lo]
         a_part = a_part.reshape(n * m, -1)
     else:
-        a_part = block_diagonal_matrix(np.broadcast_to(x.T, (n, m, n)))
-        if graph is not None:
-            k_a, _ = structure_masks(graph)
-            # + 0.0 makes the -0.0 of a masked negative entry +0.0, as the
-            # product with the diagonal K_A does: LAPACK reads the sign of a zero
-            a_part = a_part * k_a + 0.0
+        # R of X, or one batched QR of each agent's zero-padded neighbour rows
+        rows = x if graph is None else structure_matrix(graph)[:, :, None] * x
+        r = np.broadcast_to(np.linalg.qr(rows, mode="r"), (n, m, m))
+        a_part = block_diagonal_matrix(r.transpose(0, 2, 1))
     d_part = block_diagonal_matrix((0.0 - x)[:, :, None])
     x_full = (np.kron(sys.a - np.diag(sys.dvec), np.eye(m))
               @ block_diagonal_matrix(tangent_projectors(x)))

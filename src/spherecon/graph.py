@@ -60,7 +60,7 @@ def structure_matrix(g: DirectedGraph) -> np.ndarray:
     """Binary structure matrix: entry (i,j)=1 iff edge (i,j), diagonal all ones.
 
     The diagonal is included so the mask also covers the diagonal entries of
-    weight matrices; see structure_masks in fixedpoint_rank.
+    weight matrices; assemble_Jg in fixedpoint_rank masks the A-block with it.
     """
     return np.eye(g.n) + adjacency_matrix(g)
 

@@ -1,5 +1,5 @@
-"""Parametric residual g(A, D, x), structure masks, duplication matrix, and
-rank analyses of the residual Jacobian at pinned fixed points."""
+"""Parametric residual g(A, D, x), duplication matrix, and rank analyses of
+the residual Jacobian at pinned fixed points."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,9 @@ from spherecon.fixedpoint_rank import (FixedPointSystem, assemble_Jg,
                                        compute_D, duplication_matrix,
                                        matrix_rank, pin_configuration,
                                        residual_g, skew_null_vectors,
-                                       structure_masks,
                                        symmetric_rank_deficiency_check, vech)
-from spherecon.graph import DirectedGraph, complete_graph
+from spherecon.graph import (DirectedGraph, complete_graph, random_strongly_connected,
+                             ring_graph, structure_matrix)
 from spherecon.state import (RANK_TOL, Configuration, block_diagonal_matrix,
                              consensus_configuration, random_configuration,
                              tangent_projectors)
@@ -65,20 +65,6 @@ def test_residual_g_nonzero_off_fixed_points():
     x = random_configuration(3, 2, seed=6).rows
     r = residual_g(a.entries, compute_D(a.entries, x), x)
     assert np.abs(r).max() > 1e-6
-
-
-def test_structure_masks_complete_graph():
-    k_a, k_d = structure_masks(complete_graph(3))
-    assert np.array_equal(k_a, np.ones(9))
-    assert np.sum(k_d) == 3
-
-
-def test_structure_masks_partial_graph():
-    g = DirectedGraph.from_edges(2, [(1, 2)])
-    k_a, k_d = structure_masks(g)
-    # structure matrix [[1,1],[0,1]], flattened row-major
-    assert np.array_equal(k_a, [1, 1, 0, 1])
-    assert np.array_equal(k_d, k_a * k_d)
 
 
 def test_duplication_matrix_small():
@@ -159,16 +145,18 @@ def test_jg_a_block_finite_difference():
     a, sys = out
     parts = assemble_Jg(sys, symmetric=False)
     h = 1e-6
+    fd = np.zeros((sys.n * sys.m, sys.n * sys.n))
     for k in range(sys.n * sys.n):
         i, j = divmod(k, sys.n)
         da = np.zeros((sys.n, sys.n))
         da[i, j] = h
         plus = residual_g(sys.a + da, sys.dvec, sys.x)
         minus = residual_g(sys.a - da, sys.dvec, sys.x)
-        fd = (plus - minus) / (2.0 * h)
-        col = parts.a_part[:, k]
-        denom = max(np.linalg.norm(col), 1.0)
-        assert np.linalg.norm(col - fd) / denom < 1e-6
+        fd[:, k] = (plus - minus) / (2.0 * h)
+    # a_part is a factor of the A-block: compare Gram matrices, not columns
+    gram = parts.a_part @ parts.a_part.T
+    denom = max(np.linalg.norm(gram), 1.0)
+    assert np.linalg.norm(gram - fd @ fd.T) / denom < 1e-6
 
 
 def test_symmetric_rank_deficiency_with_null_vectors():
@@ -288,7 +276,7 @@ def test_jg_column_counts():
         sys = _random_system(rng, n, m)
         tangent = n * m - m
         assert assemble_Jg(sys, symmetric=True).full.shape == (n * m, n * (n + 1) // 2 + n + tangent)
-        assert assemble_Jg(sys, symmetric=False).full.shape == (n * m, n * n + n + tangent)
+        assert assemble_Jg(sys, symmetric=False).full.shape == (n * m, n * m + n + tangent)
 
 
 def test_rank_paths_never_build_the_duplication_matrix(monkeypatch):
@@ -302,11 +290,11 @@ def test_rank_paths_never_build_the_duplication_matrix(monkeypatch):
     symmetric_rank_deficiency_check(sys)
 
 
-def _circulant_ngon_system(rng, n, d):
+def _circulant_ngon_system(rng, n, d, ring=False):
     """Regular n-gon, rotated into R^d, under symmetric circulant weights on
-    the complete graph: a fixed point of rank 2."""
+    the complete graph (or the ring): a fixed point of rank 2."""
     row = np.zeros(n)
-    for k in range(1, n // 2 + 1):
+    for k in range(1, 2 if ring else n // 2 + 1):
         row[k] = row[n - k] = rng.uniform(0.5, 1.5)
     row[0] = 1.5 * row.sum()
     a = row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
@@ -314,8 +302,8 @@ def _circulant_ngon_system(rng, n, d):
     polygon = np.zeros((n, d))
     polygon[:, 0], polygon[:, 1] = np.cos(angles), np.sin(angles)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    return build_fixed_point_system(WeightMatrix(a, complete_graph(n)),
-                                    Configuration(polygon @ q))
+    graph = ring_graph(n) if ring else complete_graph(n)
+    return build_fixed_point_system(WeightMatrix(a, graph), Configuration(polygon @ q))
 
 
 def test_ranks_match_parent_shaped_dense_svd():
@@ -364,3 +352,34 @@ def test_vech_and_skew_null_vectors_match_loop_reference():
                 vecs.append((sys.x @ r0.T).reshape(-1))
         ref = np.asarray(vecs).reshape(len(vecs), n * m)
         assert skew_null_vectors(sys).tobytes() == ref.tobytes()
+
+
+def test_graph_masked_a_block_matches_dense_masked_reference():
+    """The compressed, graph-masked A-block against the dense masked
+    (I_n ot X^T): equal Gram matrices, and the rank of the assembled Jacobian
+    equals the plain-SVD rank of the dense one. Covers random strongly
+    connected graphs, ring n-gon fixed points, and agents with fewer closed
+    neighbours than m (directed cycles, the edgeless graph)."""
+    rng = np.random.default_rng(37)
+    cases = []
+    for _ in range(30):
+        n, m = int(rng.integers(2, 10)), int(rng.integers(1, 5))
+        m = min(m, n)
+        g = random_strongly_connected(n, float(rng.uniform(0.0, 0.6)),
+                                      int(rng.integers(2**31)))
+        cases.append((_random_system(rng, n, m), g))
+    for n in range(3, 13):
+        sys = _circulant_ngon_system(rng, n, int(rng.integers(2, 5)), ring=True)
+        cases.append((sys, ring_graph(n)))
+    for n, m in [(3, 3), (5, 3), (6, 4), (4, 2)]:
+        cases.append((_random_system(rng, n, m), random_strongly_connected(n, 0.0, n)))
+        cases.append((_random_system(rng, n, m), DirectedGraph.from_edges(n, [])))
+    for sys, g in cases:
+        n, m = sys.n, sys.m
+        parts = assemble_Jg(sys, symmetric=False, graph=g)
+        assert parts.a_part.shape == (n * m, n * m)
+        ref = np.kron(np.eye(n), sys.x.T) * structure_matrix(g).reshape(-1)
+        gram = parts.a_part @ parts.a_part.T
+        assert np.abs(gram - ref @ ref.T).max() < 1e-12 * n, (n, m)
+        dense = np.hstack([ref, parts.d_part, parts.x_part])
+        assert matrix_rank(parts.full) == _svd_rank(dense), (n, m)
