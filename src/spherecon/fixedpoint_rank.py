@@ -1,10 +1,9 @@
 """Parametric fixed-point analysis: the residual map g(A, D, x), Jacobian
 assembly with respect to (A, D, x), and the rank checks behind the
-measure-zero statements for weight matrices. The duplication matrix is kept
-as the dense reference of the symmetric A-block.
-Non-symmetric A-blocks come as a factor with the A-block's Gram matrix, not
-as its columns; all computed from them (rank, singular values, left null
-residuals) depends only on J J^T.
+measure-zero statements for weight matrices. A non-symmetric A-block comes as
+a factor with its Gram matrix, not as its columns: all computed from it (rank,
+singular values, left null residuals) depends only on J J^T. The duplication
+matrix is kept as the dense reference of the symmetric A-block.
 
 Conventions: the residual and its Jacobian act on agent-major vectors
 (row-major flattening of the state matrix). D here stores the row norms of
