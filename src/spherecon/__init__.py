@@ -14,8 +14,7 @@ from .weights import (DescentMatrix, WeightMatrix, descent_matrix,
                       sample_sdd, satisfies_sqrt2_condition)
 from .state import (Configuration, ConfigurationClass, TangentBasis,
                     classify_configuration, consensus_configuration,
-                    numerical_rank, projection_matrix, random_configuration,
-                    tangent_basis)
+                    numerical_rank, random_configuration, tangent_basis)
 from .dynamics import (TrajectoryResult, find_nonconsensus_fixed_point,
                        fixed_point_residual, iterate, potential, run, run_batch)
 from .stability import (DifferentialReport, StabilityClassification,

@@ -20,8 +20,8 @@ import numpy as np
 
 from .dynamics import _step
 from .graph import DirectedGraph, structure_matrix
-from .state import (Configuration, as_array, block_diagonal_matrix, relative_rank,
-                    tangent_projectors)
+from .state import (Configuration, as_array, block_diagonal_matrix, kron_blocks,
+                    relative_rank, tangent_projectors)
 from .tolerances import PIN_TOL
 from .weights import WeightMatrix
 
@@ -154,8 +154,7 @@ def assemble_Jg(sys: FixedPointSystem, symmetric: bool,
         r = np.broadcast_to(np.linalg.qr(rows, mode="r"), (n, m, m))
         a_part = block_diagonal_matrix(r.transpose(0, 2, 1))
     d_part = block_diagonal_matrix((0.0 - x)[:, :, None])
-    x_full = (np.kron(sys.a - np.diag(sys.dvec), np.eye(m))
-              @ block_diagonal_matrix(tangent_projectors(x)))
+    x_full = kron_blocks(sys.a - np.diag(sys.dvec), tangent_projectors(x)).reshape(n * m, -1)
     x_part = x_full[:, m:]  # drop the pinned first agent's directions
     return JgParts(a_part, d_part, x_part)
 
@@ -191,7 +190,6 @@ def skew_null_vectors(sys: FixedPointSystem) -> np.ndarray:
 class RankDeficiencyReport:
     n: int
     m: int
-    symmetric: bool
     rank: int
     bound: int
     satisfied: bool
@@ -207,7 +205,7 @@ def symmetric_rank_deficiency_check(sys: FixedPointSystem) -> RankDeficiencyRepo
     rank = relative_rank(s)
     bound = sys.n * sys.m - sys.m * (sys.m - 1) // 2
     return RankDeficiencyReport(
-        n=sys.n, m=sys.m, symmetric=True, rank=rank, bound=bound,
+        n=sys.n, m=sys.m, rank=rank, bound=bound,
         satisfied=rank <= bound, min_singular_value=float(s[-1]),
         null_residual=float(np.abs(skew_null_vectors(sys) @ jg).max(initial=0.0)),
     )

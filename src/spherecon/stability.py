@@ -11,9 +11,9 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import _step, fixed_point_residual
-from .state import (Configuration, TangentBasis, as_array, block_diagonal_matrix,
-                    classify_configuration, relative_rank, tangent_basis,
-                    tangent_projectors, unit_rows)
+from .state import (Configuration, TangentBasis, as_array, classify_configuration,
+                    kron_blocks, relative_rank, tangent_basis, tangent_projectors,
+                    unit_rows)
 from .tolerances import (A_RESIDUAL_TOL, CERTIFICATE_FP_TOL, CLASS_TOL, NEUTRAL_TOL,
                          TRACE_TOL)
 from .weights import WeightMatrix, satisfies_sqrt2_condition
@@ -79,14 +79,13 @@ class DifferentialReport:
     eigenvalues: np.ndarray
     spectral_radius: float
     det: float
-    angles: np.ndarray  # arccos(x_i . y_i) per agent
 
 
 def differential_report(m, c: Configuration,
                         basis_x: Optional[TangentBasis] = None,
                         basis_y: Optional[TangentBasis] = None) -> DifferentialReport:
     """Compute the projected Jacobian, the reduced matrix, its spectrum and
-    determinant, and the per-agent rotation angles of one iteration step."""
+    determinant."""
     da, y_rows = _scaled_entries(m, c)
     bx = basis_x if basis_x is not None else tangent_basis(c)
     by = basis_y if basis_y is not None else tangent_basis(Configuration(y_rows))
@@ -95,7 +94,6 @@ def differential_report(m, c: Configuration,
                                  tangent_projectors(c.rows))
     red = _scaled_block_products(da, by.blocks.transpose(0, 2, 1), bx.blocks)
     eig = np.linalg.eigvals(red)
-    dots = np.clip(np.einsum("ij,ij->i", c.rows, y_rows), -1.0, 1.0)
     return DifferentialReport(
         jacobian=jac,
         reduced=red,
@@ -104,7 +102,6 @@ def differential_report(m, c: Configuration,
         eigenvalues=eig,
         spectral_radius=float(np.abs(eig).max()) if eig.size else 0.0,
         det=float(np.linalg.det(red)),
-        angles=np.arccos(dots),
     )
 
 
@@ -138,9 +135,12 @@ def determinant_nonzero_check(a: WeightMatrix, c: Configuration) -> DeterminantC
 
 def _projected_shift(entries: np.ndarray, shift: np.ndarray,
                      rows: np.ndarray) -> np.ndarray:
-    """P_x ((A - diag(shift)) ot I_d) P_x."""
-    px = block_diagonal_matrix(tangent_projectors(rows))
-    return px @ np.kron(entries - np.diag(shift), np.eye(rows.shape[1])) @ px
+    """P_x ((A - diag(shift)) ot I_d) P_x: block (i,j) is
+    P_i (a_ij - shift_i delta_ij) P_j."""
+    n, d = rows.shape
+    p = tangent_projectors(rows)
+    blocks = kron_blocks(entries - np.diag(shift), p).reshape(n, d, n * d)
+    return np.matmul(p, blocks).reshape(n * d, n * d)
 
 
 def certificate_matrix(a: WeightMatrix, c: Configuration) -> np.ndarray:
@@ -204,7 +204,7 @@ def trace_formula_check(a: WeightMatrix, c: Configuration) -> TraceCheck:
     agents.
 
     The left side collapses P_x ((A - diag(x_i . [AX]_i)) ot I_d) P_x with
-    1_n ot I_d on both sides; the right side is
+    1_n ot I_d on both sides, which sums its agent blocks; the right side is
     sum_i sum_{j != i} a_ij (d - 2 + cos^2 t_ij - (d-1) cos t_ij) with
     cos t_ij = x_i . x_j. The diagonal shift uses the aligned component
     x_i . [AX]_i, which equals the row norm of AX exactly at fixed points, so
@@ -217,8 +217,7 @@ def trace_formula_check(a: WeightMatrix, c: Configuration) -> TraceCheck:
     z = entries @ c.rows
     aligned = np.einsum("ij,ij->i", c.rows, z)
     h = _projected_shift(entries, aligned, c.rows)
-    ones = np.kron(np.ones((n, 1)), np.eye(d))
-    lhs = float(np.trace(ones.T @ h @ ones))
+    lhs = float(np.trace(h.reshape(n, d, n, d).sum(axis=(0, 2))))
 
     gram = c.rows @ c.rows.T
     off = entries * (1.0 - np.eye(n))

@@ -2,8 +2,8 @@
 tangent-space bases, projections, and rank/consensus classification.
 
 The vectorized view x of a configuration X stacks the rows agent-major,
-x = [x_1; x_2; ...; x_n] = vec(X^T), so Kronecker products of the form
-(A ot I_d) act blockwise on agents.
+x = [x_1; x_2; ...; x_n] = vec(X^T), so (A ot I_d) acts blockwise on agents;
+kron_blocks assembles such products as grids of agent blocks.
 """
 
 from __future__ import annotations
@@ -150,12 +150,16 @@ def classify_configuration(c: Configuration,
 
 
 def tangent_projectors(rows: np.ndarray) -> np.ndarray:
-    """(n, d, d) stack of the tangent projectors I - x_i x_i^T of unit rows.
-
-    Every block-diagonal projector of the linearization is assembled from
-    this stack by block_diagonal_matrix.
+    """(n, d, d) stack of the tangent projectors I - x_i x_i^T of unit rows;
+    every linearization takes its projector blocks from this stack.
     """
     return np.eye(rows.shape[1]) - rows[:, :, None] * rows[:, None, :]
+
+
+def kron_blocks(coeffs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """(C ot I) blockdiag(B) as an (n, p, n, q) array of agent blocks, block
+    (i, j) being c_ij B_j, from (n, n) coefficients and (n, p, q) blocks."""
+    return coeffs[:, None, :, None] * blocks.transpose(1, 0, 2)[None]
 
 
 def block_diagonal_matrix(blocks: np.ndarray) -> np.ndarray:
@@ -184,11 +188,6 @@ def tangent_basis(c) -> TangentBasis:
     outer = v[..., :, None] * v[..., None, :]
     h = np.eye(d) - 2.0 * outer / (v[..., None, :] @ v[..., :, None])
     return TangentBasis(h[..., 1:])
-
-
-def projection_matrix(c: Configuration) -> np.ndarray:
-    """Block-diagonal tangent projector with blocks I - x_i x_i^T."""
-    return block_diagonal_matrix(tangent_projectors(c.rows))
 
 
 def as_array(obj) -> np.ndarray:

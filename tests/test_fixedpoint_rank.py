@@ -242,12 +242,17 @@ def test_matrix_rank_matches_plain_svd():
 
 
 def test_symmetric_a_block_equals_duplication_product():
+    # and the x-block equals its dense Kronecker product bit for bit
     rng = np.random.default_rng(32)
     for n in [*range(1, 10), 64]:
         for m in {1, min(n, 2), min(n, 3)}:
             sys = _random_system(rng, n, m)
+            parts = assemble_Jg(sys, symmetric=True)
             ref = np.kron(np.eye(n), sys.x.T) @ duplication_matrix(n)
-            assert np.array_equal(assemble_Jg(sys, symmetric=True).a_part, ref)
+            assert np.array_equal(parts.a_part, ref)
+            x_ref = (np.kron(sys.a - np.diag(sys.dvec), np.eye(m))
+                     @ block_diagonal_matrix(tangent_projectors(sys.x)))[:, m:]
+            assert np.array_equal(parts.x_part, x_ref)
 
 
 def test_jg_d_block_finite_difference():

@@ -7,7 +7,7 @@ from spherecon.dynamics import find_nonconsensus_fixed_point, iterate, run
 from spherecon.graph import complete_graph, random_symmetric_connected, ring_graph
 from spherecon.state import (Configuration, consensus_configuration,
                              random_configuration, tangent_basis)
-from spherecon.stability import (determinant_nonzero_check,
+from spherecon.stability import (certificate_matrix, determinant_nonzero_check,
                                  differential_report, instability_certificate,
                                  positive_dot_neutrality_check,
                                  projected_jacobian, reduced_matrix,
@@ -43,13 +43,17 @@ def test_linearization_matches_blockwise_reference():
         k = d - 1
         red = np.zeros((n * k, n * k))
         jac = np.zeros((n * d, n * d))
+        cert = np.zeros((n * d, n * d))
         for i in range(n):
             for j in range(n):
                 if da[i, j] != 0.0:
                     red[i * k:(i + 1) * k, j * k:(j + 1) * k] = da[i, j] * (by[i].T @ bx[j])
                     jac[i * d:(i + 1) * d, j * d:(j + 1) * d] = da[i, j] * (py[i] @ px[j])
+                shifted = a.entries[i, j] - (norms[i] if i == j else 0.0)
+                cert[i * d:(i + 1) * d, j * d:(j + 1) * d] = shifted * (px[i] @ px[j])
         assert np.array_equal(reduced_matrix(a, c), red)
         assert np.array_equal(projected_jacobian(a, c), jac)
+        assert np.allclose(certificate_matrix(a, c), cert, rtol=0.0, atol=1e-13)
 
 
 def test_consensus_jacobian_kron_structure():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from spherecon.fixedpoint_rank import matrix_rank
-from spherecon.state import (RANK_TOL, Configuration, classify_configuration,
-                             consensus_configuration, numerical_rank,
-                             projection_matrix, random_configuration,
-                             relative_rank, tangent_basis)
+from spherecon.state import (RANK_TOL, Configuration, block_diagonal_matrix,
+                             classify_configuration, consensus_configuration,
+                             numerical_rank, random_configuration, relative_rank,
+                             tangent_basis, tangent_projectors)
 
 
 def pentagon():
@@ -112,9 +112,9 @@ def test_tangent_basis_d3_north_pole():
 
 def test_projection_matrix():
     c = Configuration(np.array([[1.0, 0.0]]))
-    assert np.allclose(projection_matrix(c), [[0, 0], [0, 1]])
+    assert np.allclose(block_diagonal_matrix(tangent_projectors(c.rows)), [[0, 0], [0, 1]])
     c = random_configuration(4, 3, seed=9)
-    p = projection_matrix(c)
+    p = block_diagonal_matrix(tangent_projectors(c.rows))
     assert np.allclose(p @ p, p, atol=1e-12)
     r = tangent_basis(c).block_diagonal()
     assert np.allclose(p, r @ r.T, atol=1e-12)

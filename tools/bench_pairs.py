@@ -7,9 +7,11 @@ DIR is a checkout of each side; each side runs its own `perfbench/run.py`
 in its own directory, untraced, at the workload's own seed or at --seed.
 Pair k runs the parent first when k is even and the change first when k is
 odd. Every run's end-to-end metrics are kept, and per metric the file gives
-each side's median and quartiles and the number of pairs the change won.
-Results for other workloads already in --out are kept, so one file can hold
-every workload of a change.
+each side's median and quartiles, the number of pairs the change won, and
+whether the change's median is worse than the parent's by more than the
+metric's bound. Directions and bounds are read from the BENCHMARK.json next
+to this tool. Results for other workloads already in --out are kept, so one
+file can hold every workload of a change.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-BETTER = {"trials_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run_side(checkout: Path, workload: str, seconds: float, seed=None) -> dict:
@@ -44,20 +46,35 @@ def quartiles(values: list) -> list:
     return [q1, median, q3]
 
 
-def summarise(pairs: list) -> dict:
+def summarise(pairs: list, metrics: list) -> dict:
+    """Per end-to-end metric of BENCHMARK.json: quartiles of both sides, the
+    pairs the change won, and whether its median is worse than the parent's
+    by more than the metric's relative bound."""
     out = {}
-    for metric, better in BETTER.items():
-        parent = [p["parent"][metric] for p in pairs]
-        change = [p["change"][metric] for p in pairs]
+    for metric in metrics:
+        name, better, bound = metric["name"], metric["better"], metric["bound"]
+        parent = quartiles([p["parent"][name] for p in pairs])
+        change = quartiles([p["change"][name] for p in pairs])
         sign = 1 if better == "higher" else -1
-        out[metric] = {
+        out[name] = {
             "better": better,
-            "parent_q1_median_q3": quartiles(parent),
-            "change_q1_median_q3": quartiles(change),
-            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "bound": bound,
+            "parent_q1_median_q3": parent,
+            "change_q1_median_q3": change,
+            "change_wins": sum(sign * (p["change"][name] - p["parent"][name]) > 0
+                               for p in pairs),
             "pairs": len(pairs),
+            "worse_beyond_bound": sign * (change[1] - parent[1]) < -bound * abs(parent[1]),
         }
     return out
+
+
+def pair_count(text: str) -> int:
+    """--pairs: quartiles need at least two pairs."""
+    count = int(text)
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 pairs, got {count}")
+    return count
 
 
 def git_revision(checkout: Path) -> str:
@@ -71,11 +88,12 @@ def main(argv=None) -> int:
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=pair_count, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--seed", type=int, help="master seed of the workload (default: its own)")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
 
     pairs = []
     for k in range(args.pairs):
@@ -94,7 +112,7 @@ def main(argv=None) -> int:
         "change_revision": git_revision(args.change),
         "seconds": args.seconds,
         "seed": args.seed,
-        "summary": summarise(pairs),
+        "summary": summarise(pairs, metrics),
         "pairs": pairs,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
