@@ -1,15 +1,20 @@
 """Seeded Monte-Carlo experiment harness.
 
-Every experiment is fully determined by (master seed, config): per-trial
-seeds are derived through numpy's SeedSequence with the key
+Every experiment is fully determined by (master seed, config): each draw
+of a trial runs on its own generator, the one `np.random.default_rng` builds
+from the seed numpy's SeedSequence derives from the key
 (master_seed, trial_index, stream), so trial-level parallelism cannot change
 results. Records are written as CSV with the schema
 trial,seed,n,d,graph_hash,matrix_hash,class,rank,iters,residual_A,residual_MA,spec_radius
 and each command also emits a summary dict (JSON on disk).
 
-The trajectory commands share one pipeline: plan every trial from its seeds,
-group the trials by d, run each group as one lockstep call with the agents
-padded to its largest n, then strip the pad rows and classify each limit.
+The trajectory commands share one pipeline: plan every trial, group the
+trials by d, run each group as one lockstep call with the agents padded to
+its largest n, then strip the pad rows and classify each limit. Planning is
+one batched pass: `seeding` hashes every key of the batch at once into the
+record seeds and the generators' state words, each trial draws on its own
+generators in the one-trial samplers' order, and the graphs, weight matrices
+and starts of all trials of one size are assembled as stacks.
 """
 
 from __future__ import annotations
@@ -28,14 +33,13 @@ import numpy as np
 from . import dynamics, stability
 from .fixedpoint_rank import (assemble_Jg, build_fixed_point_system, matrix_rank,
                               symmetric_rank_deficiency_check)
-from .graph import (DirectedGraph, adjacency_matrix, complete_graph,
-                    random_connected_er, random_strongly_connected,
-                    random_symmetric_connected, ring_graph)
-from .state import (Configuration, classify_configuration, random_configuration,
-                    tangent_basis)
+from .graph import (DirectedGraph, adjacency_matrix, backbone_graphs, complete_graph,
+                    random_connected_er, ring_graph)
+from .seeding import derive_seed, derive_seeds, generator, generator_words
+from .state import Configuration, classify_configuration, start_rows, tangent_basis
 from .tolerances import (A_RESIDUAL_TOL, AUDIT_PERTURBATION, FP_TOL, LIMIT_RANK_TOL,
                          NEUTRAL_TOL)
-from .weights import WeightMatrix, descent_matrix, sample_sdd
+from .weights import WeightMatrix, descent_matrix, sdd_entries
 
 RECORD_FIELDS = ["trial", "seed", "n", "d", "graph_hash", "matrix_hash", "class",
                  "rank", "iters", "residual_A", "residual_MA", "spec_radius"]
@@ -65,11 +69,13 @@ class ExperimentConfig:
         self.n_range, self.d_range = tuple(self.n_range), tuple(self.d_range)
         if self.seed is None:
             raise MissingSeedError("a master seed is required (no wall-clock seeding)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for name in ("margin", "slack"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
         for name in ("n_range", "d_range"):
@@ -100,12 +106,6 @@ class ExperimentConfig:
 TrialRecord = namedtuple("TrialRecord", [f.replace("class", "klass") for f in RECORD_FIELDS])
 
 
-def derive_seed(master_seed: int, *key: int) -> int:
-    """Deterministic 64-bit per-trial seed from the master seed and a key."""
-    state = np.random.SeedSequence([int(master_seed), *map(int, key)]).generate_state(2)
-    return (int(state[0]) << 32) | int(state[1])
-
-
 def _short_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
@@ -116,20 +116,6 @@ def graph_hash(g: DirectedGraph) -> str:
 
 def matrix_hash(a: np.ndarray) -> str:
     return _short_hash(np.ascontiguousarray(a).tobytes())
-
-
-def _make_graph(cfg: ExperimentConfig, n: int, symmetric: bool, seed: int) -> DirectedGraph:
-    if cfg.graph == "complete":
-        return complete_graph(n)
-    if cfg.graph == "ring":
-        return ring_graph(n)
-    if cfg.graph == "er":
-        if not symmetric:
-            raise ValueError("the er graph model is symmetric-only")
-        return random_connected_er(n, cfg.edge_prob, seed)
-    if symmetric:
-        return random_symmetric_connected(n, cfg.edge_prob, seed)
-    return random_strongly_connected(n, cfg.edge_prob, seed)
 
 
 def write_records_csv(path: str, records: list):
@@ -160,14 +146,19 @@ def _emit(cfg: ExperimentConfig, records: Optional[list], summary: dict):
 
 @dataclass
 class _Trial:
-    """One planned trial: its draws and, once run, its outcome. error holds
-    the exception of a failed draw or a ZeroDivisionError for a zero-norm row
-    image; final is the limit configuration otherwise."""
+    """One planned trial: its draws and, once run, its outcome. model is the
+    graph model (random | complete | ring | er), drawn symmetric or not by
+    symmetric_graph; seed is the record's seed, derive_seed(master, t). error
+    holds the exception of a failed draw or a ZeroDivisionError for a
+    zero-norm row image; final is the limit configuration otherwise."""
 
     t: int
     n: int
     d: int
     symmetric: bool
+    model: str
+    symmetric_graph: bool = True
+    seed: int = 0
     graph: Optional[DirectedGraph] = None
     weights: Optional[WeightMatrix] = None
     start: Optional[np.ndarray] = None
@@ -178,18 +169,84 @@ class _Trial:
     min_potential_step: Optional[float] = None
 
 
-def _plan(cfg: ExperimentConfig, t: int, n: int, d: int, symmetric: bool,
-          symmetric_graph: bool = True) -> _Trial:
-    """Draw trial t's graph, weight matrix and start from its derived seeds."""
-    trial = _Trial(t, n, d, symmetric)
-    try:
-        trial.graph = _make_graph(cfg, n, symmetric_graph, derive_seed(cfg.seed, t, 1))
-        trial.weights = sample_sdd(trial.graph, cfg.margin, symmetric,
-                                   derive_seed(cfg.seed, t, 2))
-        trial.start = random_configuration(n, d, derive_seed(cfg.seed, t, 3)).rows
-    except Exception as exc:  # recorded by the command, never dropped
-        trial.error = exc
-    return trial
+def _plan(cfg: ExperimentConfig, trials: list, streams=(1, 2, 3)) -> list:
+    """Draw every trial's graph, weight matrix and start, and return the
+    trials. Trial t draws each on its own generator, seeded as
+    `np.random.default_rng(derive_seed(cfg.seed, t, stream))` for the three
+    streams would be; all seeds and state words come from one hash pass.
+    The draws of one stage are assembled for all trials of a shape at once:
+    the graphs per (n, model), the weights per n, the starts per (n, d). A
+    stage that fails for a trial leaves the later ones undrawn."""
+    ts = np.array([tr.t for tr in trials])
+    keys = np.column_stack([np.repeat(ts, len(streams)), np.tile(streams, len(ts))])
+    words = generator_words(derive_seeds(cfg.seed, keys)).reshape(len(ts), len(streams), 4)
+    for trial, seed in zip(trials, derive_seeds(cfg.seed, ts[:, None])):
+        trial.seed = int(seed)
+    planned = list(zip(trials, words))  # the state words live while the trials are drawn
+    _draw_stage(planned, lambda tr: (tr.n, tr.model, tr.symmetric_graph),
+                lambda part: _draw_graphs(cfg, part))
+    _draw_stage(planned, lambda tr: tr.n, lambda part: _draw_weights(cfg, part))
+    _draw_stage(planned, lambda tr: (tr.n, tr.d), _draw_starts)
+    return trials
+
+
+def _draw_stage(planned: list, key, draw):
+    """Group the (trial, words) pairs of the trials not failed yet by
+    key(trial) and draw each group at once; if that raises, draw each
+    member alone and record the exception of each that fails on it, so
+    that one trial's failed draw fails no other trial."""
+    groups: dict = {}
+    for trial, words in planned:
+        if trial.error is None:
+            groups.setdefault(key(trial), []).append((trial, words))
+    for members in groups.values():
+        try:
+            draw(members)
+        except Exception:
+            for member in members:
+                try:
+                    draw([member])
+                except Exception as exc:  # recorded by the command, never dropped
+                    member[0].error = exc
+
+
+def _draw_graphs(cfg: ExperimentConfig, members: list):
+    """The graphs of (trial, words) pairs of one n, model and graph symmetry."""
+    first = members[0][0]
+    if first.model == "complete":
+        graphs = [complete_graph(first.n)] * len(members)
+    elif first.model == "ring":
+        graphs = [ring_graph(first.n)] * len(members)
+    elif first.model == "er":
+        if not first.symmetric_graph:
+            raise ValueError("the er graph model is symmetric-only")
+        graphs = [random_connected_er(first.n, cfg.edge_prob, generator(words[0]))
+                  for _, words in members]
+    else:
+        adj = backbone_graphs((generator(words[0]) for _, words in members), first.n,
+                              cfg.edge_prob, first.symmetric_graph)
+        graphs = [DirectedGraph._unchecked(a) for a in adj]
+    for (trial, _), g in zip(members, graphs):
+        trial.graph = g
+
+
+def _draw_weights(cfg: ExperimentConfig, members: list):
+    """The weight matrices of (trial, words) pairs of one n: `sample_sdd`
+    on each trial's graph."""
+    entries = sdd_entries(np.array([tr.graph.adjacency for tr, _ in members]), cfg.margin,
+                          [tr.symmetric for tr, _ in members],
+                          (generator(words[1]) for _, words in members))
+    for (trial, _), a in zip(members, entries):
+        trial.weights = WeightMatrix._unchecked(a, trial.graph)
+
+
+def _draw_starts(members: list):
+    """The start rows of (trial, words) pairs of one (n, d): the rows of
+    `random_configuration`."""
+    first = members[0][0]
+    rows = start_rows((generator(words[2]) for _, words in members), first.n, first.d)
+    for (trial, _), r in zip(members, rows):
+        trial.start = r
 
 
 def _run_group(cfg: ExperimentConfig, members: list, descent: bool):
@@ -241,7 +298,7 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
     radii = {} if descent else _spectral_radii(trials)
     records, errors, nan = [], [], float("nan")
     for trial in trials:
-        tseed = derive_seed(cfg.seed, trial.t)
+        tseed = trial.seed
         hashes = (graph_hash(trial.graph) if trial.graph else "",
                   matrix_hash(trial.weights.entries) if trial.weights else "")
         if trial.error is not None:
@@ -320,8 +377,8 @@ def cmd_consensus_sweep(cfg: ExperimentConfig):
         n = cfg.n or int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
         d = cfg.d or int(rng.integers(cfg.d_range[0], cfg.d_range[1] + 1))
         symmetric = bool(rng.integers(0, 2)) if cfg.symmetric is None else cfg.symmetric
-        trials.append(_plan(cfg, t, n, d, symmetric))
-    records, errors, run_fields = _run_trials(cfg, trials, descent=False)
+        trials.append(_Trial(t, n, d, symmetric, cfg.graph))
+    records, errors, run_fields = _run_trials(cfg, _plan(cfg, trials), descent=False)
     min_potential_delta = min((tr.min_potential_step for tr in trials
                                if tr.min_potential_step is not None), default=None)
     nonconsensus_by_d: dict = {}
@@ -363,7 +420,7 @@ def cmd_rank_table(cfg: ExperimentConfig):
         raise ValueError("rank-table requires symmetric weight matrices")
     if cfg.n is None or cfg.d is None:
         raise ValueError("rank-table requires explicit n and d")
-    trials = [_plan(cfg, t, cfg.n, cfg.d, True) for t in range(cfg.trials)]
+    trials = _plan(cfg, [_Trial(t, cfg.n, cfg.d, True, cfg.graph) for t in range(cfg.trials)])
     records, errors, run_fields = _run_trials(cfg, trials, descent=True)
     rank_counts: dict = {}
     for r in records:
@@ -405,14 +462,13 @@ def cmd_theorem2_probe(cfg: ExperimentConfig):
     if cfg.symmetric:
         raise ValueError("theorem2 probe requires non-symmetric weight matrices")
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xF00D))
-    complete = replace(cfg, graph="complete")
     trials = []
     for t in range(cfg.trials):
         d = cfg.d or int(rng.choice([2, 3, 4]))
         n = cfg.n or int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
-        trials.append(_plan(complete if d >= 3 else cfg, t, n, d, False,
-                            symmetric_graph=False))
-    records, errors, run_fields = _run_trials(cfg, trials, descent=True)
+        trials.append(_Trial(t, n, d, False, "complete" if d >= 3 else cfg.graph,
+                             symmetric_graph=False))
+    records, errors, run_fields = _run_trials(cfg, _plan(cfg, trials), descent=True)
     counterexamples = [{
         "trial": tr.t, "matrix": tr.weights.entries.tolist(),
         "graph": json.loads(tr.graph.to_json()),
@@ -500,7 +556,8 @@ def collect_descent_fixed_points(cfg: ExperimentConfig, count: int,
     limit = max(50 * count, 1000)
     while len(out) < count and t < limit:
         size = -(-(count - len(out)) * max(t, 1) // max(len(out), 1))  # ceiling
-        chunk = [_plan(cfg, s, cfg.n, cfg.d, True) for s in range(t, min(t + size, limit))]
+        chunk = _plan(cfg, [_Trial(s, cfg.n, cfg.d, True, cfg.graph)
+                            for s in range(t, min(t + size, limit))])
         records, _, _ = _run_trials(cfg, chunk, descent=True)
         for trial, r in zip(chunk, records):
             t = trial.t + 1
@@ -555,11 +612,12 @@ def cmd_stability_audit(cfg: ExperimentConfig, count: int = 100,
                       for rows, failed in zip(out.rows, out.failed) if not failed)
     # determinant floor for sqrt(2)-condition matrices
     min_abs_det = np.inf
-    for k in range(det_trials):
-        g = _make_graph(cfg, cfg.n, True, derive_seed(cfg.seed, k, 11))
-        a = sample_sdd(g, 0.45, True, derive_seed(cfg.seed, k, 12))
-        c = random_configuration(cfg.n, cfg.d, derive_seed(cfg.seed, k, 13))
-        chk = stability.determinant_nonzero_check(a, c)
+    draws = _plan(replace(cfg, margin=0.45), [_Trial(k, cfg.n, cfg.d, True, cfg.graph)
+                                              for k in range(det_trials)], streams=(11, 12, 13))
+    for trial in draws:
+        if trial.error is not None:
+            raise trial.error
+        chk = stability.determinant_nonzero_check(trial.weights, trial.start)
         min_abs_det = min(min_abs_det, abs(chk.det))
     summary = {
         "experiment": "stability_audit",

@@ -30,6 +30,15 @@ class DirectedGraph:
         adj.flags.writeable = False
         object.__setattr__(self, "adjacency", adj)
 
+    @classmethod
+    def _unchecked(cls, adjacency: np.ndarray) -> "DirectedGraph":
+        """The graph of an (n, n) bool adjacency that a generator built with
+        a false diagonal: no checks, no copy; the array becomes read-only."""
+        g = object.__new__(cls)
+        adjacency.flags.writeable = False
+        object.__setattr__(g, "adjacency", adjacency)
+        return g
+
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
@@ -94,40 +103,66 @@ def complete_graph(n: int) -> DirectedGraph:
     """All n(n-1) ordered pairs."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return DirectedGraph(~np.eye(n, dtype=bool))
+    return DirectedGraph._unchecked(~np.eye(n, dtype=bool))
 
 
 def ring_graph(n: int) -> DirectedGraph:
     """Symmetric ring: edges (i, i +/- 1 mod n) stored in both directions."""
     if n < 3:
         raise ValueError("ring requires n >= 3")
-    cycle = _directed_cycle(np.arange(n))
-    return DirectedGraph(cycle | cycle.T)
+    cycle = _directed_cycles(np.arange(n)[None])[0]
+    return DirectedGraph._unchecked(cycle | cycle.T)
 
 
-def _directed_cycle(order: np.ndarray) -> np.ndarray:
-    """Adjacency of the cycle order[0] -> order[1] -> ... -> order[0]."""
-    adj = np.zeros((order.size, order.size), dtype=bool)
-    adj[order[:-1], order[1:]] = adj[order[-1], order[0]] = True
+def _directed_cycles(orders: np.ndarray) -> np.ndarray:
+    """(T, n, n) adjacency stack of the cycles order[0] -> order[1] -> ...
+    -> order[0], one per row of a (T, n) array of node orders."""
+    count, n = orders.shape
+    adj = np.zeros((count, n, n), dtype=bool)
+    t = np.arange(count)
+    adj[t[:, None], orders[:, :-1], orders[:, 1:]] = adj[t, orders[:, -1], orders[:, 0]] = True
     return adj
+
+
+def _add_random_pairs(adj: np.ndarray, uniforms: np.ndarray, edge_prob: float,
+                      symmetric: bool) -> np.ndarray:
+    """Each free entry of every graph of the (T, n, n) stack adj, in
+    row-major order, added where its uniform of the (T, k) draws is below
+    edge_prob; every graph has exactly k free entries. Symmetric: the free
+    entries are the pairs i < j not yet in adj, added in both directions;
+    otherwise the ordered pairs off the diagonal not yet in adj."""
+    r = np.arange(adj.shape[1])
+    free = ~adj & ((r[:, None] < r) if symmetric else (r[:, None] != r))
+    new = np.zeros_like(adj)
+    new[free] = uniforms.reshape(-1) < edge_prob
+    return adj | new | new.transpose(0, 2, 1) if symmetric else adj | new
 
 
 # The generators draw one uniform per free entry in row-major order with one
 # rng.random(k), which equals k scalar draws bit for bit, stream state included.
 
 
-def _add_symmetric_pairs(adj: np.ndarray, edge_prob: float, rng) -> DirectedGraph:
-    """Add each undirected pair i < j not yet in adj, in both directions,
-    with probability edge_prob (one draw per such pair, row-major)."""
-    r = np.arange(adj.shape[0])
-    free = (r[:, None] < r) & ~adj
-    new = np.zeros_like(adj)
-    new[free] = rng.random(np.count_nonzero(free)) < edge_prob
-    return DirectedGraph(adj | new | new.T)
+def backbone_graphs(rngs, n: int, edge_prob: float, symmetric: bool) -> np.ndarray:
+    """(T, n, n) adjacency stack of random graphs, one per generator of the
+    iterable rngs, each drawing a random Hamiltonian cycle (a permutation)
+    and then one uniform per remaining pair. Directed: a strongly connected
+    digraph, each remaining ordered pair present with probability edge_prob.
+    Symmetric: the cycle and each remaining pair in both directions, a
+    connected undirected graph. A cycle takes n ordered pairs, and n
+    undirected pairs from n = 3 on (one at n = 2), so the count of
+    remaining pairs is the same for every draw."""
+    pairs = n * (n - 1) // 2 if symmetric else n * (n - 1)
+    free = pairs - min(n, pairs)
+    draws = [(rng.permutation(n), rng.random(free)) for rng in rngs]
+    adj = _directed_cycles(np.array([order for order, _ in draws]))
+    if symmetric:
+        adj |= adj.transpose(0, 2, 1)
+    return _add_random_pairs(adj, np.array([u for _, u in draws]), edge_prob, symmetric)
 
 
-def random_strongly_connected(n: int, edge_prob: float, seed: int) -> DirectedGraph:
-    """Random strongly connected digraph, deterministic per seed.
+def random_strongly_connected(n: int, edge_prob: float, seed) -> DirectedGraph:
+    """Random strongly connected digraph, deterministic per seed (an int or
+    a Generator, which is drawn from).
 
     A random Hamiltonian directed cycle guarantees strong connectivity; each
     remaining ordered pair is then added independently with probability
@@ -136,14 +171,12 @@ def random_strongly_connected(n: int, edge_prob: float, seed: int) -> DirectedGr
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
-    adj = _directed_cycle(rng.permutation(n))  # a random Hamiltonian cycle
-    free = ~(adj | np.eye(n, dtype=bool))
-    adj[free] = rng.random(np.count_nonzero(free)) < edge_prob
-    return DirectedGraph(adj)
+    return DirectedGraph._unchecked(backbone_graphs([rng], n, edge_prob, False)[0])
 
 
-def random_connected_er(n: int, edge_prob: float, seed: int) -> DirectedGraph:
-    """Erdos-Renyi symmetric graph conditioned on connectivity.
+def random_connected_er(n: int, edge_prob: float, seed) -> DirectedGraph:
+    """Erdos-Renyi symmetric graph conditioned on connectivity, deterministic
+    per seed (an int or a Generator, which is drawn from).
 
     Each undirected pair is present with probability edge_prob (both
     directions stored); samples are rejected until connected. Unlike the
@@ -153,15 +186,17 @@ def random_connected_er(n: int, edge_prob: float, seed: int) -> DirectedGraph:
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
+    empty = np.zeros((1, n, n), dtype=bool)
     for _ in range(100_000):
-        g = _add_symmetric_pairs(np.zeros((n, n), dtype=bool), edge_prob, rng)
-        if is_strongly_connected(g):
-            return g
+        adj = _add_random_pairs(empty, rng.random((1, n * (n - 1) // 2)), edge_prob, True)[0]
+        if _reaches_all(adj):  # symmetric: reaching every node is strong connectivity
+            return DirectedGraph._unchecked(adj)
     raise RuntimeError(f"no connected sample in 100000 draws (n={n}, p={edge_prob})")
 
 
-def random_symmetric_connected(n: int, edge_prob: float, seed: int) -> DirectedGraph:
-    """Random symmetric connected graph (both edge directions stored).
+def random_symmetric_connected(n: int, edge_prob: float, seed) -> DirectedGraph:
+    """Random symmetric connected graph (both edge directions stored),
+    deterministic per seed (an int or a Generator, which is drawn from).
 
     Same backbone-plus-random-pairs construction as random_strongly_connected,
     with every edge symmetrized, so the result is a connected undirected graph.
@@ -169,5 +204,4 @@ def random_symmetric_connected(n: int, edge_prob: float, seed: int) -> DirectedG
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
-    cycle = _directed_cycle(rng.permutation(n))
-    return _add_symmetric_pairs(cycle | cycle.T, edge_prob, rng)
+    return DirectedGraph._unchecked(backbone_graphs([rng], n, edge_prob, True)[0])

@@ -31,6 +31,15 @@ class Configuration:
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _unchecked(cls, rows: np.ndarray) -> "Configuration":
+        """The configuration of (n, d) float rows that are unit rows already:
+        no normalization, no copy; the array becomes read-only."""
+        c = object.__new__(cls)
+        rows.flags.writeable = False
+        object.__setattr__(c, "rows", rows)
+        return c
+
     @property
     def n(self) -> int:
         return self.rows.shape[0]
@@ -92,12 +101,19 @@ class TangentBasis:
         return block_diagonal_matrix(self.blocks)
 
 
+def start_rows(rngs, n: int, d: int) -> np.ndarray:
+    """(T, n, d) stack of rows i.i.d. uniform on the unit sphere, one
+    standard normal (n, d) draw per generator of the iterable rngs, each row
+    divided by its norm (a row of norm at most MIN_ROW_NORM is rejected)."""
+    return unit_rows(np.array([rng.standard_normal((n, d)) for rng in rngs]))
+
+
 def random_configuration(n: int, d: int, seed) -> Configuration:
-    """Rows i.i.d. uniform on the unit sphere (normalized Gaussians)."""
+    """Rows i.i.d. uniform on the unit sphere (normalized Gaussians),
+    deterministic per seed (an int or a Generator, which is drawn from)."""
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
-    rng = np.random.default_rng(seed)
-    return Configuration(rng.standard_normal((n, d)))
+    return Configuration._unchecked(start_rows([np.random.default_rng(seed)], n, d)[0])
 
 
 def consensus_configuration(n: int, xbar: np.ndarray) -> Configuration:

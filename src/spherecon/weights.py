@@ -37,6 +37,17 @@ class WeightMatrix:
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
+    @classmethod
+    def _unchecked(cls, entries: np.ndarray, graph: DirectedGraph) -> "WeightMatrix":
+        """The weight matrix of float entries that a sampler built on the
+        graph's zero structure: no checks, no copy; the array becomes
+        read-only."""
+        w = object.__new__(cls)
+        entries.flags.writeable = False
+        object.__setattr__(w, "entries", entries)
+        object.__setattr__(w, "graph", graph)
+        return w
+
     @property
     def n(self) -> int:
         return self.graph.n
@@ -82,30 +93,40 @@ def satisfies_sqrt2_condition(a: WeightMatrix) -> bool:
     return bool(np.all(np.diag(m) > _SQRT2 * off))
 
 
-def sample_sdd(g: DirectedGraph, margin: float, symmetric: bool, seed: int) -> WeightMatrix:
-    """Random strictly diagonally dominant weight matrix for g.
+def sdd_entries(adjacency: np.ndarray, margin: float, symmetric, rngs) -> np.ndarray:
+    """(T, n, n) stack of random strictly diagonally dominant entries, one
+    per graph of the (T, n, n) adjacency stack and generator of the
+    iterable rngs; symmetric is a bool or one per graph, and a symmetric
+    graph's adjacency must be symmetric.
 
-    Off-diagonal edge entries are i.i.d. uniform on (0,1] (symmetrized by
-    averaging the two directed draws when symmetric=True); each diagonal entry
-    is (1+margin) times its off-diagonal row sum, so the dominance margin is
-    exact. margin >= sqrt(2)-1 plus any slack also yields the sqrt(2)
-    condition.
+    Off-diagonal edge entries are i.i.d. uniform on (0,1], one draw per edge
+    in row-major order (symmetrized by averaging the two directed draws when
+    symmetric); each diagonal entry is (1+margin) times its off-diagonal row
+    sum, so the dominance margin is exact.
+    """
+    edges = np.count_nonzero(adjacency, axis=(1, 2))
+    a = np.zeros(adjacency.shape)
+    # one uniform on (0, 1] per edge, row-major
+    a[adjacency] = 1.0 - np.concatenate([rng.random(k) for rng, k in zip(rngs, edges)])
+    a = np.where(np.reshape(symmetric, (-1, 1, 1)), 0.5 * (a + a.transpose(0, 2, 1)), a)
+    off = a.sum(axis=2)
+    # isolated nodes have zero off-diagonal sum; give them a unit diagonal
+    r = np.arange(a.shape[1])
+    a[:, r, r] = np.where(off > 0, (1.0 + margin) * off, 1.0)
+    return a
+
+
+def sample_sdd(g: DirectedGraph, margin: float, symmetric: bool, seed) -> WeightMatrix:
+    """Random strictly diagonally dominant weight matrix for g, deterministic
+    per seed (an int or a Generator, which is drawn from); see sdd_entries.
+    margin >= sqrt(2)-1 plus any slack also yields the sqrt(2) condition.
     """
     if margin <= 0:
         raise ValueError("margin must be > 0")
     if symmetric and not is_symmetric(g):
         raise ValueError("symmetric sampling requires a symmetric graph")
     rng = np.random.default_rng(seed)
-    n = g.n
-    a = np.zeros((n, n))
-    # one uniform on (0, 1] per edge, row-major
-    a[g.adjacency] = 1.0 - rng.random(np.count_nonzero(g.adjacency))
-    if symmetric:
-        a = 0.5 * (a + a.T)
-    off = a.sum(axis=1)
-    # isolated nodes have zero off-diagonal sum; give them a unit diagonal
-    a[np.diag_indices(n)] = np.where(off > 0, (1.0 + margin) * off, 1.0)
-    return WeightMatrix(a, g)
+    return WeightMatrix._unchecked(sdd_entries(g.adjacency[None], margin, symmetric, [rng])[0], g)
 
 
 def descent_matrix(a: WeightMatrix, slack: float = 0.25) -> DescentMatrix:

@@ -51,18 +51,92 @@ def test_config_from_json_names_unknown_keys(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("edge_prob", 1.7), ("edge_prob", -0.5),
     ("d_range", (5, 3)), ("d_range", (1, 1)), ("n_range", (6, 4)), ("n_range", (1, 5)),
-    ("n", 1), ("d", 1),
+    ("n", 1), ("d", 1), ("seed", -3),
+    ("margin", float("inf")), ("margin", float("nan")),
+    ("slack", float("inf")), ("slack", float("nan")),
 ])
 def test_config_rejects_values_no_trial_can_use(field, value, tmp_path):
-    # a probability outside [0, 1], an empty range, or a dimension below 2
+    # a probability outside [0, 1], an empty range, a dimension below 2, a
+    # negative master seed, or a margin or slack that is not finite
     with pytest.raises(ValueError, match=f"^{field} must"):
-        ExperimentConfig(seed=1, **{field: value})
+        ExperimentConfig(**{"seed": 1, field: value})
     from spherecon.cli import main
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({field: value}))
+    path.write_text(json.dumps({"seed": 1, field: value}))
     with pytest.raises(SystemExit, match=f"^{field} must"):
-        main(["sweep", "--seed", "1", "--config", str(path), "--out", str(tmp_path / "o")])
+        main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
     assert not (tmp_path / "o").exists()
+
+
+def _scalar_graph(cfg, n, symmetric_graph, seed):
+    """Trial graph of cfg's model from the one-graph samplers: the reference
+    the planner's stacked draws must equal."""
+    from spherecon.graph import (complete_graph, random_connected_er,
+                                 random_strongly_connected, random_symmetric_connected,
+                                 ring_graph)
+    if cfg.graph == "complete":
+        return complete_graph(n)
+    if cfg.graph == "ring":
+        return ring_graph(n)
+    if cfg.graph == "er":
+        if not symmetric_graph:
+            raise ValueError("the er graph model is symmetric-only")
+        return random_connected_er(n, cfg.edge_prob, seed)
+    if symmetric_graph:
+        return random_symmetric_connected(n, cfg.edge_prob, seed)
+    return random_strongly_connected(n, cfg.edge_prob, seed)
+
+
+@pytest.mark.parametrize("model, symmetric_graph, streams", [
+    ("random", True, (1, 2, 3)), ("random", False, (1, 2, 3)), ("complete", True, (1, 2, 3)),
+    ("complete", False, (1, 2, 3)), ("ring", True, (11, 12, 13)), ("er", True, (1, 2, 3)),
+])
+def test_planner_draws_equal_the_one_trial_samplers(model, symmetric_graph, streams):
+    # trials of mixed n, d and weight symmetry, planned in one batch, draw
+    # bit for bit what the public samplers draw from the derived int seeds
+    from spherecon.experiments import _plan, _Trial
+    from spherecon.state import random_configuration
+    from spherecon.weights import sample_sdd
+    cfg = ExperimentConfig(seed=20260826, graph=model, edge_prob=0.57)
+    rng = np.random.default_rng(0)
+    trials = [_Trial(t, int(rng.integers(3, 9)), int(rng.integers(2, 6)),
+                     symmetric_graph and bool(rng.integers(0, 2)), model,
+                     symmetric_graph=symmetric_graph) for t in range(0, 120, 3)]
+    assert {tr.symmetric for tr in trials} == ({True, False} if symmetric_graph else {False})
+    for trial in _plan(cfg, trials, streams):
+        assert trial.error is None and trial.seed == derive_seed(cfg.seed, trial.t)
+        seeds = [derive_seed(cfg.seed, trial.t, s) for s in streams]
+        g = _scalar_graph(cfg, trial.n, symmetric_graph, seeds[0])
+        a = sample_sdd(g, cfg.margin, trial.symmetric, seeds[1])
+        start = random_configuration(trial.n, trial.d, seeds[2]).rows
+        assert np.array_equal(trial.graph.adjacency, g.adjacency)
+        assert np.array_equal(trial.weights.entries, a.entries)
+        assert np.array_equal(trial.start, start)
+
+
+def test_planner_records_each_failed_draw_on_its_trial():
+    # a model no trial of a shape can draw fails those trials alone, with
+    # the one-trial sampler's message, and the other trials are drawn
+    from spherecon.experiments import _plan, _Trial
+    trials = _plan(ExperimentConfig(seed=3, graph="ring"), [
+        _Trial(0, 2, 3, True, "ring"), _Trial(1, 4, 3, True, "ring"),
+        _Trial(2, 2, 2, False, "er", symmetric_graph=False), _Trial(3, 2, 3, True, "ring")])
+    assert [str(tr.error) if tr.error else None for tr in trials] == [
+        "ring requires n >= 3", None, "the er graph model is symmetric-only",
+        "ring requires n >= 3"]
+    assert all(tr.weights is None and tr.start is None for tr in trials if tr.error)
+    assert trials[1].start.shape == (4, 3)
+    with pytest.raises(ValueError, match="^ring requires n >= 3$"):
+        _scalar_graph(ExperimentConfig(seed=3, graph="ring"), 2, True, 0)
+    # in a command: theorem2's d = 2 trials draw er graphs, d >= 3 complete ones
+    records, summary = cmd_theorem2_probe(ExperimentConfig(
+        seed=3, trials=8, n=3, graph="er", symmetric=False, max_iter=200))
+    failed = [r.trial for r in records if r.d == 2]
+    assert 0 < len(failed) < 8
+    assert summary["errors"] == [{"trial": t, "error": "the er graph model is symmetric-only"}
+                                 for t in failed]
+    assert all((r.klass == "error") == (r.d == 2) and (r.graph_hash == "") == (r.d == 2)
+               for r in records)
 
 
 def test_sweep_small_consensus(tmp_path):
@@ -146,11 +220,10 @@ def test_sweep_reports_twisted_circle_limit_by_d():
 def test_sweep_counts_d2_bare_cycle_trials():
     # trial 23 of this seed is a d = 2 trial on a bare 6-cycle; the count is
     # every d = 2 trial whose graph gives each node exactly two neighbours
-    from spherecon.experiments import _make_graph
     cfg = ExperimentConfig(seed=230000714, trials=24)
     records, summary = cmd_consensus_sweep(cfg)
     bare = [r.trial for r in records if r.d == 2 and set(
-        _make_graph(cfg, r.n, True, derive_seed(cfg.seed, r.trial, 1))
+        _scalar_graph(cfg, r.n, True, derive_seed(cfg.seed, r.trial, 1))
         .adjacency.sum(axis=1)) == {2}]
     assert 23 in bare
     assert summary["d2_bare_cycle_trials"] == len(bare)
@@ -246,7 +319,6 @@ def test_descent_search_reports_shortfall():
 def test_descent_search_matches_per_trial_search():
     # the chunked lockstep search keeps the hits a trial-by-trial search finds
     from spherecon.dynamics import find_nonconsensus_fixed_point
-    from spherecon.experiments import _make_graph
     from spherecon.state import classify_configuration, random_configuration
     from spherecon.tolerances import A_RESIDUAL_TOL, LIMIT_RANK_TOL
     from spherecon.weights import sample_sdd
@@ -255,7 +327,7 @@ def test_descent_search_matches_per_trial_search():
         points = collect_descent_fixed_points(cfg, count=6, require_rank_ge=rank)
         hits = []
         for t in range(points.counts["trials_run"]):
-            a = sample_sdd(_make_graph(cfg, 4, True, derive_seed(1, t, 1)), cfg.margin,
+            a = sample_sdd(_scalar_graph(cfg, 4, True, derive_seed(1, t, 1)), cfg.margin,
                            True, derive_seed(1, t, 2))
             res = find_nonconsensus_fixed_point(
                 a, random_configuration(4, 3, derive_seed(1, t, 3)), slack=cfg.slack,
@@ -278,7 +350,8 @@ def test_zero_norm_trial_keeps_its_hashes_and_names_the_agent():
     g = complete_graph(2)
     ones = WeightMatrix(np.ones((2, 2)), g)
     healthy = sample_sdd(g, 0.1, True, seed=3)
-    trials = [_Trial(t, 2, 2, True, g, a, rows) for t, (a, rows) in enumerate([
+    trials = [_Trial(t, 2, 2, True, "complete", graph=g, weights=a, start=rows)
+              for t, (a, rows) in enumerate([
         (healthy, np.array([[1.0, 0.0], [0.0, 1.0]])),
         (ones, np.array([[1.0, 0.0], [-1.0, 0.0]]))])]
     records, errors, _ = _run_trials(ExperimentConfig(seed=1), trials, descent=False)

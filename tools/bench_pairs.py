@@ -10,8 +10,11 @@ odd. Every run's end-to-end metrics are kept, and per metric the file gives
 each side's median and quartiles, the number of pairs the change won, and
 whether the change's median is worse than the parent's by more than the
 metric's bound. Directions and bounds are read from the BENCHMARK.json next
-to this tool. Results for other workloads already in --out are kept, so one
-file can hold every workload of a change.
+to this tool. A run whose outputs the benchmark judged incorrect (exit code
+1) is kept in the medians but flagged: its pair line names the side, and
+the workload counts each side's incorrect runs and failed trials. Results
+for other workloads already in --out are kept, so one file can hold every
+workload of a change.
 """
 
 from __future__ import annotations
@@ -69,6 +72,22 @@ def summarise(pairs: list, metrics: list) -> dict:
     return out
 
 
+def faults(pairs: list) -> dict:
+    """Per side: the runs judged incorrect and the trials failed over all runs."""
+    return {side: {"incorrect_runs": sum(not p[side]["correct"] for p in pairs),
+                   "failed_trials": sum(p[side]["failed"] for p in pairs)}
+            for side in ("parent", "change")}
+
+
+def pair_line(workload: str, k: int, pair: dict) -> str:
+    """One pair's trials_per_s, each side marked when its run was incorrect."""
+    def side(name):
+        run = pair[name]
+        flag = "" if run["correct"] else f" (INCORRECT, {run['failed']} failed trials)"
+        return f"{name} {run['trials_per_s']:.4g}{flag}"
+    return f"{workload} pair {k}: {side('parent')}, {side('change')} trials/s"
+
+
 def pair_count(text: str) -> int:
     """--pairs: quartiles need at least two pairs."""
     count = int(text)
@@ -101,8 +120,7 @@ def main(argv=None) -> int:
         pair = {side: run_side(getattr(args, side), args.workload, args.seconds, args.seed)
                 for side in order}
         pairs.append({"first": order[0], **pair})
-        print(f"{args.workload} pair {k}: parent {pair['parent']['trials_per_s']:.4g}, "
-              f"change {pair['change']['trials_per_s']:.4g} trials/s", flush=True)
+        print(pair_line(args.workload, k, pair), flush=True)
 
     result = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     result["machine"] = {"python": platform.python_version(), "processor": platform.machine(),
@@ -113,6 +131,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "seed": args.seed,
         "summary": summarise(pairs, metrics),
+        "faults": faults(pairs),
         "pairs": pairs,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
