@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import _step
 from .graph import DirectedGraph, structure_matrix
-from .state import (Configuration, as_array, block_diagonal_matrix, kron_blocks,
+from .state import (Configuration, agent_blocks, as_array, block_diagonal_matrix,
                     relative_rank, tangent_projectors)
 from .tolerances import PIN_TOL
 from .weights import WeightMatrix
@@ -154,7 +154,7 @@ def assemble_Jg(sys: FixedPointSystem, symmetric: bool,
         r = np.broadcast_to(np.linalg.qr(rows, mode="r"), (n, m, m))
         a_part = block_diagonal_matrix(r.transpose(0, 2, 1))
     d_part = block_diagonal_matrix((0.0 - x)[:, :, None])
-    x_full = kron_blocks(sys.a - np.diag(sys.dvec), tangent_projectors(x)).reshape(n * m, -1)
+    x_full = agent_blocks(sys.a - np.diag(sys.dvec), tangent_projectors(x))
     x_part = x_full[:, m:]  # drop the pinned first agent's directions
     return JgParts(a_part, d_part, x_part)
 

@@ -11,9 +11,9 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import _step, fixed_point_residual
-from .state import (Configuration, TangentBasis, as_array, classify_configuration,
-                    kron_blocks, relative_rank, tangent_basis, tangent_projectors,
-                    unit_rows)
+from .state import (Configuration, TangentBasis, agent_blocks, as_array,
+                    classify_configuration, relative_rank, tangent_basis,
+                    tangent_projectors, unit_rows)
 from .tolerances import (A_RESIDUAL_TOL, CERTIFICATE_FP_TOL, CLASS_TOL, NEUTRAL_TOL,
                          TRACE_TOL)
 from .weights import WeightMatrix, satisfies_sqrt2_condition
@@ -28,29 +28,13 @@ def _scaled_entries(m, c):
     return entries / norms[..., None], y_rows
 
 
-def _scaled_block_products(da: np.ndarray, left: np.ndarray,
-                           right: np.ndarray) -> np.ndarray:
-    """Block matrix whose (i,j) block is da_ij * left[i] @ right[j], from
-    (..., n, n) da and (..., n, p, k) and (..., n, k, q) stacks, one matrix
-    per leading index, with the products of all pairs with da_ij != 0 in one
-    matmul; the other blocks stay exactly zero."""
-    *lead, n, p, k = left.shape
-    q = right.shape[-1]
-    da, left, right = da.reshape(-1, n, n), left.reshape(-1, n, p, k), right.reshape(-1, n, k, q)
-    b, i, j = np.nonzero(da)
-    blocks = np.zeros((len(da), n, n, p, q))
-    blocks[b, i, j] = da[b, i, j, None, None] * np.matmul(left[b, i], right[b, j])
-    return blocks.transpose(0, 1, 3, 2, 4).reshape(*lead, n * p, n * q)
-
-
 def projected_jacobian(m, c: Configuration) -> np.ndarray:
     """nd x nd linearization P_y (D(MX) M ot I_d) P_x, with y the image of x.
 
     Block (i,j) is m_ij * P_{y_i} P_{x_j} / ||row i of M X||.
     """
     da, y_rows = _scaled_entries(m, c)
-    return _scaled_block_products(da, tangent_projectors(y_rows),
-                                  tangent_projectors(c.rows))
+    return agent_blocks(da, tangent_projectors(c.rows), tangent_projectors(y_rows))
 
 
 def reduced_matrix(m, c, basis_x: Optional[TangentBasis] = None,
@@ -65,7 +49,7 @@ def reduced_matrix(m, c, basis_x: Optional[TangentBasis] = None,
     da, y_rows = _scaled_entries(m, c)
     bx = basis_x if basis_x is not None else tangent_basis(c)
     by = basis_y if basis_y is not None else tangent_basis(unit_rows(y_rows))
-    return _scaled_block_products(da, np.swapaxes(by.blocks, -1, -2), bx.blocks)
+    return agent_blocks(da, bx.blocks, np.swapaxes(by.blocks, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -88,11 +72,10 @@ def differential_report(m, c: Configuration,
     determinant."""
     da, y_rows = _scaled_entries(m, c)
     bx = basis_x if basis_x is not None else tangent_basis(c)
-    by = basis_y if basis_y is not None else tangent_basis(Configuration(y_rows))
+    by = basis_y if basis_y is not None else tangent_basis(unit_rows(y_rows))
     # projected_jacobian and reduced_matrix, sharing one iteration step
-    jac = _scaled_block_products(da, tangent_projectors(y_rows),
-                                 tangent_projectors(c.rows))
-    red = _scaled_block_products(da, by.blocks.transpose(0, 2, 1), bx.blocks)
+    jac = agent_blocks(da, tangent_projectors(c.rows), tangent_projectors(y_rows))
+    red = agent_blocks(da, bx.blocks, np.swapaxes(by.blocks, -1, -2))
     eig = np.linalg.eigvals(red)
     return DifferentialReport(
         jacobian=jac,
@@ -133,16 +116,6 @@ def determinant_nonzero_check(a: WeightMatrix, c: Configuration) -> DeterminantC
     return DeterminantCheck(det, scale, cond, cond and relative_rank(s) == s.size)
 
 
-def _projected_shift(entries: np.ndarray, shift: np.ndarray,
-                     rows: np.ndarray) -> np.ndarray:
-    """P_x ((A - diag(shift)) ot I_d) P_x: block (i,j) is
-    P_i (a_ij - shift_i delta_ij) P_j."""
-    n, d = rows.shape
-    p = tangent_projectors(rows)
-    blocks = kron_blocks(entries - np.diag(shift), p).reshape(n, d, n * d)
-    return np.matmul(p, blocks).reshape(n * d, n * d)
-
-
 def certificate_matrix(a: WeightMatrix, c: Configuration) -> np.ndarray:
     """Symmetric matrix P_x ((A - diag(row norms of AX)) ot I_d) P_x.
 
@@ -150,7 +123,8 @@ def certificate_matrix(a: WeightMatrix, c: Configuration) -> np.ndarray:
     differential has an eigenvalue strictly beyond the unit circle.
     """
     _, norms = _step(a.entries, c.rows)
-    return _projected_shift(a.entries, norms, c.rows)
+    p = tangent_projectors(c.rows)
+    return agent_blocks(a.entries - np.diag(norms), p, p)
 
 
 @dataclass(frozen=True)
@@ -216,7 +190,8 @@ def trace_formula_check(a: WeightMatrix, c: Configuration) -> TraceCheck:
     n, d = c.n, c.d
     z = entries @ c.rows
     aligned = np.einsum("ij,ij->i", c.rows, z)
-    h = _projected_shift(entries, aligned, c.rows)
+    p = tangent_projectors(c.rows)
+    h = agent_blocks(entries - np.diag(aligned), p, p)
     lhs = float(np.trace(h.reshape(n, d, n, d).sum(axis=(0, 2))))
 
     gram = c.rows @ c.rows.T

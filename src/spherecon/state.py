@@ -3,7 +3,7 @@ tangent-space bases, projections, and rank/consensus classification.
 
 The vectorized view x of a configuration X stacks the rows agent-major,
 x = [x_1; x_2; ...; x_n] = vec(X^T), so (A ot I_d) acts blockwise on agents;
-kron_blocks assembles such products as grids of agent blocks.
+agent_blocks assembles every linearization as such a grid of agent blocks.
 """
 
 from __future__ import annotations
@@ -172,10 +172,17 @@ def tangent_projectors(rows: np.ndarray) -> np.ndarray:
     return np.eye(rows.shape[1]) - rows[:, :, None] * rows[:, None, :]
 
 
-def kron_blocks(coeffs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """(C ot I) blockdiag(B) as an (n, p, n, q) array of agent blocks, block
-    (i, j) being c_ij B_j, from (n, n) coefficients and (n, p, q) blocks."""
-    return coeffs[:, None, :, None] * blocks.transpose(1, 0, 2)[None]
+def agent_blocks(coeffs: np.ndarray, right: np.ndarray, left=None) -> np.ndarray:
+    """(..., n p, n q) matrix whose block (i, j) is c_ij (L_i @ R_j), or
+    c_ij R_j without left factors, from (..., n, n) coefficients, (..., n, k, q)
+    right and (..., n, p, k) left blocks; leading batch axes are kept. With
+    diagonal left and right blocks this is blockdiag(L) (C ot I) blockdiag(R).
+    """
+    products = right[..., None, :, :, :] if left is None else np.matmul(
+        left[..., :, None, :, :], right[..., None, :, :, :])
+    blocks = coeffs[..., None, None] * products
+    *lead, n, _, p, q = blocks.shape
+    return blocks.swapaxes(-3, -2).reshape(*lead, n * p, n * q)
 
 
 def block_diagonal_matrix(blocks: np.ndarray) -> np.ndarray:

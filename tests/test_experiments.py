@@ -53,11 +53,12 @@ def test_config_from_json_names_unknown_keys(tmp_path):
     ("d_range", (5, 3)), ("d_range", (1, 1)), ("n_range", (6, 4)), ("n_range", (1, 5)),
     ("n", 1), ("d", 1), ("seed", -3),
     ("margin", float("inf")), ("margin", float("nan")),
-    ("slack", float("inf")), ("slack", float("nan")),
+    ("slack", float("inf")), ("slack", float("nan")), ("max_iter", -5), ("max_iter", 0),
 ])
 def test_config_rejects_values_no_trial_can_use(field, value, tmp_path):
     # a probability outside [0, 1], an empty range, a dimension below 2, a
-    # negative master seed, or a margin or slack that is not finite
+    # negative master seed, a margin or slack that is not finite, or no
+    # iteration at all
     with pytest.raises(ValueError, match=f"^{field} must"):
         ExperimentConfig(**{"seed": 1, field: value})
     from spherecon.cli import main

@@ -53,7 +53,7 @@ def test_linearization_matches_blockwise_reference():
                 cert[i * d:(i + 1) * d, j * d:(j + 1) * d] = shifted * (px[i] @ px[j])
         assert np.array_equal(reduced_matrix(a, c), red)
         assert np.array_equal(projected_jacobian(a, c), jac)
-        assert np.allclose(certificate_matrix(a, c), cert, rtol=0.0, atol=1e-13)
+        assert np.array_equal(certificate_matrix(a, c), cert)
 
 
 def test_consensus_jacobian_kron_structure():
@@ -286,17 +286,20 @@ def test_stacked_spectral_radii_are_the_per_trial_ones_bit_for_bit():
         mats, rows = [], []
         for t in range(40):
             g = random_symmetric_connected(n, 0.5, 7000 + t)
-            mats.append(sample_sdd(g, 0.1, bool(t % 2), seed=7100 + t).entries)
+            mats.append(sample_sdd(g, 0.1, bool(t % 2), seed=7100 + t))
             rows.append(random_configuration(n, d, seed=int(rng.integers(2 ** 32))))
         stacked = np.stack([c.rows for c in rows])
-        radii = spectral_radius(np.stack(mats), stacked)
-        reduced = reduced_matrix(np.stack(mats), stacked)
+        entries = np.stack([a.entries for a in mats])
+        radii = spectral_radius(entries, stacked)
+        reduced = reduced_matrix(entries, stacked)
         bases = tangent_basis(stacked).blocks
+        dets = np.linalg.det(reduced)
         assert radii.shape == (40,) and reduced.shape == (40, n * (d - 1), n * (d - 1))
         for t, c in enumerate(rows):
             assert radii[t] == spectral_radius(mats[t], c)
             assert np.array_equal(reduced[t], reduced_matrix(mats[t], c))
             assert np.array_equal(bases[t], tangent_basis(c).blocks)
+            assert dets[t] == determinant_nonzero_check(mats[t], c).det
 
 
 def test_sqrt2_intermediate_bound_via_normalization():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from spherecon.fixedpoint_rank import matrix_rank
-from spherecon.state import (RANK_TOL, Configuration, block_diagonal_matrix,
-                             classify_configuration, consensus_configuration,
-                             numerical_rank, random_configuration, relative_rank,
-                             tangent_basis, tangent_projectors)
+from spherecon.state import (RANK_TOL, Configuration, agent_blocks,
+                             block_diagonal_matrix, classify_configuration,
+                             consensus_configuration, numerical_rank,
+                             random_configuration, relative_rank, tangent_basis,
+                             tangent_projectors)
 
 
 def pentagon():
@@ -118,6 +119,25 @@ def test_projection_matrix():
     assert np.allclose(p @ p, p, atol=1e-12)
     r = tangent_basis(c).block_diagonal()
     assert np.allclose(p, r @ r.T, atol=1e-12)
+
+
+def test_agent_blocks_is_the_dense_kronecker_product():
+    # blockdiag(L) (C ot I) blockdiag(R), and (C ot I) blockdiag(R) without L,
+    # per matrix of a stack with two leading axes
+    rng = np.random.default_rng(31)
+    coeffs = rng.standard_normal((2, 3, 4, 4))
+    left = rng.standard_normal((2, 3, 4, 2, 5))
+    right = rng.standard_normal((2, 3, 4, 5, 3))
+    with_left = agent_blocks(coeffs, right, left)
+    without = agent_blocks(coeffs, right[..., :2, :])
+    assert with_left.shape == (2, 3, 8, 12) and without.shape == (2, 3, 8, 12)
+    for b in range(2):
+        for t in range(3):
+            dense = np.kron(coeffs[b, t], np.eye(5)) @ block_diagonal_matrix(right[b, t])
+            assert np.allclose(with_left[b, t],
+                               block_diagonal_matrix(left[b, t]) @ dense, atol=1e-12)
+            assert np.allclose(without[b, t], np.kron(coeffs[b, t], np.eye(2))
+                               @ block_diagonal_matrix(right[b, t, :, :2]), atol=1e-12)
 
 
 def test_configuration_json_round_trip():
