@@ -178,9 +178,11 @@ def agent_blocks(coeffs: np.ndarray, right: np.ndarray, left=None) -> np.ndarray
     right and (..., n, p, k) left blocks; leading batch axes are kept. With
     diagonal left and right blocks this is blockdiag(L) (C ot I) blockdiag(R).
     """
-    products = right[..., None, :, :, :] if left is None else np.matmul(
-        left[..., :, None, :, :], right[..., None, :, :, :])
-    blocks = coeffs[..., None, None] * products
+    if left is None:
+        blocks = coeffs[..., None, None] * right[..., None, :, :, :]
+    else:
+        blocks = np.matmul(left[..., :, None, :, :], right[..., None, :, :, :])
+        blocks *= coeffs[..., None, None]  # in place: no second n^2 p q temporary
     *lead, n, _, p, q = blocks.shape
     return blocks.swapaxes(-3, -2).reshape(*lead, n * p, n * q)
 
