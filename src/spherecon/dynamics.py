@@ -33,7 +33,7 @@ def _step(entries: np.ndarray, rows: np.ndarray):
     weight matrices; it is checked here whatever the matrix.
     """
     z = entries @ rows
-    norms = np.linalg.norm(z, axis=-1)
+    norms = _row_norms(z)
     if norms.min() <= MIN_ROW_NORM:
         *trial, agent = np.unravel_index(np.argmin(norms), norms.shape)
         raise ZeroDivisionError(
@@ -82,19 +82,19 @@ class BatchResult:
         return iter((self.rows, self.iters, self.residual, self.failed))
 
 
-def _row_norms(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """np.linalg.norm(z, axis=-1) bit for bit, into out if given. Below
-    PAIRWISE_SUM_FROM columns numpy adds each row's squares in order, so a
-    loop over the columns adds them in the same order at one call per column
-    rather than numpy's cost per row, which dominates a large working set."""
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(z, axis=-1) bit for bit, the row norms of `_step`.
+    Below PAIRWISE_SUM_FROM columns numpy adds each row's squares in order,
+    so a loop over the columns adds them in the same order at one call per
+    column rather than numpy's cost per row, which dominates a large working
+    set. The lockstep kernel runs the same calls into its own buffers."""
     squares = z * z
-    if z.shape[-1] >= PAIRWISE_SUM_FROM:
-        total = np.add.reduce(squares, axis=-1)
-    else:
-        total = squares[..., 0] + squares[..., 1] if z.shape[-1] > 1 else squares[..., 0].copy()
-        for k in range(2, z.shape[-1]):
-            total += squares[..., k]
-    return np.sqrt(total, out=total if out is None else out)
+    if not 2 <= z.shape[-1] < PAIRWISE_SUM_FROM:
+        return np.sqrt(np.add.reduce(squares, axis=-1))
+    total = squares[..., 0] + squares[..., 1]
+    for k in range(2, z.shape[-1]):
+        total += squares[..., k]
+    return np.sqrt(total, out=total)
 
 
 def _norm(flat: np.ndarray) -> float:
@@ -124,8 +124,15 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     first S trials is recorded at every state; as trials leave in order,
     those stay a prefix of the working set.
 
+    A step is matmul, square, the sum of the squares' columns (the calls of
+    `_row_norms`), sqrt and a divide per column, each a ufunc writing into
+    buffers made once per working-set shape through views made with them, so
+    a step allocates nothing. The views of the squares' and the states'
+    columns are flat over all rows: numpy runs a one-axis operand in one
+    plain loop, where a divide broadcast over the columns loops once per row.
+
     A step's size is screened by the squared norm of the whole padded step,
-    one batched dot per step. Trailing pad zeros can change the last bit of
+    one einsum over the block. Trailing pad zeros can change the last bit of
     that dot, so a trial is decided on its exact residual, the root of the
     dot over its real agents alone. That is taken only when the screen is at
     most fp_tol^2 * (1 + STEP_FILTER_MARGIN), at max_iter, and for the
@@ -140,37 +147,56 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     idx, m, x, w = np.arange(t_count), entries, rows, weights
     last = None  # the flat previous step of each active trial
     cutoff = fp_tol * fp_tol * (1.0 + STEP_FILTER_MARGIN)
+    columnwise = 2 <= d < PAIRWISE_SUM_FROM
     segments, recorded = [], []  # potentials per working set, one block of states each
     if w is not None:
         recorded.append(np.einsum("tij,stik,stjk->st", w, x[None, :len(w)], x[None, :len(w)]))
-    k, states = 0, np.empty(0)
+    k, shape = 0, None
     with np.errstate(all="ignore"):  # steps after a zero-norm image are discarded
         while len(idx) and k <= max_iter:
             count = len(idx)
             steps = max(1, min(BLOCK_STEPS, BLOCK_FLOATS // (count * size * d),
                                max_iter - k + 1))
-            if states.shape[:2] != (steps, count):
-                # two alternating buffers, so a block never writes the state it starts from
-                states, spare = np.empty((2, steps, count, size, d))
+            if shape != (steps, count):
+                shape = steps, count
+                # slot 0 of the states and of their flat steps holds the block's
+                # start and the step before it, slot s + 1 those of its step s
+                states = np.empty((steps + 1, count, size, d))
+                flat = np.empty((steps + 1, count, size * d))
                 norms = np.empty((steps, count, size))
-            prev = x
-            for s in range(steps):  # the states after steps k .. k + steps - 1
-                z = np.matmul(m, prev, out=states[s])
-                prev = np.divide(z, _row_norms(z, out=norms[s])[..., None], out=z)
+                squares = np.empty((count * size, d))
+                columns = list(squares.T)
+                later = columns[2:]
+                # per step: the state it starts from, the state it writes, that
+                # state's rows and columns flat over all trials, and its row norms
+                state_rows = states.reshape(steps + 1, -1, d)[1:]
+                views = list(zip(states[:-1], states[1:], state_rows,
+                                 map(list, state_rows.transpose(0, 2, 1)),
+                                 norms.reshape(steps, -1)))
+            states[0] = x
+            if last is not None:
+                flat[0] = last
+            for prev, z, z_rows, z_columns, norm in views:  # steps k .. k + steps - 1
+                np.matmul(m, prev, z)
+                np.multiply(z_rows, z_rows, squares)
+                if columnwise:
+                    np.add(columns[0], columns[1], norm)
+                    for column in later:
+                        np.add(norm, column, norm)
+                else:
+                    np.add.reduce(squares, -1, None, norm)
+                np.sqrt(norm, norm)
+                for column in z_columns:
+                    np.divide(column, norm, column)
             if w is not None:
-                recorded.append(np.einsum("tij,stik,stjk->st", w, states[:, :len(w)],
-                                          states[:, :len(w)]))
-            flat = np.empty_like(states)
-            np.subtract(states[0], x, out=flat[0])
-            if steps > 1:
-                np.subtract(states[1:], states[:-1], out=flat[1:])
-            flat = flat.reshape(steps, count, -1)
-            squares = np.matmul(flat[:, :, None, :], flat[:, :, :, None])[:, :, 0, 0]
+                recorded.append(np.einsum("tij,stik,stjk->st", w, states[1:, :len(w)],
+                                          states[1:, :len(w)]))
+            np.subtract(states[1:], states[:-1], flat[1:].reshape(states[1:].shape))
+            screen = np.einsum("stk,stk->st", flat[1:], flat[1:])
             clear = norms.min() > MIN_ROW_NORM  # false on NaN too
             at_max = k + steps > max_iter
-            if clear and not at_max and squares.min() > cutoff:
+            if clear and not at_max and screen.min() > cutoff:
                 x, last, k = states[-1], flat[-1], k + steps
-                states, spare = spare, states
                 continue
             # the first step at which each trial leaves; steps if it stays
             fails = np.full(count, steps)
@@ -180,25 +206,24 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
                 fails[hit] = bad.argmax(axis=0)[hit]
             leave = np.minimum(fails, steps - 1) if at_max else fails.copy()
             step = np.full(count, np.inf)
-            band = (squares <= cutoff) & (np.arange(steps)[:, None] < leave)
+            band = (screen <= cutoff) & (np.arange(steps)[:, None] < leave)
             for p, s in zip(*np.nonzero(band.T)):  # each trial's steps in order
                 if s < leave[p]:
-                    exact = _norm(flat[s, p, :spans[idx[p]]])
+                    exact = _norm(flat[s + 1, p, :spans[idx[p]]])
                     if exact <= fp_tol:
                         leave[p], step[p] = s, exact
             gone = np.flatnonzero(leave < steps)
             failing = fails[gone] == leave[gone]
             for p in gone[failing]:  # a failed trial keeps its previous step
-                s = leave[p]
-                before = flat[s - 1, p] if s else last[p] if last is not None else None
-                step[p] = np.inf if before is None else _norm(before[:spans[idx[p]]])
+                if leave[p] or last is not None:
+                    step[p] = _norm(flat[leave[p], p, :spans[idx[p]]])
             if at_max:
                 for p in gone[~failing & np.isinf(step[gone])]:
                     step[p] = _norm(flat[-1, p, :spans[idx[p]]])
             at, trials = leave[gone], idx[gone]
             iters[trials] = k + at
             residual[trials] = step[gone]
-            final[trials] = np.where((at == 0)[:, None, None], x[gone], states[at - 1, gone])
+            final[trials] = states[at, gone]
             failed[trials[failing]] = True
             iters[trials[failing]] = np.maximum(k + at[failing] - 1, 0)
             if w is not None and len(gone):
@@ -206,13 +231,11 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
                 segments.append((recorded, np.flatnonzero(leave[:len(w)] < steps)))
                 recorded = []
             keep = leave == steps
+            x, last = states[-1], flat[-1]
             if len(gone):
-                idx, m, x, last = idx[keep], m[keep], states[-1][keep], flat[-1][keep]
+                idx, m, x, last = idx[keep], m[keep], x[keep], last[keep]
                 if w is not None:
                     w = w[keep[:len(w)]]
-            else:
-                x, last = states[-1], flat[-1]
-                states, spare = spare, states
             k += steps
     histories = None
     if weights is not None:

@@ -19,7 +19,7 @@ from .tolerances import CONSENSUS_TOL, MIN_ROW_NORM, RANK_TOL, UNIT_NORM_TOL
 @dataclass(frozen=True)
 class Configuration:
     """n unit rows in R^d: each row of the given array divided by its norm;
-    a row of norm at most MIN_ROW_NORM is rejected."""
+    a row whose norm is at most MIN_ROW_NORM, NaN or infinite is rejected."""
 
     rows: np.ndarray
 
@@ -64,12 +64,18 @@ class Configuration:
 
 def unit_rows(rows) -> np.ndarray:
     """A new array of the rows (along the last axis) each divided by its
-    norm; a row of norm at most MIN_ROW_NORM is rejected."""
+    norm. A row whose norm is at most MIN_ROW_NORM, NaN or infinite is
+    rejected by name: its trial in a stack, counted from 0 as in the error
+    of `dynamics._step`, and its row, counted from 1."""
     rows = np.array(rows, dtype=float)
     norms = np.linalg.norm(rows, axis=-1)
-    if np.any(norms <= MIN_ROW_NORM):
-        bad = int(np.argmin(norms)) + 1
-        raise ValueError(f"row {bad} has near-zero norm")
+    usable = (norms > MIN_ROW_NORM) & (norms < np.inf)  # false on NaN too
+    if not usable.all():
+        first = np.unravel_index(np.argmin(usable), usable.shape)
+        *trial, row = first
+        kind = "near-zero" if norms[first] <= MIN_ROW_NORM else "non-finite"
+        raise ValueError("".join(f"trial {t}, " for t in trial)
+                         + f"row {row + 1} has {kind} norm")
     rows /= norms[..., None]
     return rows
 
@@ -104,7 +110,7 @@ class TangentBasis:
 def start_rows(rngs, n: int, d: int) -> np.ndarray:
     """(T, n, d) stack of rows i.i.d. uniform on the unit sphere, one
     standard normal (n, d) draw per generator of the iterable rngs, each row
-    divided by its norm (a row of norm at most MIN_ROW_NORM is rejected)."""
+    divided by its norm (`unit_rows`, which rejects an unusable row)."""
     return unit_rows(np.array([rng.standard_normal((n, d)) for rng in rngs]))
 
 

@@ -1,8 +1,13 @@
-"""The pair harness (tools/bench_pairs.py) flags runs the benchmark judged
-incorrect instead of folding them into the medians unnoticed."""
+"""The pair harness (tools/bench_pairs.py): it flags runs the benchmark
+judged incorrect instead of folding them into the medians unnoticed, and
+alternates the sides over every listed workload."""
 
+import argparse
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -24,3 +29,48 @@ def test_incorrect_runs_are_counted_and_named():
         "sweep pair 0: parent 1900, change 2700 trials/s")
     assert bench_pairs.pair_line("sweep", 1, pairs[1]) == (
         "sweep pair 1: parent 1850, change 2650 (INCORRECT, 2 failed trials) trials/s")
+
+
+def test_pairs_alternate_over_every_listed_workload(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def run_side(checkout, workload, seconds, seed=None):
+        calls.append((checkout.name, workload, seed))
+        rate = {"parent": 100.0, "change": 125.0}[checkout.name] * (1 + len(calls) / 1000)
+        return {**_run(rate), "setup_s": 0.2, "peak_rss_mb": 40.0}
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "BENCH.json"
+    out.write_text('{"workloads": {"linearize": {"kept": true}}}')
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "sweep,theorem2",
+            "--pairs", "3", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    sides = [("parent", "change"), ("change", "parent"), ("parent", "change")]
+    assert calls == [(side, workload, None) for order in sides
+                     for workload in ("sweep", "theorem2") for side in order]
+    result = json.loads(out.read_text())
+    assert set(result["workloads"]) == {"linearize", "sweep", "theorem2"}
+    assert result["workloads"]["linearize"] == {"kept": True}
+    for workload in ("sweep", "theorem2"):
+        entry = result["workloads"][workload]
+        assert [p["first"] for p in entry["pairs"]] == ["parent", "change", "parent"]
+        assert entry["seed"] is None and entry["summary"]["trials_per_s"]["change_wins"] == 3
+    assert capsys.readouterr().out.count("pair") == 6
+
+    # a run at another seed is stored beside the default-seed entry
+    calls.clear()
+    assert bench_pairs.main(argv[:5] + ["theorem2"] + argv[6:] + ["--seed", "424242"]) == 0
+    assert {c[1:] for c in calls} == {("theorem2", 424242)}
+    result = json.loads(out.read_text())
+    assert set(result["workloads"]) == {"linearize", "sweep", "theorem2", "theorem2@424242"}
+    assert result["workloads"]["theorem2@424242"]["seed"] == 424242
+    assert len(result["workloads"]["theorem2"]["pairs"]) == 3
+
+
+@pytest.mark.parametrize("text", ["", "sweep,", "sweep,,theorem2", "sweep,sweep"])
+def test_workload_lists_are_rejected_when_empty_or_repeated(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs.workload_list(text)

@@ -227,6 +227,54 @@ def test_lockstep_matches_per_trial_loop():
     assert len(lengths) == 240 and min(lengths) < 50 and lengths.count(300) > 0
 
 
+@pytest.mark.parametrize("padded", [False, True])
+def test_lockstep_matches_per_trial_loop_across_the_pairwise_width(padded):
+    # d = 7 sums each row's squares column by column, d = 8 and 9 take
+    # numpy's pairwise reduction; mixed n, run as one call per (n, d) or as
+    # one padded call per d
+    assert 7 < dynamics.PAIRWISE_SUM_FROM <= 8
+    rng = np.random.default_rng(43)
+    by_d = {}
+    for case in range(60):
+        n, d = int(rng.integers(2, 11)), (7, 8, 9)[case % 3]
+        symmetric = bool(case % 2)
+        g = (random_symmetric_connected if symmetric else random_strongly_connected)(
+            n, 0.5, 9000 + case)
+        a = sample_sdd(g, margin=0.1, symmetric=symmetric, seed=9100 + case)
+        m = descent_matrix(a, slack=0.25).entries if case % 4 == 0 else a.entries
+        by_d.setdefault(d, []).append((m, random_configuration(n, d, seed=9200 + case).rows,
+                                       a.entries))
+    lengths = []
+    for members in by_d.values():
+        mats, starts, weights = (list(x) for x in zip(*members))
+        outcomes = {}
+        if padded:
+            entries, rows, stacked, agents = pad_agents(mats, starts, weights)
+            out = run_batch(entries, rows, max_iter=200, potential_weights=stacked,
+                            agents=agents)
+            for t, rows in enumerate(starts):
+                outcomes[t] = (out.rows[t, :len(rows)], out.iters[t], out.residual[t],
+                               out.potential_histories[t])
+        else:
+            shapes = {}
+            for t, rows in enumerate(starts):
+                shapes.setdefault(len(rows), []).append(t)
+            for ts in shapes.values():
+                out = run_batch(np.stack([mats[t] for t in ts]), np.stack([starts[t] for t in ts]),
+                                max_iter=200, potential_weights=np.stack([weights[t] for t in ts]))
+                for pos, t in enumerate(ts):
+                    outcomes[t] = (out.rows[pos], out.iters[pos], out.residual[pos],
+                                   out.potential_histories[pos])
+        for t, (m, start, w) in enumerate(members):
+            rows, iters, residual, history = outcomes[t]
+            final, ref_iters, ref_residual, ref_history = _per_trial_run(m, start, 1e-12, 200, w)
+            assert np.array_equal(rows, final) and iters == ref_iters
+            assert residual == ref_residual
+            assert np.array_equal(history, ref_history)
+            lengths.append(int(iters))
+    assert len(lengths) == 60 and min(lengths) < 50 and lengths.count(200) > 0
+
+
 def _assert_matches_per_trial_run(out, t, m, start, max_iter):
     """Trial t of a run_batch result, whose potential weights are its
     iteration matrices, against the per-trial loop."""

@@ -1,5 +1,7 @@
 """Sphere-product configurations, tangent bases, projections, classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from spherecon.fixedpoint_rank import matrix_rank
 from spherecon.state import (RANK_TOL, Configuration, agent_blocks,
                              block_diagonal_matrix, classify_configuration,
                              consensus_configuration, numerical_rank,
-                             random_configuration, relative_rank, tangent_basis,
-                             tangent_projectors)
+                             random_configuration, relative_rank, start_rows,
+                             tangent_basis, tangent_projectors, unit_rows)
 
 
 def pentagon():
@@ -22,6 +24,45 @@ def test_normalize_rows():
     unit = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert np.allclose(Configuration(unit).rows, unit)
     with pytest.raises(ValueError):
+        Configuration(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def test_unit_rows_rejects_nan_and_infinite_rows():
+    # NaN fails every comparison, so a NaN norm once passed the zero-norm
+    # check; an infinite row once became a NaN row with only a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^row 1 has non-finite norm$"):
+                Configuration(np.array([[bad, 0.0], [1.0, 0.0]]))
+            with pytest.raises(ValueError, match="^row 2 has non-finite norm$"):
+                unit_rows(np.array([[1.0, 0.0], [0.0, bad]]))
+    with pytest.raises(ValueError, match="^row 2 has non-finite norm$"), \
+            np.errstate(over="ignore"):
+        Configuration(np.array([[1.0, 0.0], [1e200, 1e200]]))  # the norm overflows
+
+
+def test_unit_rows_names_the_trial_and_row_of_a_stack():
+    rows = np.ones((2, 2, 2))
+    rows[1, 1] = 0.0
+    with pytest.raises(ValueError, match="^trial 1, row 2 has near-zero norm$"):
+        unit_rows(rows)
+    rows[1, 1], rows[0, 1, 0] = 1.0, np.nan
+    with pytest.raises(ValueError, match="^trial 0, row 2 has non-finite norm$"):
+        unit_rows(rows)
+
+    class Generator:
+        def __init__(self, draw):
+            self.draw = draw
+
+        def standard_normal(self, shape):
+            return self.draw
+
+    draws = [np.ones((3, 2)), np.ones((3, 2))]
+    draws[1][2] = [0.0, np.inf]
+    with pytest.raises(ValueError, match="^trial 1, row 3 has non-finite norm$"):
+        start_rows([Generator(draw) for draw in draws], 3, 2)
+    with pytest.raises(ValueError, match="^row 1 has near-zero norm$"):
         Configuration(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 

@@ -1,20 +1,23 @@
 """Alternating before/after pairs of the benchmark, written to a BENCH_*.json.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --workload sweep \
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload sweep,theorem2 \
         --pairs 10 --out BENCH_8.json [--seconds 30] [--seed N]
 
 DIR is a checkout of each side; each side runs its own `perfbench/run.py`
 in its own directory, untraced, at the workload's own seed or at --seed.
-Pair k runs the parent first when k is even and the change first when k is
-odd. Every run's end-to-end metrics are kept, and per metric the file gives
-each side's median and quartiles, the number of pairs the change won, and
-whether the change's median is worse than the parent's by more than the
-metric's bound. Directions and bounds are read from the BENCHMARK.json next
-to this tool. A run whose outputs the benchmark judged incorrect (exit code
-1) is kept in the medians but flagged: its pair line names the side, and
-the workload counts each side's incorrect runs and failed trials. Results
-for other workloads already in --out are kept, so one file can hold every
-workload of a change.
+--workload names one workload or several, comma-separated. Pair k runs
+each of them in turn on both sides, the parent first when k is even and
+the change first when k is odd. Every run's end-to-end metrics are kept,
+and per metric the file gives each side's median and quartiles, the number
+of pairs the change won, and whether the change's median is worse than the
+parent's by more than the metric's bound. Directions and bounds are read
+from the BENCHMARK.json next to this tool. A run whose outputs the
+benchmark judged incorrect (exit code 1) is kept in the medians but
+flagged: its pair line names the side, and the workload counts each side's
+incorrect runs and failed trials. A workload's result is stored under its
+name, or under "<workload>@<seed>" with --seed, and results already in
+--out under other keys are kept, so one file can hold every workload of a
+change and its runs at other seeds.
 """
 
 from __future__ import annotations
@@ -96,6 +99,19 @@ def pair_count(text: str) -> int:
     return count
 
 
+def workload_list(text: str) -> list:
+    """--workload: one name or several, comma-separated, each at most once."""
+    names = text.split(",")
+    if "" in names or len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"need distinct comma-separated workloads, got {text!r}")
+    return names
+
+
+def result_key(workload: str, seed) -> str:
+    """Where a workload's result is stored: under its name at its own seed."""
+    return workload if seed is None else f"{workload}@{seed}"
+
+
 def git_revision(checkout: Path) -> str:
     proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
                           capture_output=True, text=True)
@@ -106,7 +122,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", type=workload_list, required=True,
+                   help="a workload, or several separated by commas")
     p.add_argument("--pairs", type=pair_count, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--seed", type=int, help="master seed of the workload (default: its own)")
@@ -114,26 +131,28 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
 
-    pairs = []
+    pairs = {workload: [] for workload in args.workload}
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        pair = {side: run_side(getattr(args, side), args.workload, args.seconds, args.seed)
-                for side in order}
-        pairs.append({"first": order[0], **pair})
-        print(pair_line(args.workload, k, pair), flush=True)
+        for workload in args.workload:
+            pair = {side: run_side(getattr(args, side), workload, args.seconds, args.seed)
+                    for side in order}
+            pairs[workload].append({"first": order[0], **pair})
+            print(pair_line(workload, k, pair), flush=True)
 
     result = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     result["machine"] = {"python": platform.python_version(), "processor": platform.machine(),
                          "cpus": os.cpu_count(), "system": platform.platform()}
-    result["workloads"][args.workload] = {
-        "parent_revision": git_revision(args.parent),
-        "change_revision": git_revision(args.change),
-        "seconds": args.seconds,
-        "seed": args.seed,
-        "summary": summarise(pairs, metrics),
-        "faults": faults(pairs),
-        "pairs": pairs,
-    }
+    for workload, runs in pairs.items():
+        result["workloads"][result_key(workload, args.seed)] = {
+            "parent_revision": git_revision(args.parent),
+            "change_revision": git_revision(args.change),
+            "seconds": args.seconds,
+            "seed": args.seed,
+            "summary": summarise(runs, metrics),
+            "faults": faults(runs),
+            "pairs": runs,
+        }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
