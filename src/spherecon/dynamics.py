@@ -158,25 +158,26 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
             steps = max(1, min(BLOCK_STEPS, BLOCK_FLOATS // (count * size * d),
                                max_iter - k + 1))
             if shape != (steps, count):
-                shape = steps, count
-                # slot 0 of the states and of their flat steps holds the block's
-                # start and the step before it, slot s + 1 those of its step s
-                states = np.empty((steps + 1, count, size, d))
-                flat = np.empty((steps + 1, count, size * d))
+                shape, side = (steps, count), 0
                 norms = np.empty((steps, count, size))
                 squares = np.empty((count * size, d))
                 columns = list(squares.T)
                 later = columns[2:]
-                # per step: the state it starts from, the state it writes, that
-                # state's rows and columns flat over all trials, and its row norms
-                state_rows = states.reshape(steps + 1, -1, d)[1:]
-                views = list(zip(states[:-1], states[1:], state_rows,
-                                 map(list, state_rows.transpose(0, 2, 1)),
-                                 norms.reshape(steps, -1)))
-            states[0] = x
-            if last is not None:
-                flat[0] = last
-            for prev, z, z_rows, z_columns, norm in views:  # steps k .. k + steps - 1
+                # two alternating sides, so a block never writes the state it starts
+                # from nor the step `last` holds; each is made when first used
+                sides = [None, None]
+            if sides[side] is None:
+                # the side's states and flat steps, and per step the state, its rows
+                # and columns flat over all trials, and its row norms
+                states = np.empty((steps, count, size, d))
+                state_rows = states.reshape(steps, -1, d)
+                sides[side] = (states, np.empty((steps, count, size * d)),
+                               list(zip(states, state_rows,
+                                        map(list, state_rows.transpose(0, 2, 1)),
+                                        norms.reshape(steps, -1))))
+            states, flat, views = sides[side]
+            prev = x
+            for z, z_rows, z_columns, norm in views:  # the states after steps k .. k + steps - 1
                 np.matmul(m, prev, z)
                 np.multiply(z_rows, z_rows, squares)
                 if columnwise:
@@ -188,15 +189,18 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
                 np.sqrt(norm, norm)
                 for column in z_columns:
                     np.divide(column, norm, column)
+                prev = z
             if w is not None:
-                recorded.append(np.einsum("tij,stik,stjk->st", w, states[1:, :len(w)],
-                                          states[1:, :len(w)]))
-            np.subtract(states[1:], states[:-1], flat[1:].reshape(states[1:].shape))
-            screen = np.einsum("stk,stk->st", flat[1:], flat[1:])
+                recorded.append(np.einsum("tij,stik,stjk->st", w, states[:, :len(w)],
+                                          states[:, :len(w)]))
+            steps_of = flat.reshape(states.shape)
+            np.subtract(states[0], x, steps_of[0])
+            np.subtract(states[1:], states[:-1], steps_of[1:])
+            screen = np.einsum("stk,stk->st", flat, flat)
             clear = norms.min() > MIN_ROW_NORM  # false on NaN too
             at_max = k + steps > max_iter
             if clear and not at_max and screen.min() > cutoff:
-                x, last, k = states[-1], flat[-1], k + steps
+                x, last, k, side = states[-1], flat[-1], k + steps, 1 - side
                 continue
             # the first step at which each trial leaves; steps if it stays
             fails = np.full(count, steps)
@@ -209,21 +213,22 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
             band = (screen <= cutoff) & (np.arange(steps)[:, None] < leave)
             for p, s in zip(*np.nonzero(band.T)):  # each trial's steps in order
                 if s < leave[p]:
-                    exact = _norm(flat[s + 1, p, :spans[idx[p]]])
+                    exact = _norm(flat[s, p, :spans[idx[p]]])
                     if exact <= fp_tol:
                         leave[p], step[p] = s, exact
             gone = np.flatnonzero(leave < steps)
             failing = fails[gone] == leave[gone]
             for p in gone[failing]:  # a failed trial keeps its previous step
-                if leave[p] or last is not None:
-                    step[p] = _norm(flat[leave[p], p, :spans[idx[p]]])
+                s = leave[p]
+                before = flat[s - 1, p] if s else last[p] if last is not None else None
+                step[p] = np.inf if before is None else _norm(before[:spans[idx[p]]])
             if at_max:
                 for p in gone[~failing & np.isinf(step[gone])]:
                     step[p] = _norm(flat[-1, p, :spans[idx[p]]])
             at, trials = leave[gone], idx[gone]
             iters[trials] = k + at
             residual[trials] = step[gone]
-            final[trials] = states[at, gone]
+            final[trials] = np.where((at == 0)[:, None, None], x[gone], states[at - 1, gone])
             failed[trials[failing]] = True
             iters[trials[failing]] = np.maximum(k + at[failing] - 1, 0)
             if w is not None and len(gone):
@@ -231,11 +236,12 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
                 segments.append((recorded, np.flatnonzero(leave[:len(w)] < steps)))
                 recorded = []
             keep = leave == steps
-            x, last = states[-1], flat[-1]
             if len(gone):
-                idx, m, x, last = idx[keep], m[keep], x[keep], last[keep]
+                idx, m, x, last = idx[keep], m[keep], states[-1][keep], flat[-1][keep]
                 if w is not None:
                     w = w[keep[:len(w)]]
+            else:
+                x, last, side = states[-1], flat[-1], 1 - side
             k += steps
     histories = None
     if weights is not None:

@@ -107,11 +107,6 @@ def workload_list(text: str) -> list:
     return names
 
 
-def result_key(workload: str, seed) -> str:
-    """Where a workload's result is stored: under its name at its own seed."""
-    return workload if seed is None else f"{workload}@{seed}"
-
-
 def git_revision(checkout: Path) -> str:
     proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
                           capture_output=True, text=True)
@@ -144,7 +139,8 @@ def main(argv=None) -> int:
     result["machine"] = {"python": platform.python_version(), "processor": platform.machine(),
                          "cpus": os.cpu_count(), "system": platform.platform()}
     for workload, runs in pairs.items():
-        result["workloads"][result_key(workload, args.seed)] = {
+        key = workload if args.seed is None else f"{workload}@{args.seed}"
+        result["workloads"][key] = {
             "parent_revision": git_revision(args.parent),
             "change_revision": git_revision(args.change),
             "seconds": args.seconds,
