@@ -160,32 +160,32 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
             if shape != (steps, count):
                 shape, side = (steps, count), 0
                 norms = np.empty((steps, count, size))
-                squares = np.empty((count * size, d))
-                columns = list(squares.T)
+                flat = np.empty((steps, count, size * d))  # the block's steps
+                squares = np.empty((count, size, d))
+                square_rows = squares.reshape(-1, d)
+                columns = list(square_rows.T)
                 later = columns[2:]
-                # two alternating sides, so a block never writes the state it starts
-                # from nor the step `last` holds; each is made when first used
+                # two alternating sides of states, so a block never writes the state
+                # it starts from; each is made when first used
                 sides = [None, None]
             if sides[side] is None:
-                # the side's states and flat steps, and per step the state, its rows
-                # and columns flat over all trials, and its row norms
+                # the side's states and, per step, the state, its columns flat over
+                # all trials, and its row norms
                 states = np.empty((steps, count, size, d))
-                state_rows = states.reshape(steps, -1, d)
-                sides[side] = (states, np.empty((steps, count, size * d)),
-                               list(zip(states, state_rows,
-                                        map(list, state_rows.transpose(0, 2, 1)),
-                                        norms.reshape(steps, -1))))
-            states, flat, views = sides[side]
+                state_columns = states.reshape(steps, -1, d).transpose(0, 2, 1)
+                sides[side] = (states, list(zip(states, map(list, state_columns),
+                                                norms.reshape(steps, -1))))
+            states, views = sides[side]
             prev = x
-            for z, z_rows, z_columns, norm in views:  # the states after steps k .. k + steps - 1
+            for z, z_columns, norm in views:  # the states after steps k .. k + steps - 1
                 np.matmul(m, prev, z)
-                np.multiply(z_rows, z_rows, squares)
+                np.multiply(z, z, squares)
                 if columnwise:
                     np.add(columns[0], columns[1], norm)
                     for column in later:
                         np.add(norm, column, norm)
                 else:
-                    np.add.reduce(squares, -1, None, norm)
+                    np.add.reduce(square_rows, -1, None, norm)
                 np.sqrt(norm, norm)
                 for column in z_columns:
                     np.divide(column, norm, column)
@@ -193,11 +193,13 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
             if w is not None:
                 recorded.append(np.einsum("tij,stik,stjk->st", w, states[:, :len(w)],
                                           states[:, :len(w)]))
+            clear = norms.min() > MIN_ROW_NORM  # false on NaN too
+            if not clear and last is not None:
+                last = last.copy()  # a trial failing at once keeps it; the steps overwrite it
             steps_of = flat.reshape(states.shape)
             np.subtract(states[0], x, steps_of[0])
             np.subtract(states[1:], states[:-1], steps_of[1:])
             screen = np.einsum("stk,stk->st", flat, flat)
-            clear = norms.min() > MIN_ROW_NORM  # false on NaN too
             at_max = k + steps > max_iter
             if clear and not at_max and screen.min() > cutoff:
                 x, last, k, side = states[-1], flat[-1], k + steps, 1 - side
