@@ -195,7 +195,9 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
                                           states[:, :len(w)]))
             clear = norms.min() > MIN_ROW_NORM  # false on NaN too
             if not clear and last is not None:
-                last = last.copy()  # a trial failing at once keeps it; the steps overwrite it
+                # a trial failing at the block's first step keeps the step before it,
+                # which the block's steps below overwrite
+                last = last.copy()
             steps_of = flat.reshape(states.shape)
             np.subtract(states[0], x, steps_of[0])
             np.subtract(states[1:], states[:-1], steps_of[1:])
