@@ -8,12 +8,14 @@ non-consensus fixed points.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .state import Configuration, ConfigurationClass, as_array, classify_configuration
-from .tolerances import FP_TOL, MIN_ROW_NORM, STEP_FILTER_MARGIN
+from .state import (Configuration, ConfigurationClass, agent_blocks, as_array,
+                    classify_configuration, tangent_basis)
+from .tolerances import (FP_TOL, LIMIT_RANK_TOL, MIN_ROW_NORM, RE_FIT_TOL, RE_ORBIT_MARGIN,
+                         RE_STEP_FLOOR, STEP_FILTER_MARGIN)
 from .weights import WeightMatrix, descent_matrix
 
 MAX_ITER = 10 ** 6
@@ -23,6 +25,16 @@ PAIRWISE_SUM_FROM = 8
 BLOCK_STEPS = 32
 # floats of one block's states (256 KB), which stay in cache; a larger working set steps singly
 BLOCK_FLOATS = 2 ** 15
+# steps between two relative-equilibrium tests of the running trials: the test is an SVD and,
+# for the few that pass its fit, an eigenvalue problem; no sweep trial runs this long
+RE_CHECK_EVERY = 1024
+
+# the ways a trial ends, one per trial in BatchResult.status
+FIXED_POINT = "fixed-point"
+RELATIVE_EQUILIBRIUM = "relative-equilibrium"
+AT_MAX_ITER = "max-iter"
+ZERO_NORM = "zero-norm"
+STATUSES = (FIXED_POINT, RELATIVE_EQUILIBRIUM, AT_MAX_ITER, ZERO_NORM)
 
 
 def _step(entries: np.ndarray, rows: np.ndarray):
@@ -60,26 +72,41 @@ class TrajectoryResult:
     iterations: int
     residual: float
     converged: bool
+    status: str  # FIXED_POINT, RELATIVE_EQUILIBRIUM or AT_MAX_ITER
     potential_history: Optional[np.ndarray] = None
     # populated by the descent mode
     classification: Optional[ConfigurationClass] = None
     residual_weight: Optional[float] = None
 
 
+class Rotation(NamedTuple):
+    """A relative equilibrium F(X) = XQ: the largest angle by which Q turns
+    the real agents' row space, the rank of their rows, and the largest
+    eigenvalue modulus of the linearization off the rotation orbit."""
+
+    angle: float
+    rank: int
+    off_orbit_modulus: float
+
+
 @dataclass(frozen=True)
 class BatchResult:
     """Per-trial outcome of a lockstep run; iterating it yields (rows, iters,
-    residual, failed). potential_histories, when recorded, holds the potential
-    at steps 0..iters of each trial that has potential weights."""
+    residual, status). status names how each trial ended: FIXED_POINT,
+    RELATIVE_EQUILIBRIUM, AT_MAX_ITER or ZERO_NORM. rotations maps each
+    trial that stopped at a relative equilibrium to its Rotation.
+    potential_histories, when recorded, holds the potential at steps
+    0..iters of each trial that has potential weights."""
 
     rows: np.ndarray
     iters: np.ndarray
     residual: np.ndarray
-    failed: np.ndarray
+    status: np.ndarray
+    rotations: dict
     potential_histories: Optional[list] = None
 
     def __iter__(self):
-        return iter((self.rows, self.iters, self.residual, self.failed))
+        return iter((self.rows, self.iters, self.residual, self.status))
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
@@ -102,6 +129,57 @@ def _norm(flat: np.ndarray) -> float:
     return np.sqrt(np.dot(flat, flat))
 
 
+def _rotations(m: np.ndarray, before: np.ndarray, after: np.ndarray, norms: np.ndarray,
+               agents: np.ndarray) -> list:
+    """The relative-equilibrium test of a stack of trials at a state X
+    (before) and its image F(X) (after), both over the trials' padded
+    agents, with the row norms of M X; agents holds each trial's real agent
+    count. Returns, per trial, its Rotation if it passes, else None.
+
+    Over the real agents alone (a pad row stays e_1 while the real rows
+    turn), Q is the orthogonal Procrustes fit, U V^T from the SVD of X^T F(X),
+    and the fit is ||XQ - F(X)||. A trial whose fit is at most RE_FIT_TOL is
+    linearized: X is a fixed point of X -> F(X) Q^T, whose differential in
+    the tangent bases B at X and Q^T B at its image is the reduced matrix
+    with blocks m_ij (Q^T B_i)^T B_j / ||row i of M X||. Its eigenvalues on
+    the rotation orbit, d(d-1)/2 - (d-r)(d-r-1)/2 of them at rank r, have
+    modulus 1. The trial passes if every other one has modulus at most
+    rho <= 1 - RE_ORBIT_MARGIN, so the rotation is linearly stable, and if
+    fit / (1 - rho), the rows' distance to the rotation they approach in
+    the linearization, is at most RE_FIT_TOL / 2: their Gram matrix, which
+    moves at most about twice as far, then stays within RE_FIT_TOL. The rank
+    is taken at LIMIT_RANK_TOL, as the records take it: a rank too low
+    keeps an orbit eigenvalue in the test, which then fails.
+    """
+    found = [None] * len(agents)
+    d = before.shape[-1]
+    real = (np.arange(before.shape[1]) < agents[:, None])[..., None]
+    x, y = before * real, after * real
+    u, _, vt = np.linalg.svd(np.swapaxes(x, -1, -2) @ y)
+    q = u @ vt
+    fits = np.linalg.norm(x @ q - y, axis=(-2, -1))
+    fitting = np.flatnonzero(fits <= RE_FIT_TOL)
+    for n in np.unique(agents[fitting]):
+        ps = fitting[agents[fitting] == n]
+        rows = before[ps, :n]
+        basis = tangent_basis(rows).blocks
+        turned = np.swapaxes(q[ps], -1, -2)[:, None] @ basis
+        reduced = agent_blocks(m[ps, :n, :n] / norms[ps, :n, None], basis,
+                               np.swapaxes(turned, -1, -2))
+        moduli = -np.sort(-np.abs(np.linalg.eigvals(reduced)), axis=-1)
+        moduli = np.pad(moduli, ((0, 0), (0, 1)))  # modulus 0 past the last
+        _, sv, space = np.linalg.svd(rows)
+        ranks = (sv > LIMIT_RANK_TOL * sv[:, :1]).sum(axis=-1)
+        orbit = d * (d - 1) // 2 - (d - ranks) * (d - ranks - 1) // 2
+        off = moduli[np.arange(len(ps)), orbit]
+        for p, r, v, largest in zip(ps, ranks, space, off):
+            if largest <= 1.0 - RE_ORBIT_MARGIN and 2.0 * fits[p] <= RE_FIT_TOL * (1.0 - largest):
+                turn = v[:r] @ q[p] @ v[:r].T  # Q on the rows' span, which it maps onto itself
+                angle = float(np.abs(np.angle(np.linalg.eigvals(turn))).max())
+                found[p] = Rotation(angle, int(r), float(largest))
+    return found
+
+
 def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
               max_iter: int, weights: Optional[np.ndarray] = None,
               agents: Optional[np.ndarray] = None) -> BatchResult:
@@ -115,14 +193,19 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     where the block's states would pass BLOCK_FLOATS or max_iter, at least
     one. Inside a block only the update runs; after it, every step of the
     block is screened at once, and a trial leaves at its first step that
-    converges, whose row image vanishes, or that is max_iter. The steps a
-    trial took past that inside the block are discarded. The working set is
-    re-gathered only after a block in which a trial left, and a trial's
-    iteration count, residual and final rows are written only then. A failed
-    trial keeps the rows it failed at and the count and residual of its last
-    completed step. With weights, the potential tr(X^T W X) of each of the
-    first S trials is recorded at every state; as trials leave in order,
-    those stay a prefix of the working set.
+    converges (FIXED_POINT), whose row image vanishes (ZERO_NORM), that
+    passes the relative-equilibrium test (RELATIVE_EQUILIBRIUM), or that is
+    max_iter (AT_MAX_ITER). The test runs at each step k with k + 1 a
+    multiple of RE_CHECK_EVERY, on the states k and k + 1 the block holds,
+    for the trials whose step there exceeds RE_STEP_FLOOR (`_rotations`);
+    a trial that passes stops at step k with its state k, like a converged
+    one. The steps a trial took past its exit inside the block are
+    discarded. The working set is re-gathered only after a block in which a
+    trial left, and a trial's iteration count, residual and final rows are
+    written only then. A zero-norm trial keeps the rows it failed at and
+    the count and residual of its last completed step. With weights, the
+    potential tr(X^T W X) of each of the first S trials is recorded at every
+    state; as trials leave in order, those stay a prefix of the working set.
 
     A step is matmul, square, the sum of the squares' columns (the calls of
     `_row_norms`), sqrt and a divide per column, each a ufunc writing into
@@ -135,18 +218,21 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     one einsum over the block. Trailing pad zeros can change the last bit of
     that dot, so a trial is decided on its exact residual, the root of the
     dot over its real agents alone. That is taken only when the screen is at
-    most fp_tol^2 * (1 + STEP_FILTER_MARGIN), at max_iter, and for the
-    previous step of a failed trial.
+    most fp_tol^2 * (1 + STEP_FILTER_MARGIN), at max_iter, for the previous
+    step of a zero-norm trial, and for the step of a relative equilibrium.
     """
     t_count, size, d = rows.shape
-    spans = np.full(t_count, size * d) if agents is None else np.asarray(agents) * d
+    agents = np.full(t_count, size) if agents is None else np.asarray(agents)
+    spans = agents * d
     final = rows.copy()
     iters = np.zeros(t_count, dtype=int)
     residual = np.full(t_count, np.inf)
-    failed = np.zeros(t_count, dtype=bool)
+    status = np.empty(t_count, dtype=f"U{len(RELATIVE_EQUILIBRIUM)}")
+    rotations = {}
     idx, m, x, w = np.arange(t_count), entries, rows, weights
     last = None  # the flat previous step of each active trial
     cutoff = fp_tol * fp_tol * (1.0 + STEP_FILTER_MARGIN)
+    floor = RE_STEP_FLOOR * RE_STEP_FLOOR
     columnwise = 2 <= d < PAIRWISE_SUM_FROM
     segments, recorded = [], []  # potentials per working set, one block of states each
     if w is not None:
@@ -203,7 +289,10 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
             np.subtract(states[1:], states[:-1], steps_of[1:])
             screen = np.einsum("stk,stk->st", flat, flat)
             at_max = k + steps > max_iter
-            if clear and not at_max and screen.min() > cutoff:
+            # the block's steps s whose states k + s and k + s + 1 are tested for a
+            # relative equilibrium: those with k + s + 1 a multiple of RE_CHECK_EVERY
+            checks = range(-(k + 1) % RE_CHECK_EVERY, steps, RE_CHECK_EVERY)
+            if clear and not at_max and not checks and screen.min() > cutoff:
                 x, last, k, side = states[-1], flat[-1], k + steps, 1 - side
                 continue
             # the first step at which each trial leaves; steps if it stays
@@ -220,6 +309,15 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
                     exact = _norm(flat[s, p, :spans[idx[p]]])
                     if exact <= fp_tol:
                         leave[p], step[p] = s, exact
+            rotating = np.zeros(count, dtype=bool)
+            for s in checks:
+                pos = np.flatnonzero((leave > s) & (screen[s] > floor))
+                found = _rotations(m[pos], states[s - 1, pos] if s else x[pos], states[s, pos],
+                                   norms[s, pos], agents[idx[pos]])
+                for p, rotation in zip(pos, found):
+                    if rotation is not None:
+                        leave[p], step[p], rotating[p] = s, _norm(flat[s, p, :spans[idx[p]]]), True
+                        rotations[int(idx[p])] = rotation
             gone = np.flatnonzero(leave < steps)
             failing = fails[gone] == leave[gone]
             for p in gone[failing]:  # a failed trial keeps its previous step
@@ -233,7 +331,9 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
             iters[trials] = k + at
             residual[trials] = step[gone]
             final[trials] = np.where((at == 0)[:, None, None], x[gone], states[at - 1, gone])
-            failed[trials[failing]] = True
+            status[trials] = np.where(step[gone] <= fp_tol, FIXED_POINT, AT_MAX_ITER)
+            status[trials[rotating[gone]]] = RELATIVE_EQUILIBRIUM
+            status[trials[failing]] = ZERO_NORM
             iters[trials[failing]] = np.maximum(k + at[failing] - 1, 0)
             if w is not None and len(gone):
                 # the blocks of potentials and the prefix positions that leave after them
@@ -260,26 +360,27 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
             buffer[(starts[ids] + ks)[inside]] = block[inside]
             ids, first = np.delete(ids, gone), first + len(block)
         histories = [buffer[a:b] for a, b in zip(starts[:-1], starts[1:])]
-    return BatchResult(final, iters, residual, failed, histories)
+    return BatchResult(final, iters, residual, status, rotations, histories)
 
 
 def run(m, c0: Configuration, fp_tol: float = FP_TOL, max_iter: int = MAX_ITER,
         a_for_potential: Optional[WeightMatrix] = None) -> TrajectoryResult:
-    """Iterate until the fixed-point residual ||f(x) - x||_2 drops to fp_tol
+    """Iterate until the fixed-point residual ||f(x) - x||_2 drops to fp_tol,
+    the trajectory is certified to rotate rigidly (a relative equilibrium),
     or max_iter steps have been taken. With a_for_potential, records its
     potential at every visited configuration. A lockstep run of one trial; a
     zero-norm row image raises ZeroDivisionError naming the agent."""
     entries = as_array(m)
     weights = None if a_for_potential is None else a_for_potential.entries[None]
     out = _lockstep(entries[None], c0.rows[None], fp_tol, max_iter, weights)
-    if out.failed[0]:
+    if out.status[0] == ZERO_NORM:
         _step(entries, out.rows[0])  # raises, naming the agent
-    residual = float(out.residual[0])
     return TrajectoryResult(
         final=Configuration(out.rows[0]),
         iterations=int(out.iters[0]),
-        residual=residual,
-        converged=residual <= fp_tol,
+        residual=float(out.residual[0]),
+        converged=out.status[0] == FIXED_POINT,
+        status=str(out.status[0]),
         potential_history=None if weights is None else out.potential_histories[0],
     )
 
@@ -295,8 +396,8 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
     S <= T, records the potential of each of the first S trials at every
     visited configuration. Trial t's final rows, iteration count, residual
     and potential history equal those of `run` on entries[t] from the rows
-    rows[t] bit for bit; a trial whose row image vanishes is flagged in
-    `failed` instead of raising.
+    rows[t] bit for bit; a trial whose row image vanishes ends with status
+    ZERO_NORM instead of raising.
 
     Trials with fewer agents share the call as `pad_agents` stacks them:
     agents[t] is then trial t's own agent count, and its results, the

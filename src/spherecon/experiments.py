@@ -37,8 +37,7 @@ from .graph import (DirectedGraph, adjacency_matrix, backbone_graphs, complete_g
                     random_connected_er, ring_graph)
 from .seeding import derive_seed, derive_seeds, generator, generator_words
 from .state import Configuration, classify_configuration, start_rows, tangent_basis
-from .tolerances import (A_RESIDUAL_TOL, AUDIT_PERTURBATION, FP_TOL, LIMIT_RANK_TOL,
-                         NEUTRAL_TOL)
+from .tolerances import A_RESIDUAL_TOL, AUDIT_PERTURBATION, LIMIT_RANK_TOL, NEUTRAL_TOL
 from .weights import WeightMatrix, descent_matrix, sdd_entries
 
 RECORD_FIELDS = ["trial", "seed", "n", "d", "graph_hash", "matrix_hash", "class",
@@ -169,6 +168,8 @@ class _Trial:
     iters: int = 0
     residual: float = float("nan")
     min_potential_step: Optional[float] = None
+    status: Optional[str] = None
+    rotation: Optional[dynamics.Rotation] = None
 
 
 def _plan(cfg: ExperimentConfig, trials: list, streams=(1, 2, 3)) -> list:
@@ -270,8 +271,9 @@ def _run_group(cfg: ExperimentConfig, members: list, descent: bool):
     histories = out.potential_histories or []
     for pos, trial in enumerate(members):
         trial.iters, trial.residual = int(out.iters[pos]), float(out.residual[pos])
+        trial.status, trial.rotation = str(out.status[pos]), out.rotations.get(pos)
         rows = out.rows[pos, :trial.n]
-        if out.failed[pos]:
+        if trial.status == dynamics.ZERO_NORM:
             try:
                 dynamics.iterate(mats[pos], Configuration(rows))
             except ZeroDivisionError as exc:  # names the agent
@@ -310,7 +312,7 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
             continue
         cls = classify_configuration(trial.final, LIMIT_RANK_TOL)
         if descent:
-            kind = cls.kind if trial.residual <= FP_TOL else "nonconverged"
+            kind = cls.kind if trial.status == dynamics.FIXED_POINT else "nonconverged"
             values = (dynamics.fixed_point_residual(trial.weights, trial.final),
                       trial.residual, nan)
         else:
@@ -318,9 +320,12 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
             values = (trial.residual, nan, radii[trial.t])
         records.append(TrialRecord(trial.t, tseed, trial.n, trial.d, *hashes, kind,
                                    cls.rank, trial.iters, *values))
-    ran = [tr.iters for tr in trials if tr.start is not None]
-    return records, errors, {"lockstep_groups": len(groups),
-                             "iteration_histogram": _iteration_histogram(ran, cfg.max_iter)}
+    ran = [tr for tr in trials if tr.status is not None]
+    statuses = [tr.status for tr in ran]
+    return records, errors, {
+        "lockstep_groups": len(groups),
+        "iteration_histogram": _iteration_histogram([tr.iters for tr in ran], cfg.max_iter),
+        "status_counts": {s: statuses.count(s) for s in dynamics.STATUSES}}
 
 
 SPECTRAL_STACK = 64  # trials per spectral_radius call: caps its stacks at a few MB
@@ -452,17 +457,9 @@ def cmd_rank_table(cfg: ExperimentConfig):
 # theorem2: descent mode over non-symmetric matrices never leaves rank one
 # --------------------------------------------------------------------------
 
-def cmd_theorem2_probe(cfg: ExperimentConfig):
-    """Descent mode with non-symmetric SDD matrices: d=2 over strongly
-    connected graphs, d>=3 over complete graphs. Counts converged limits of
-    rank >= 2 (expected zero) and stores any counterexample verbatim.
-
-    Without symmetry the descent iteration has no monotone potential, so many
-    trajectories cycle instead of converging; those produce no fixed point and
-    are recorded as non-converged rather than counted against the probe.
-    """
-    if cfg.symmetric:
-        raise ValueError("theorem2 probe requires non-symmetric weight matrices")
+def _theorem2_trials(cfg: ExperimentConfig) -> list:
+    """The theorem2 probe's trials, not yet planned: d = 2 on strongly
+    connected graphs of cfg.graph's model, d >= 3 on complete graphs."""
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xF00D))
     trials = []
     for t in range(cfg.trials):
@@ -470,6 +467,24 @@ def cmd_theorem2_probe(cfg: ExperimentConfig):
         n = cfg.n or int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
         trials.append(_Trial(t, n, d, False, "complete" if d >= 3 else cfg.graph,
                              symmetric_graph=False))
+    return trials
+
+
+def cmd_theorem2_probe(cfg: ExperimentConfig):
+    """Descent mode with non-symmetric SDD matrices: d=2 over strongly
+    connected graphs, d>=3 over complete graphs. Counts converged limits of
+    rank >= 2 (expected zero) and stores any counterexample verbatim.
+
+    Without symmetry the descent iteration has no monotone potential, so many
+    trajectories cycle instead of converging; those produce no fixed point and
+    are recorded as non-converged rather than counted against the probe. Most
+    of them turn rigidly and stop at a certified relative equilibrium, which
+    the summary lists with its rotation angle, rank and largest modulus off
+    the orbit; the others run to max_iter.
+    """
+    if cfg.symmetric:
+        raise ValueError("theorem2 probe requires non-symmetric weight matrices")
+    trials = _theorem2_trials(cfg)
     records, errors, run_fields = _run_trials(cfg, _plan(cfg, trials), descent=True)
     counterexamples = [{
         "trial": tr.t, "matrix": tr.weights.entries.tolist(),
@@ -485,6 +500,8 @@ def cmd_theorem2_probe(cfg: ExperimentConfig):
         "counterexamples": counterexamples,
         "errors": errors,
         **run_fields,
+        "relative_equilibria": [{"trial": tr.t, **tr.rotation._asdict()}
+                                for tr in trials if tr.rotation is not None],
     }
     _emit(cfg, records, summary)
     return records, summary
@@ -536,8 +553,8 @@ def cmd_pentagon_demo(out: Optional[str] = None) -> dict:
 
 class DescentPoints(list):
     """(weight matrix, limit configuration, trial index) triples, with
-    `counts`: the points requested, the trials run, and the trials whose
-    iteration hit a zero-norm row image."""
+    `counts`: the points requested, the trials run, the trials whose
+    iteration hit a zero-norm row image, and the trials run by status."""
 
     counts: dict
 
@@ -554,7 +571,7 @@ def collect_descent_fixed_points(cfg: ExperimentConfig, count: int,
     before the first chunk), so it runs few trials past the last hit kept."""
     out = []
     t = 0
-    zero_norm = 0
+    statuses = dict.fromkeys(dynamics.STATUSES, 0)
     limit = max(50 * count, 1000)
     while len(out) < count and t < limit:
         size = -(-(count - len(out)) * max(t, 1) // max(len(out), 1))  # ceiling
@@ -563,20 +580,20 @@ def collect_descent_fixed_points(cfg: ExperimentConfig, count: int,
         records, _, _ = _run_trials(cfg, chunk, descent=True)
         for trial, r in zip(chunk, records):
             t = trial.t + 1
-            if isinstance(trial.error, ZeroDivisionError):
-                zero_norm += 1
-            elif trial.error is not None:
+            if trial.error is not None and not isinstance(trial.error, ZeroDivisionError):
                 raise trial.error
-            elif (r.klass not in ("consensus", "nonconverged") and r.rank >= require_rank_ge
-                    and r.residual_A <= a_residual_tol):
+            statuses[trial.status] += 1
+            if (trial.status == dynamics.FIXED_POINT and r.klass != "consensus"
+                    and r.rank >= require_rank_ge and r.residual_A <= a_residual_tol):
                 out.append((trial.weights, trial.final, trial.t))
                 if len(out) == count:
                     break
     if len(out) < count:
         warnings.warn(f"found {len(out)} of {count} descent fixed points in "
-                      f"{t} trials ({zero_norm} zero-norm)", RuntimeWarning)
+                      f"{t} trials ({statuses[dynamics.ZERO_NORM]} zero-norm)", RuntimeWarning)
     points = DescentPoints(out)
-    points.counts = {"requested": count, "trials_run": t, "zero_norm_trials": zero_norm}
+    points.counts = {"requested": count, "trials_run": t,
+                     "zero_norm_trials": statuses[dynamics.ZERO_NORM], "status_counts": statuses}
     return points
 
 
@@ -611,7 +628,8 @@ def cmd_stability_audit(cfg: ExperimentConfig, count: int = 100,
         out = dynamics.run_batch(np.stack([a.entries for a, _, _ in points]),
                                  np.stack(perturbed), max_iter=cfg.max_iter)
         escapes = sum(classify_configuration(Configuration(rows)).is_consensus
-                      for rows, failed in zip(out.rows, out.failed) if not failed)
+                      for rows, status in zip(out.rows, out.status)
+                      if status != dynamics.ZERO_NORM)
     # determinant floor for sqrt(2)-condition matrices, SPECTRAL_STACK draws per stack
     draws = _plan(replace(cfg, margin=0.45), [_Trial(k, cfg.n, cfg.d, True, cfg.graph)
                                               for k in range(det_trials)], streams=(11, 12, 13))

@@ -32,3 +32,12 @@ UNIT_NORM_TOL = 1e-9
 PIN_TOL = 1e-14
 # norm of the audit's tangent perturbation: far above FP_TOL, small enough to stay linear; not derived
 AUDIT_PERTURBATION = 1e-6
+# how far a trial that stops as rotating rigidly may lie from its rotation, estimated from its
+# Procrustes fit ||XQ - F(X)||: below the fits of 1.1e-9 to 1.9e-8 of collapses that mimic one
+RE_FIT_TOL = 1e-10
+# smallest step of a trial that stops as rotating rigidly: far above FP_TOL, so a trial still
+# creeping onto a fixed point (steps of 2e-9 to 2e-8 seen) is never taken for a rotation
+RE_STEP_FLOOR = 1e-6
+# a rotating trial stops only if every eigenvalue off its orbit has modulus <= 1 - RE_ORBIT_MARGIN,
+# that is, if the rotation is linearly stable; not derived
+RE_ORBIT_MARGIN = 1e-3

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from spherecon import dynamics
-from spherecon.dynamics import (_row_norms, _step, find_nonconsensus_fixed_point,
-                                fixed_point_residual, iterate, pad_agents, potential,
-                                run, run_batch)
+from spherecon.dynamics import (FIXED_POINT, RELATIVE_EQUILIBRIUM, ZERO_NORM, _row_norms,
+                                _step, find_nonconsensus_fixed_point, fixed_point_residual,
+                                iterate, pad_agents, potential, run, run_batch)
 from spherecon.fixedpoint_rank import compute_D
 from spherecon.graph import (DirectedGraph, complete_graph,
                              random_strongly_connected,
                              random_symmetric_connected)
 from spherecon.state import (Configuration, classify_configuration,
-                             consensus_configuration, random_configuration)
-from spherecon.tolerances import STEP_FILTER_MARGIN
+                             consensus_configuration, random_configuration, unit_rows)
+from spherecon.tolerances import RE_FIT_TOL, RE_ORBIT_MARGIN, RE_STEP_FLOOR, STEP_FILTER_MARGIN
 from spherecon.weights import (WeightMatrix, descent_matrix,
                                left_scale_normalize, sample_sdd)
 
@@ -209,7 +209,7 @@ def _lockstep_against_per_trial_loop(max_iter=300):
         mats, starts, weights = (np.stack(x) for x in zip(*members))
         out = run_batch(mats, starts, fp_tol=1e-12, max_iter=max_iter,
                         potential_weights=weights)
-        assert not out.failed.any()
+        assert ZERO_NORM not in out.status
         for t, (m, rows, w) in enumerate(members):
             final, iters, residual, history = _per_trial_run(m, rows, 1e-12, max_iter, w)
             assert np.array_equal(Configuration(out.rows[t]).rows, Configuration(final).rows)
@@ -314,7 +314,7 @@ def test_block_boundaries_match_per_trial_loop(monkeypatch, block_steps, block_f
         starts = [start] + [random_configuration(n, 2, seed=40 + s).rows for s in (1, 2)]
         out = run_batch(np.stack(mats), np.stack(starts), max_iter=60,
                         potential_weights=np.stack(mats))
-        assert out.failed.tolist() == [True, False, False]
+        assert (out.status == ZERO_NORM).tolist() == [True, False, False]
         rows, iters, residual, history = _per_trial_run(m, start, 0.0, fail_at - 1, m)
         assert out.iters[0] == fail_at - 1 and out.residual[0] == residual
         assert np.array_equal(out.rows[0], iterate(m, Configuration(rows)).rows)
@@ -336,9 +336,9 @@ def test_zero_row_image_fails_only_its_trial():
     starts = [random_configuration(2, 2, seed=10 + s) for s in range(4)]
     mats.insert(2, ones)
     starts.insert(2, Configuration(antipodal))
-    rows, iters, residual, failed = run_batch(np.stack(mats),
+    rows, iters, residual, status = run_batch(np.stack(mats),
                                               np.stack([c.rows for c in starts]))
-    assert failed.tolist() == [False, False, True, False, False]
+    assert (status == ZERO_NORM).tolist() == [False, False, True, False, False]
     assert iters[2] == 0 and residual[2] == np.inf
     assert np.array_equal(rows[2], antipodal)
     for t in (0, 1, 3, 4):
@@ -360,7 +360,7 @@ def test_row_norms_are_numpys_bit_for_bit():
 def _per_shape_and_padded(mats, starts, weights, fp_tol=1e-12, max_iter=300):
     """Trials of one d run as one padded call and as one call per n, the
     first len(weights) recording their potential; yields, per trial, its
-    padded and its same-shape outcome (rows, iters, residual, failed, history
+    padded and its same-shape outcome (rows, iters, residual, status, history
     or None), the padded rows stripped of their pad agents after a check that
     those stayed e_1."""
     entries, padded, stacked, agents = pad_agents(mats, starts, weights)
@@ -377,21 +377,21 @@ def _per_shape_and_padded(mats, starts, weights, fp_tol=1e-12, max_iter=300):
                         potential_weights=np.stack(weighted) if weighted else None)
         histories = ref.potential_histories or []
         for pos, t in enumerate(members):
-            alone[t] = (ref.rows[pos], ref.iters[pos], ref.residual[pos], ref.failed[pos],
+            alone[t] = (ref.rows[pos], ref.iters[pos], ref.residual[pos], ref.status[pos],
                         histories[pos] if pos < len(histories) else None)
     for t, rows in enumerate(starts):
         n = len(rows)
         pad = out.rows[t, n:]
         assert np.array_equal(pad, np.eye(1, pad.shape[1]).repeat(len(pad), axis=0))
         history = out.potential_histories[t] if t < len(weights) else None
-        yield (out.rows[t, :n], out.iters[t], out.residual[t], out.failed[t],
+        yield (out.rows[t, :n], out.iters[t], out.residual[t], out.status[t],
                history), alone[t]
 
 
 def _assert_same(padded, alone):
-    rows, iters, residual, failed, history = padded
+    rows, iters, residual, status, history = padded
     assert np.array_equal(rows, alone[0])
-    assert iters == alone[1] and failed == alone[3]
+    assert iters == alone[1] and status == alone[3]
     assert residual == alone[2] or (np.isnan(residual) and np.isnan(alone[2]))
     assert (history is None and alone[4] is None) or np.array_equal(history, alone[4])
 
@@ -449,9 +449,9 @@ def test_zero_norm_trial_inside_a_padded_batch():
         _assert_same(padded, alone)
     failed = outcomes[1][0]
     # it fails on step 1 and keeps the count and the residual of step 0
-    assert failed[3] and failed[1] == 0 and failed[2] == np.linalg.norm(
+    assert failed[3] == ZERO_NORM and failed[1] == 0 and failed[2] == np.linalg.norm(
         iterate(m, Configuration(start)).rows - start)
-    assert [o[0][3] for o in outcomes] == [False, True, False, False]
+    assert [o[0][3] == ZERO_NORM for o in outcomes] == [False, True, False, False]
     with pytest.raises(ZeroDivisionError, match="agent 3"):
         iterate(m, Configuration(failed[0]))
 
@@ -477,3 +477,93 @@ def test_padded_step_inside_the_screen_band_is_decided_exactly():
         rows, k, res = outcomes[0][0][:3]
         assert np.array_equal(rows, final) and k == iters and res == residual
         assert (k == 6 and res == step6) if stop else k > 6
+
+
+def _rotating_wave():
+    """The directed 3-cycle of demos/rotating_wave.py and its start, from
+    which the iteration locks into an equilateral wave turning rigidly."""
+    g = DirectedGraph.from_edges(3, [(1, 2), (2, 3), (3, 1)])
+    return (sample_sdd(g, margin=0.1, symmetric=False, seed=0).entries,
+            random_configuration(3, 2, seed=10009).rows)
+
+
+@pytest.mark.parametrize("block_steps", [1, 5, 32])
+def test_rotating_wave_stops_as_relative_equilibrium_alone_and_padded(monkeypatch, block_steps):
+    # the relative-equilibrium tests fall on fixed steps, so blocks of any
+    # length stop the wave at the same step
+    monkeypatch.setattr(dynamics, "BLOCK_STEPS", block_steps)
+    m, start = _rotating_wave()
+    alone = run_batch(m[None], start[None], max_iter=10 ** 5)
+    other = sample_sdd(complete_graph(5), 0.1, True, seed=1).entries
+    entries, rows, _, agents = pad_agents([other, m], [random_configuration(5, 2, seed=3).rows,
+                                                       start])
+    padded = run_batch(entries, rows, max_iter=10 ** 5, agents=agents)
+    assert alone.status.tolist() == [RELATIVE_EQUILIBRIUM]
+    assert padded.status.tolist() == [FIXED_POINT, RELATIVE_EQUILIBRIUM]
+    k = int(alone.iters[0])
+    assert padded.iters[1] == k == dynamics.RE_CHECK_EVERY - 1
+    assert np.array_equal(padded.rows[1, :3], alone.rows[0])
+    assert padded.residual[1] == alone.residual[0] > RE_STEP_FLOOR
+    # the stop state and its step are those of the iteration itself
+    final, iters, residual, _ = _per_trial_run(m, start, 0.0, k, m)
+    assert np.array_equal(alone.rows[0], final) and alone.residual[0] == residual
+    (key, rotation), = alone.rotations.items()
+    assert key == 0 and list(padded.rotations) == [1]
+    assert rotation.rank == 2 and rotation.off_orbit_modulus <= 1.0 - RE_ORBIT_MARGIN
+    assert padded.rotations[1].angle == pytest.approx(rotation.angle, abs=1e-12)
+    # the recorded angle is the heading change of every agent in one step
+    x = Configuration(alone.rows[0])
+    y = iterate(m, x).rows
+    turns = np.angle((y[:, 0] + 1j * y[:, 1]) / (x.rows[:, 0] + 1j * x.rows[:, 1]))
+    assert np.abs(turns) == pytest.approx(np.full(3, rotation.angle), abs=RE_FIT_TOL)
+    res = run(m, Configuration(start), max_iter=10 ** 5)
+    assert (res.status, res.converged, res.iterations) == (RELATIVE_EQUILIBRIUM, False, k)
+
+
+def _splay(n, k, a, b):
+    """The splay state of the directed n-ring a I + b P, its agents 2 pi k / n
+    apart on the circle: by the ring's symmetry an exact relative
+    equilibrium. Returns (matrix, rows, image rows, row norms)."""
+    m = a * np.eye(n) + b * np.roll(np.eye(n), 1, axis=1)
+    angles = 2.0 * np.pi * k * np.arange(n) / n
+    rows = np.column_stack([np.cos(angles), np.sin(angles)])
+    image, norms = _step(m, rows)
+    return m, rows, image, norms
+
+
+def _rotation_of(m, rows, image, norms):
+    return dynamics._rotations(m[None], rows[None], image[None], norms[None],
+                               np.array([len(rows)]))[0]
+
+
+def test_relative_equilibrium_test_keeps_only_stable_settled_rotations():
+    # stable: every modulus off the orbit is 0.857 or less
+    stable = _splay(5, 1, 1.0, 0.5)
+    rotation = _rotation_of(*stable)
+    assert rotation.rank == 2 and rotation.off_orbit_modulus == pytest.approx(0.857, abs=1e-3)
+    assert rotation.angle == pytest.approx(np.arctan2(0.5 * np.sin(2 * np.pi / 5),
+                                                      1.0 + 0.5 * np.cos(2 * np.pi / 5)))
+    # unstable (moduli up to 1.65) and neutral (every modulus 1), though exact
+    assert _rotation_of(*_splay(5, 2, 1.0, 0.5)) is None
+    assert _rotation_of(*_splay(6, 1, 1.0, -0.5)) is None
+    # the stable one knocked off its rotation: a fit below RE_FIT_TOL that, over
+    # 1 - rho, puts the rows too far from the rotation stops nothing
+    m, rows, _, _ = stable
+    kick = np.random.default_rng(0).standard_normal(rows.shape)
+    for eps, stops in ((1e-10, False), (1e-12, True)):
+        moved = unit_rows(rows + eps * kick)
+        image, norms = _step(m, moved)
+        u, _, vt = np.linalg.svd(moved.T @ image)
+        fit = np.linalg.norm(moved @ u @ vt - image)
+        assert fit <= RE_FIT_TOL
+        assert (2.0 * fit <= RE_FIT_TOL * (1.0 - rotation.off_orbit_modulus)) == stops
+        assert (_rotation_of(m, moved, image, norms) is not None) == stops
+
+
+def test_trial_resting_at_a_fixed_point_is_no_rotation():
+    # with fp_tol 0 this trial never converges: its steps soon fall to
+    # round-off, below the step floor, so the tests pass it by
+    a = sample_sdd(complete_graph(4), 0.1, False, seed=0)
+    res = run(a, random_configuration(4, 2, seed=0), fp_tol=0.0,
+              max_iter=dynamics.RE_CHECK_EVERY + 10)
+    assert res.status == dynamics.AT_MAX_ITER and 0.0 < res.residual < RE_STEP_FLOOR

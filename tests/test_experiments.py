@@ -8,13 +8,16 @@ import sys
 import numpy as np
 import pytest
 
-from spherecon.experiments import (RECORD_FIELDS, ExperimentConfig,
-                                   cmd_consensus_sweep, cmd_jg_rank,
+from spherecon.dynamics import RELATIVE_EQUILIBRIUM, _step
+from spherecon.experiments import (RECORD_FIELDS, ExperimentConfig, _plan, _run_trials,
+                                   _theorem2_trials, cmd_consensus_sweep, cmd_jg_rank,
                                    cmd_pentagon_demo, cmd_rank_table,
                                    cmd_stability_audit, cmd_theorem2_probe,
                                    collect_descent_fixed_points, derive_seed,
                                    pentagon_configuration,
                                    pentagon_weight_matrix)
+from spherecon.tolerances import RE_FIT_TOL, RE_STEP_FLOOR
+from spherecon.weights import descent_matrix
 
 
 def test_derive_seed_deterministic_and_distinct():
@@ -235,7 +238,46 @@ def test_theorem2_probe_zero_counterexamples():
     _, summary = cmd_theorem2_probe(cfg)
     assert summary["rank_ge2_count"] == 0
     assert summary["counterexamples"] == []
-    assert summary["iteration_histogram"]["100000"] == summary["nonconverged"]
+    # a trial that does not converge stops at a relative equilibrium or at max_iter
+    counts = summary["status_counts"]
+    assert counts["relative-equilibrium"] > 0 and counts["zero-norm"] == 0
+    assert counts["relative-equilibrium"] + counts["max-iter"] == summary["nonconverged"]
+    assert summary["iteration_histogram"]["100000"] == counts["max-iter"]
+    assert sum(counts.values()) == cfg.trials
+    assert len(summary["relative_equilibria"]) == counts["relative-equilibrium"]
+
+
+def test_near_rank_one_collapses_do_not_stop_as_rotations():
+    # four trials of criterion 6's plan whose Gram matrix barely moved for
+    # thousands of steps while they collapsed onto rank one; a Gram test took
+    # them for rigid rotations. They converge, antipodal, at these counts.
+    cfg = ExperimentConfig(seed=20260826, trials=10_000, symmetric=False)
+    expected = {1863: (2, 14374), 1913: (2, 18828), 5581: (2, 28620), 7797: (3, 28363)}
+    trials = _plan(cfg, [tr for tr in _theorem2_trials(cfg) if tr.t in expected])
+    records, _, run_fields = _run_trials(cfg, trials, descent=True)
+    assert {r.trial: (r.d, r.iters) for r in records} == expected
+    assert {(r.klass, r.rank) for r in records} == {("antipodal", 1)}
+    assert run_fields["status_counts"]["fixed-point"] == 4
+
+
+def test_stopped_trials_keep_rotating():
+    # every trial that a 40-trial theorem2 run at (n, d) = (5, 2) stops at a
+    # relative equilibrium, continued for 10^4 steps of the iteration map
+    # (all of them at once): no step falls to the stop's step floor, and the
+    # Gram matrix of its agents stays within RE_FIT_TOL of where it stopped
+    cfg = ExperimentConfig(seed=20260826, trials=40, n=5, d=2, symmetric=False)
+    trials = _plan(cfg, _theorem2_trials(cfg))
+    _run_trials(cfg, trials, descent=True)
+    stopped = [tr for tr in trials if tr.status == RELATIVE_EQUILIBRIUM]
+    assert len(stopped) >= 10
+    mats = np.stack([descent_matrix(tr.weights, cfg.slack).entries for tr in stopped])
+    rows = np.stack([tr.final.rows for tr in stopped])
+    gram = rows @ np.swapaxes(rows, -1, -2)
+    for _ in range(10_000):
+        image, _ = _step(mats, rows)
+        assert np.linalg.norm(image - rows, axis=(1, 2)).min() > RE_STEP_FLOOR
+        rows = image
+        assert np.abs(rows @ np.swapaxes(rows, -1, -2) - gram).max() <= RE_FIT_TOL
 
 
 def test_theorem2_perturbation_of_symmetric_matrix():
@@ -309,8 +351,9 @@ def test_descent_search_reports_shortfall():
     with pytest.warns(RuntimeWarning, match="found 0 of 2"):
         points = collect_descent_fixed_points(cfg, count=2)
     assert len(points) == 0
-    assert points.counts == {"requested": 2, "trials_run": 1000,
-                             "zero_norm_trials": 0}
+    assert points.counts == {"requested": 2, "trials_run": 1000, "zero_norm_trials": 0,
+                             "status_counts": {"fixed-point": 0, "relative-equilibrium": 0,
+                                               "max-iter": 1000, "zero-norm": 0}}
     with pytest.warns(RuntimeWarning):
         summary = cmd_jg_rank(cfg, count=2)
     assert summary["fixed_points"] == 0

@@ -34,5 +34,7 @@ def test_every_entry_has_its_value_and_a_reason():
         "UNIT_NORM_TOL": 1e-9, "PIN_TOL": 1e-14, "AUDIT_PERTURBATION": 1e-6,
         # added with the padded lockstep kernel; no value before it
         "STEP_FILTER_MARGIN": 1e-9,
+        # added with the relative-equilibrium stop; no value before it
+        "RE_FIT_TOL": 1e-10, "RE_STEP_FLOOR": 1e-6, "RE_ORBIT_MARGIN": 1e-3,
     }
     assert all(getattr(tolerances, name) == value for name, value in entries.items())
