@@ -95,7 +95,8 @@ def main(argv=None) -> int:
         raise SystemExit(f"unknown command {args.command}")
 
     slim = {k: v for k, v in summary.items()
-            if k not in ("details", "reports", "counterexamples", "errors")}
+            if k not in ("details", "reports", "counterexamples", "errors",
+                         "relative_equilibria")}
     print(json.dumps(slim, indent=2, default=str))
     return 0
 

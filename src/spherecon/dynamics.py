@@ -1,7 +1,8 @@
 """The sphere-projection iteration: each agent replaces its state by the
 normalized conical combination of its neighbors' states. Includes the
 quadratic potential, the lockstep kernel behind every trajectory (`run_batch`
-for a stack of trials, `run` for one), and the descent mode used to locate
+for a stack of trials, `run` for one), which can keep each trial's smallest
+per-step change of a potential, and the descent mode used to locate
 non-consensus fixed points.
 """
 
@@ -73,7 +74,7 @@ class TrajectoryResult:
     residual: float
     converged: bool
     status: str  # FIXED_POINT, RELATIVE_EQUILIBRIUM or AT_MAX_ITER
-    potential_history: Optional[np.ndarray] = None
+    min_potential_step: Optional[float] = None
     # populated by the descent mode
     classification: Optional[ConfigurationClass] = None
     residual_weight: Optional[float] = None
@@ -95,15 +96,15 @@ class BatchResult:
     residual, status). status names how each trial ended: FIXED_POINT,
     RELATIVE_EQUILIBRIUM, AT_MAX_ITER or ZERO_NORM. rotations maps each
     trial that stopped at a relative equilibrium to its Rotation.
-    potential_histories, when recorded, holds the potential at steps
-    0..iters of each trial that has potential weights."""
+    min_potential_step, for trials with potential weights, holds each one's
+    smallest change of the potential over a step, inf if it took none."""
 
     rows: np.ndarray
     iters: np.ndarray
     residual: np.ndarray
     status: np.ndarray
     rotations: dict
-    potential_histories: Optional[list] = None
+    min_potential_step: Optional[np.ndarray] = None
 
     def __iter__(self):
         return iter((self.rows, self.iters, self.residual, self.status))
@@ -204,8 +205,10 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     trial left, and a trial's iteration count, residual and final rows are
     written only then. A zero-norm trial keeps the rows it failed at and
     the count and residual of its last completed step. With weights, the
-    potential tr(X^T W X) of each of the first S trials is recorded at every
-    state; as trials leave in order, those stay a prefix of the working set.
+    potential tr(X^T W X) of each of the first S trials is taken at every
+    state of a block, and its change over each step the trial took up to
+    the rows it keeps is folded into that trial's smallest step; as trials
+    leave in order, those stay a prefix of the working set.
 
     A step is matmul, square, the sum of the squares' columns (the calls of
     `_row_norms`), sqrt and a divide per column, each a ufunc writing into
@@ -234,9 +237,10 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     cutoff = fp_tol * fp_tol * (1.0 + STEP_FILTER_MARGIN)
     floor = RE_STEP_FLOOR * RE_STEP_FLOOR
     columnwise = 2 <= d < PAIRWISE_SUM_FROM
-    segments, recorded = [], []  # potentials per working set, one block of states each
-    if w is not None:
-        recorded.append(np.einsum("tij,stik,stjk->st", w, x[None, :len(w)], x[None, :len(w)]))
+    worst = None  # each weighted trial's smallest potential step so far
+    if w is not None:  # and the potential of its current state
+        worst = np.full(len(w), np.inf)
+        level = np.einsum("tij,stik,stjk->st", w, x[None, :len(w)], x[None, :len(w)])[0]
     k, shape = 0, None
     with np.errstate(all="ignore"):  # steps after a zero-norm image are discarded
         while len(idx) and k <= max_iter:
@@ -277,8 +281,9 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
                     np.divide(column, norm, column)
                 prev = z
             if w is not None:
-                recorded.append(np.einsum("tij,stik,stjk->st", w, states[:, :len(w)],
-                                          states[:, :len(w)]))
+                pots = np.einsum("tij,stik,stjk->st", w, states[:, :len(w)], states[:, :len(w)])
+                rises = np.diff(pots, axis=0, prepend=level[None])
+                level, weighted = pots[-1], idx[:len(w)]
             clear = norms.min() > MIN_ROW_NORM  # false on NaN too
             if not clear and last is not None:
                 # a trial failing at the block's first step keeps the step before it,
@@ -293,6 +298,8 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
             # relative equilibrium: those with k + s + 1 a multiple of RE_CHECK_EVERY
             checks = range(-(k + 1) % RE_CHECK_EVERY, steps, RE_CHECK_EVERY)
             if clear and not at_max and not checks and screen.min() > cutoff:
+                if w is not None:
+                    worst[weighted] = np.minimum(worst[weighted], rises.min(axis=0))
                 x, last, k, side = states[-1], flat[-1], k + steps, 1 - side
                 continue
             # the first step at which each trial leaves; steps if it stays
@@ -335,43 +342,31 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
             status[trials[rotating[gone]]] = RELATIVE_EQUILIBRIUM
             status[trials[failing]] = ZERO_NORM
             iters[trials[failing]] = np.maximum(k + at[failing] - 1, 0)
-            if w is not None and len(gone):
-                # the blocks of potentials and the prefix positions that leave after them
-                segments.append((recorded, np.flatnonzero(leave[:len(w)] < steps)))
-                recorded = []
+            if w is not None:  # the steps s < leave each trial took in this block
+                taken = np.arange(steps)[:, None] < leave[:len(w)]
+                worst[weighted] = np.minimum(worst[weighted],
+                                             np.where(taken, rises, np.inf).min(axis=0))
             keep = leave == steps
             if len(gone):
                 idx, m, x, last = idx[keep], m[keep], states[-1][keep], flat[-1][keep]
                 if w is not None:
-                    w = w[keep[:len(w)]]
+                    w, level = w[keep[:len(w)]], level[keep[:len(w)]]
             else:
                 x, last, side = states[-1], flat[-1], 1 - side
             k += steps
-    histories = None
-    if weights is not None:
-        # trial t's history is the slice starts[t]:starts[t + 1] of one buffer
-        starts = np.concatenate(([0], np.cumsum(iters[:len(weights)] + 1)))
-        buffer = np.empty(starts[-1])
-        ids, first = np.arange(len(weights)), 0
-        for blocks, gone in segments:
-            block = np.concatenate(blocks)
-            ks = np.arange(first, first + len(block))[:, None]
-            inside = ks <= iters[ids]
-            buffer[(starts[ids] + ks)[inside]] = block[inside]
-            ids, first = np.delete(ids, gone), first + len(block)
-        histories = [buffer[a:b] for a, b in zip(starts[:-1], starts[1:])]
-    return BatchResult(final, iters, residual, status, rotations, histories)
+    return BatchResult(final, iters, residual, status, rotations, worst)
 
 
 def run(m, c0: Configuration, fp_tol: float = FP_TOL, max_iter: int = MAX_ITER,
-        a_for_potential: Optional[WeightMatrix] = None) -> TrajectoryResult:
+        potential_weights: Optional[np.ndarray] = None) -> TrajectoryResult:
     """Iterate until the fixed-point residual ||f(x) - x||_2 drops to fp_tol,
     the trajectory is certified to rotate rigidly (a relative equilibrium),
-    or max_iter steps have been taken. With a_for_potential, records its
-    potential at every visited configuration. A lockstep run of one trial; a
-    zero-norm row image raises ZeroDivisionError naming the agent."""
+    or max_iter steps have been taken. With potential_weights, an n x n
+    array W, records the smallest change of tr(X^T W X) over a step (inf
+    without a step). A lockstep run of one trial; a zero-norm row image
+    raises ZeroDivisionError naming the agent."""
     entries = as_array(m)
-    weights = None if a_for_potential is None else a_for_potential.entries[None]
+    weights = None if potential_weights is None else np.asarray(potential_weights, float)[None]
     out = _lockstep(entries[None], c0.rows[None], fp_tol, max_iter, weights)
     if out.status[0] == ZERO_NORM:
         _step(entries, out.rows[0])  # raises, naming the agent
@@ -381,7 +376,7 @@ def run(m, c0: Configuration, fp_tol: float = FP_TOL, max_iter: int = MAX_ITER,
         residual=float(out.residual[0]),
         converged=out.status[0] == FIXED_POINT,
         status=str(out.status[0]),
-        potential_history=None if weights is None else out.potential_histories[0],
+        min_potential_step=None if weights is None else float(out.min_potential_step[0]),
     )
 
 
@@ -393,11 +388,11 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
 
     entries is a (T, n, n) stack of iteration matrices and rows a (T, n, d)
     stack of start configurations; potential_weights, an (S, n, n) stack with
-    S <= T, records the potential of each of the first S trials at every
-    visited configuration. Trial t's final rows, iteration count, residual
-    and potential history equal those of `run` on entries[t] from the rows
-    rows[t] bit for bit; a trial whose row image vanishes ends with status
-    ZERO_NORM instead of raising.
+    S <= T, records for each of the first S trials the smallest change of its
+    potential over a step. Trial t's final rows, iteration count, residual
+    and smallest potential step equal those of `run` on entries[t] from the
+    rows rows[t] bit for bit; a trial whose row image vanishes ends with
+    status ZERO_NORM instead of raising.
 
     Trials with fewer agents share the call as `pad_agents` stacks them:
     agents[t] is then trial t's own agent count, and its results, the

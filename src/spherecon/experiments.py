@@ -256,11 +256,11 @@ def _run_group(cfg: ExperimentConfig, members: list, descent: bool):
     """Run trials of one d as one dynamics.run_batch call, agents padded to
     the largest n (dynamics.pad_agents), with the weight matrix itself or
     (descent) its descent matrix, and store each outcome on its trial, pad
-    rows stripped. Without descent, symmetric trials record their potential."""
+    rows stripped. Without descent, symmetric trials keep their least potential step."""
     weights = None
     if descent:
         mats = [descent_matrix(tr.weights, cfg.slack).entries for tr in members]
-    else:  # symmetric trials first: the kernel records their potential
+    else:  # symmetric trials first: the kernel tracks their potential
         members.sort(key=lambda tr: not tr.symmetric)
         mats = [tr.weights.entries for tr in members]
         weights = [m for m, tr in zip(mats, members) if tr.symmetric]
@@ -268,7 +268,7 @@ def _run_group(cfg: ExperimentConfig, members: list, descent: bool):
         mats, [tr.start for tr in members], weights)
     out = dynamics.run_batch(entries, starts, max_iter=cfg.max_iter,
                              potential_weights=weights, agents=agents)
-    histories = out.potential_histories or []
+    least = [] if weights is None else out.min_potential_step
     for pos, trial in enumerate(members):
         trial.iters, trial.residual = int(out.iters[pos]), float(out.residual[pos])
         trial.status, trial.rotation = str(out.status[pos]), out.rotations.get(pos)
@@ -280,15 +280,16 @@ def _run_group(cfg: ExperimentConfig, members: list, descent: bool):
                 trial.error = exc
                 continue
         trial.final = Configuration(rows)
-        if pos < len(histories) and len(histories[pos]) > 1:
-            trial.min_potential_step = float(np.diff(histories[pos]).min())
+        if pos < len(least) and least[pos] < np.inf:
+            trial.min_potential_step = float(least[pos])
 
 
 def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
     """Run the planned trials, one `_run_group` per d, and record them in
-    trial order. A descent record names a limit only if it converged and
-    carries the residuals under A and under the descent matrix; a plain
-    record carries the residual and the spectral radius at the limit. An
+    trial order. A record names a limit only if its trial reached a fixed
+    point, and is "nonconverged" otherwise. A descent record carries the
+    residuals under A and under the descent matrix; a plain record carries
+    the residual and the spectral radius at the limit (NaN without one). An
     error record keeps the hashes of every draw that succeeded.
 
     Returns (records, error entries, summary fields of the run).
@@ -311,13 +312,12 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
                                        0, trial.iters, nan, nan, nan))
             continue
         cls = classify_configuration(trial.final, LIMIT_RANK_TOL)
+        kind = cls.kind if trial.status == dynamics.FIXED_POINT else "nonconverged"
         if descent:
-            kind = cls.kind if trial.status == dynamics.FIXED_POINT else "nonconverged"
             values = (dynamics.fixed_point_residual(trial.weights, trial.final),
                       trial.residual, nan)
         else:
-            kind = cls.kind
-            values = (trial.residual, nan, radii[trial.t])
+            values = (trial.residual, nan, radii.get(trial.t, nan))
         records.append(TrialRecord(trial.t, tseed, trial.n, trial.d, *hashes, kind,
                                    cls.rank, trial.iters, *values))
     ran = [tr for tr in trials if tr.status is not None]
@@ -332,11 +332,11 @@ SPECTRAL_STACK = 64  # trials per spectral_radius call: caps its stacks at a few
 
 
 def _spectral_radii(trials: list) -> dict:
-    """The spectral radius at each limit, by trial index: stacked
+    """The spectral radius at each fixed-point limit, by trial index: stacked
     `stability.spectral_radius` calls per (n, d), SPECTRAL_STACK trials each."""
     shapes: dict = {}
     for trial in trials:
-        if trial.final is not None:
+        if trial.status == dynamics.FIXED_POINT:
             shapes.setdefault((trial.n, trial.d), []).append(trial)
     radii = {}
     for members in shapes.values():
@@ -365,8 +365,9 @@ def _iteration_histogram(iters: list, max_iter: int) -> dict:
 
 def cmd_consensus_sweep(cfg: ExperimentConfig):
     """Random (graph, SDD weight matrix, start) per trial; run the iteration
-    and classify the limit. For symmetric trials the potential is recorded
-    and its per-step decrease is tracked (it should never decrease).
+    and classify the limit. For symmetric trials the kernel tracks the
+    smallest per-step change of the potential (it should never decrease).
+    A trial that reaches no fixed point is nonconverged, never a limit.
 
     Graph topologies are symmetric even when the weights are not: directed
     circulation-dominated topologies (e.g. a pure directed cycle) admit
@@ -390,15 +391,15 @@ def cmd_consensus_sweep(cfg: ExperimentConfig):
                                if tr.min_potential_step is not None), default=None)
     nonconsensus_by_d: dict = {}
     for r in records:
-        if r.klass != "error":
+        if r.klass not in ("error", "nonconverged"):
             nonconsensus_by_d[r.d] = nonconsensus_by_d.get(r.d, 0) + (r.klass != "consensus")
-    nonconsensus = sum(nonconsensus_by_d.values())
     summary = {
         "experiment": "consensus_sweep",
         "seed": cfg.seed,
         "trials": cfg.trials,
-        "consensus_fraction": (cfg.trials - nonconsensus - len(errors)) / cfg.trials,
-        "nonconsensus_trials": nonconsensus,
+        "consensus_fraction": sum(r.klass == "consensus" for r in records) / cfg.trials,
+        "nonconsensus_trials": sum(nonconsensus_by_d.values()),
+        "nonconverged": sum(r.klass == "nonconverged" for r in records),
         "min_potential_delta": min_potential_delta,
         "errors": errors,
         "graph_model": cfg.graph,

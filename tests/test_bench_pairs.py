@@ -1,9 +1,11 @@
 """The pair harness (tools/bench_pairs.py): it flags runs the benchmark
-judged incorrect instead of folding them into the medians unnoticed, and
-alternates the sides over every listed workload."""
+judged incorrect instead of folding them into the medians unnoticed,
+alternates the sides over every listed workload, and names a side that is
+not a git checkout by the content of its sources."""
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -74,3 +76,19 @@ def test_pairs_alternate_over_every_listed_workload(tmp_path, monkeypatch, capsy
 def test_workload_lists_are_rejected_when_empty_or_repeated(text):
     with pytest.raises(argparse.ArgumentTypeError):
         bench_pairs.workload_list(text)
+
+
+def test_a_side_outside_git_is_named_by_its_sources(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))  # git looks no higher
+    side = tmp_path / "side"
+    (side / "src" / "pkg").mkdir(parents=True)
+    (side / "src" / "pkg" / "a.py").write_text("x = 1\n")
+    revision = bench_pairs.git_revision(side)
+    assert re.fullmatch(r"src-sha256:[0-9a-f]{12}", revision)
+    # bytecode caches and files outside src/ leave it alone
+    (side / "src" / "pkg" / "__pycache__").mkdir()
+    (side / "src" / "pkg" / "__pycache__" / "a.pyc").write_bytes(b"\0")
+    (side / "notes.txt").write_text("outside")
+    assert bench_pairs.git_revision(side) == revision
+    (side / "src" / "pkg" / "a.py").write_text("x = 2\n")
+    assert bench_pairs.git_revision(side) != revision

@@ -79,8 +79,8 @@ def test_run_from_consensus():
 def test_run_monotone_potential_symmetric():
     a = sample_sdd(complete_graph(5), margin=0.1, symmetric=True, seed=7)
     c0 = random_configuration(5, 3, seed=8)
-    res = run(a, c0, a_for_potential=a)
-    assert np.diff(res.potential_history).min() >= -1e-10
+    res = run(a, c0, potential_weights=a.entries)
+    assert res.min_potential_step >= -1e-10
     assert res.converged
 
 
@@ -88,8 +88,9 @@ def test_descent_mode_descends_potential():
     a = sample_sdd(complete_graph(5), margin=0.1, symmetric=True, seed=9)
     md = descent_matrix(a, slack=0.25)
     c0 = random_configuration(5, 3, seed=10)
-    res = run(md, c0, a_for_potential=a)
-    assert np.diff(res.potential_history).max() <= 1e-10
+    # descent lowers tr(X^T A X), so it never lowers the potential of -A
+    res = run(md, c0, potential_weights=-a.entries)
+    assert res.min_potential_step >= -1e-10
 
 
 def test_run_limits_are_fixed_points():
@@ -188,6 +189,12 @@ def _per_trial_run(entries, rows, fp_tol, max_iter, weights):
     return rows, k, residual, np.asarray(history)
 
 
+def _least_step(history):
+    """The smallest change of a potential history over a step, inf without
+    a step: the reduction the kernel keeps instead of the history."""
+    return np.diff(history).min() if len(history) > 1 else np.inf
+
+
 def _lockstep_against_per_trial_loop(max_iter=300):
     """Plain and descent iterations on symmetric and non-symmetric weights,
     batched by (n, d) so that trials of very different lengths share a run,
@@ -215,7 +222,7 @@ def _lockstep_against_per_trial_loop(max_iter=300):
             assert np.array_equal(Configuration(out.rows[t]).rows, Configuration(final).rows)
             assert out.iters[t] == iters
             assert out.residual[t] == residual
-            assert np.array_equal(out.potential_histories[t], history)
+            assert out.min_potential_step[t] == _least_step(history)
             lengths.append(iters)
             if iters == max_iter:
                 assert residual > 1e-12
@@ -254,7 +261,7 @@ def test_lockstep_matches_per_trial_loop_across_the_pairwise_width(padded):
                             agents=agents)
             for t, rows in enumerate(starts):
                 outcomes[t] = (out.rows[t, :len(rows)], out.iters[t], out.residual[t],
-                               out.potential_histories[t])
+                               out.min_potential_step[t])
         else:
             shapes = {}
             for t, rows in enumerate(starts):
@@ -264,13 +271,13 @@ def test_lockstep_matches_per_trial_loop_across_the_pairwise_width(padded):
                                 max_iter=200, potential_weights=np.stack([weights[t] for t in ts]))
                 for pos, t in enumerate(ts):
                     outcomes[t] = (out.rows[pos], out.iters[pos], out.residual[pos],
-                                   out.potential_histories[pos])
+                                   out.min_potential_step[pos])
         for t, (m, start, w) in enumerate(members):
-            rows, iters, residual, history = outcomes[t]
+            rows, iters, residual, least = outcomes[t]
             final, ref_iters, ref_residual, ref_history = _per_trial_run(m, start, 1e-12, 200, w)
             assert np.array_equal(rows, final) and iters == ref_iters
             assert residual == ref_residual
-            assert np.array_equal(history, ref_history)
+            assert least == _least_step(ref_history)
             lengths.append(int(iters))
     assert len(lengths) == 60 and min(lengths) < 50 and lengths.count(200) > 0
 
@@ -281,7 +288,7 @@ def _assert_matches_per_trial_run(out, t, m, start, max_iter):
     final, iters, residual, history = _per_trial_run(m, start, 1e-12, max_iter, m)
     assert np.array_equal(out.rows[t], final) and out.iters[t] == iters
     assert out.residual[t] == residual
-    assert np.array_equal(out.potential_histories[t], history)
+    assert out.min_potential_step[t] == _least_step(history)
 
 
 @pytest.mark.parametrize("block_steps, block_floats", [
@@ -296,7 +303,7 @@ def test_block_boundaries_match_per_trial_loop(monkeypatch, block_steps, block_f
     if block_floats == 2 ** 15:  # every block but the last has block_steps steps
         converged = {k % block_steps for k in lengths if k < 300}
         assert {0, block_steps - 1} <= converged  # a block's first and last step
-        assert max(lengths) >= 3 * block_steps  # potential histories span blocks
+        assert max(lengths) >= 3 * block_steps  # smallest potential steps span blocks
     # a trial that converges at step 0 from consensus, beside two that do not
     a = [sample_sdd(complete_graph(4), 0.1, True, seed=s).entries for s in range(3)]
     starts = [consensus_configuration(4, np.array([0.6, 0.8])).rows] + [
@@ -318,7 +325,9 @@ def test_block_boundaries_match_per_trial_loop(monkeypatch, block_steps, block_f
         rows, iters, residual, history = _per_trial_run(m, start, 0.0, fail_at - 1, m)
         assert out.iters[0] == fail_at - 1 and out.residual[0] == residual
         assert np.array_equal(out.rows[0], iterate(m, Configuration(rows)).rows)
-        assert np.array_equal(out.potential_histories[0], history)
+        # the smallest step covers the states up to the rows the trial keeps
+        kept = np.einsum("ij,ik,jk->", m, out.rows[0], out.rows[0])
+        assert out.min_potential_step[0] == _least_step(np.append(history, kept))
         for t in (1, 2):
             _assert_matches_per_trial_run(out, t, mats[t], starts[t], 60)
 
@@ -360,9 +369,9 @@ def test_row_norms_are_numpys_bit_for_bit():
 def _per_shape_and_padded(mats, starts, weights, fp_tol=1e-12, max_iter=300):
     """Trials of one d run as one padded call and as one call per n, the
     first len(weights) recording their potential; yields, per trial, its
-    padded and its same-shape outcome (rows, iters, residual, status, history
-    or None), the padded rows stripped of their pad agents after a check that
-    those stayed e_1."""
+    padded and its same-shape outcome (rows, iters, residual, status,
+    smallest potential step or None), the padded rows stripped of their pad
+    agents after a check that those stayed e_1."""
     entries, padded, stacked, agents = pad_agents(mats, starts, weights)
     out = run_batch(entries, padded, fp_tol, max_iter, stacked, agents)
     shapes = {}
@@ -375,25 +384,25 @@ def _per_shape_and_padded(mats, starts, weights, fp_tol=1e-12, max_iter=300):
                         np.stack([starts[t] for t in members]), fp_tol=fp_tol,
                         max_iter=max_iter,
                         potential_weights=np.stack(weighted) if weighted else None)
-        histories = ref.potential_histories or []
+        least = [] if ref.min_potential_step is None else ref.min_potential_step
         for pos, t in enumerate(members):
             alone[t] = (ref.rows[pos], ref.iters[pos], ref.residual[pos], ref.status[pos],
-                        histories[pos] if pos < len(histories) else None)
+                        least[pos] if pos < len(least) else None)
     for t, rows in enumerate(starts):
         n = len(rows)
         pad = out.rows[t, n:]
         assert np.array_equal(pad, np.eye(1, pad.shape[1]).repeat(len(pad), axis=0))
-        history = out.potential_histories[t] if t < len(weights) else None
+        least = out.min_potential_step[t] if t < len(weights) else None
         yield (out.rows[t, :n], out.iters[t], out.residual[t], out.status[t],
-               history), alone[t]
+               least), alone[t]
 
 
 def _assert_same(padded, alone):
-    rows, iters, residual, status, history = padded
+    rows, iters, residual, status, least = padded
     assert np.array_equal(rows, alone[0])
     assert iters == alone[1] and status == alone[3]
     assert residual == alone[2] or (np.isnan(residual) and np.isnan(alone[2]))
-    assert (history is None and alone[4] is None) or np.array_equal(history, alone[4])
+    assert least == alone[4]
 
 
 def test_padded_lockstep_matches_one_call_per_shape():

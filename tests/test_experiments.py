@@ -221,6 +221,21 @@ def test_sweep_reports_twisted_circle_limit_by_d():
     assert sum(summary["nonconsensus_by_d"].values()) == 1
 
 
+def test_sweep_records_a_rotating_trial_as_nonconverged():
+    # on the directed-weight ring, trial 425 of this seed locks into a rigid
+    # rotation and stops at a relative equilibrium: no limit, so no spectral
+    # radius, and neither a consensus nor a non-consensus trial
+    cfg = ExperimentConfig(seed=7, trials=426, d=2, graph="ring", symmetric=False)
+    records, summary = cmd_consensus_sweep(cfg)
+    rec = records[425]
+    assert (rec.n, rec.klass, rec.iters) == (7, "nonconverged", 1023)
+    assert np.isnan(rec.spec_radius)
+    assert all(np.isfinite(r.spec_radius) for r in records[:425])
+    assert summary["nonconverged"] == summary["status_counts"]["relative-equilibrium"] == 1
+    assert summary["nonconsensus_trials"] == 0 and summary["nonconsensus_by_d"] == {"2": 0}
+    assert summary["consensus_fraction"] == 425 / 426
+
+
 def test_sweep_counts_d2_bare_cycle_trials():
     # trial 23 of this seed is a d = 2 trial on a bare 6-cycle; the count is
     # every d = 2 trial whose graph gives each node exactly two neighbours
@@ -496,6 +511,11 @@ def test_cli_theorem2_and_flag_overrides(tmp_path):
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((tmp_path / "t2" / "summary.json").read_text())
     assert summary["rank_ge2_count"] == 0
+    # stdout leaves out the per-trial lists that summary.json keeps
+    printed = json.loads(proc.stdout)
+    assert "relative_equilibria" in summary and "relative_equilibria" not in printed
+    assert printed == {k: v for k, v in summary.items()
+                       if k not in ("counterexamples", "errors", "relative_equilibria")}
 
 
 def test_record_csv_round_trip(tmp_path):

@@ -23,6 +23,7 @@ change and its runs at other seeds.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -108,9 +109,21 @@ def workload_list(text: str) -> list:
 
 
 def git_revision(checkout: Path) -> str:
+    """The side's `git describe`; for a side that is not a git checkout, a
+    content hash of its src/ tree, "src-sha256:<12 hex>", over each file's
+    path, length and bytes in path order, bytecode caches left out."""
     proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
                           capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    if proc.returncode == 0:
+        return proc.stdout.strip()
+    src = checkout / "src"
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            data = path.read_bytes()
+            digest.update(f"{path.relative_to(src).as_posix()}\0{len(data)}\0".encode())
+            digest.update(data)
+    return f"src-sha256:{digest.hexdigest()[:12]}"
 
 
 def main(argv=None) -> int:
