@@ -26,7 +26,8 @@ def main():
     for _ in range(res.iterations):
         states.append(iterate(a, states[-1]))
     v = np.array([potential(a, c) for c in states])
-    # iterate renormalizes its rows, so the walk matches the kernel to round-off
+    # iterate takes the kernel's step bit for bit, but the potential is summed in
+    # another order here, so the walk matches the kernel to round-off
     assert abs(np.diff(v).min() - res.min_potential_step) <= 1e-12
 
     print(f"{n} agents on S^{d - 1}, {g.adjacency.sum()} directed edges")

@@ -46,7 +46,7 @@ def _step(entries: np.ndarray, rows: np.ndarray):
     weight matrices; it is checked here whatever the matrix.
     """
     z = entries @ rows
-    norms = _row_norms(z)
+    norms = np.linalg.norm(z, axis=-1)
     if norms.min() <= MIN_ROW_NORM:
         *trial, agent = np.unravel_index(np.argmin(norms), norms.shape)
         raise ZeroDivisionError(
@@ -59,7 +59,7 @@ def iterate(m, c: Configuration) -> Configuration:
     """Apply the iteration map once: row i becomes the normalized i-th row of
     M X."""
     rows, _ = _step(as_array(m), c.rows)
-    return Configuration(rows)
+    return Configuration._unchecked(rows)
 
 
 def potential(a: WeightMatrix, c: Configuration) -> float:
@@ -94,8 +94,9 @@ class Rotation(NamedTuple):
 class BatchResult:
     """Per-trial outcome of a lockstep run; iterating it yields (rows, iters,
     residual, status). status names how each trial ended: FIXED_POINT,
-    RELATIVE_EQUILIBRIUM, AT_MAX_ITER or ZERO_NORM. rotations maps each
-    trial that stopped at a relative equilibrium to its Rotation.
+    RELATIVE_EQUILIBRIUM, AT_MAX_ITER or ZERO_NORM; the residual of a
+    ZERO_NORM trial is inf. rotations maps each trial that stopped at a
+    relative equilibrium to its Rotation.
     min_potential_step, for trials with potential weights, holds each one's
     smallest change of the potential over a step, inf if it took none."""
 
@@ -108,21 +109,6 @@ class BatchResult:
 
     def __iter__(self):
         return iter((self.rows, self.iters, self.residual, self.status))
-
-
-def _row_norms(z: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(z, axis=-1) bit for bit, the row norms of `_step`.
-    Below PAIRWISE_SUM_FROM columns numpy adds each row's squares in order,
-    so a loop over the columns adds them in the same order at one call per
-    column rather than numpy's cost per row, which dominates a large working
-    set. The lockstep kernel runs the same calls into its own buffers."""
-    squares = z * z
-    if not 2 <= z.shape[-1] < PAIRWISE_SUM_FROM:
-        return np.sqrt(np.add.reduce(squares, axis=-1))
-    total = squares[..., 0] + squares[..., 1]
-    for k in range(2, z.shape[-1]):
-        total += squares[..., k]
-    return np.sqrt(total, out=total)
 
 
 def _norm(flat: np.ndarray) -> float:
@@ -189,40 +175,46 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     agents[t] are real (all n without agents). weights, an (S, n, n) stack,
     belongs to the first S trials.
 
-    Active trials form a compact working set (matrices, rows, last steps,
-    potential weights) that takes blocks of steps: up to BLOCK_STEPS, fewer
-    where the block's states would pass BLOCK_FLOATS or max_iter, at least
-    one. Inside a block only the update runs; after it, every step of the
-    block is screened at once, and a trial leaves at its first step that
-    converges (FIXED_POINT), whose row image vanishes (ZERO_NORM), that
-    passes the relative-equilibrium test (RELATIVE_EQUILIBRIUM), or that is
-    max_iter (AT_MAX_ITER). The test runs at each step k with k + 1 a
-    multiple of RE_CHECK_EVERY, on the states k and k + 1 the block holds,
-    for the trials whose step there exceeds RE_STEP_FLOOR (`_rotations`);
-    a trial that passes stops at step k with its state k, like a converged
-    one. The steps a trial took past its exit inside the block are
-    discarded. The working set is re-gathered only after a block in which a
-    trial left, and a trial's iteration count, residual and final rows are
-    written only then. A zero-norm trial keeps the rows it failed at and
-    the count and residual of its last completed step. With weights, the
-    potential tr(X^T W X) of each of the first S trials is taken at every
-    state of a block, and its change over each step the trial took up to
-    the rows it keeps is folded into that trial's smallest step; as trials
-    leave in order, those stay a prefix of the working set.
+    Active trials form a compact working set (matrices, rows, potential
+    weights) that takes blocks of steps: up to BLOCK_STEPS, fewer where the
+    block's states would pass BLOCK_FLOATS or max_iter, at least one. Inside
+    a block only the update runs; after it, every step of the block is
+    screened at once. Unless no trial can leave in the block, an exit scan
+    finds each trial's first exit step (the block's length if it stays), its
+    residual and its status, by one rule per status, each writing all three
+    where its step is earlier: ZERO_NORM at the first step whose row image
+    vanishes, residual inf; FIXED_POINT at the first step whose exact
+    residual is at most fp_tol; RELATIVE_EQUILIBRIUM at each step k short of
+    max_iter with k + 1 a multiple of RE_CHECK_EVERY, for the trials still
+    running there whose step exceeds RE_STEP_FLOOR and that pass
+    `_rotations` on the states k and k + 1 the block holds; AT_MAX_ITER at
+    step max_iter, for every trial still running there. A trial leaving at
+    step k keeps its state k and the count k; a zero-norm trial keeps the
+    rows it failed at and the count of the steps it completed. Steps past
+    a trial's exit inside the block are discarded. The working set is
+    re-gathered only after a block in which a trial left, and a trial's
+    iteration count, residual, final rows and status are written then, once.
+    With weights, the potential tr(X^T W X) of each of the first S trials is
+    taken at every state of a block, and its change over each step the trial
+    took up to the rows it keeps is folded into that trial's smallest step;
+    as trials leave in order, those stay a prefix of the working set.
 
-    A step is matmul, square, the sum of the squares' columns (the calls of
-    `_row_norms`), sqrt and a divide per column, each a ufunc writing into
-    buffers made once per working-set shape through views made with them, so
-    a step allocates nothing. The views of the squares' and the states'
-    columns are flat over all rows: numpy runs a one-axis operand in one
-    plain loop, where a divide broadcast over the columns loops once per row.
+    A step is matmul, square, the sum of the squares' columns, sqrt and a
+    divide per column, each a ufunc writing into buffers made once per
+    working-set shape through views made with them, so a step allocates
+    nothing. Below PAIRWISE_SUM_FROM columns a call per column adds a row's
+    squares in the order `np.linalg.norm` does, without numpy's cost per
+    row; from there on numpy's own reduction runs. The views of the squares'
+    and the states' columns are flat over all rows: numpy runs a one-axis
+    operand in one plain loop, where a divide broadcast over the columns
+    loops once per row.
 
     A step's size is screened by the squared norm of the whole padded step,
-    one einsum over the block. Trailing pad zeros can change the last bit of
+    one einsum over the block. Trailing pad zeros can change the final bit of
     that dot, so a trial is decided on its exact residual, the root of the
     dot over its real agents alone. That is taken only when the screen is at
-    most fp_tol^2 * (1 + STEP_FILTER_MARGIN), at max_iter, for the previous
-    step of a zero-norm trial, and for the step of a relative equilibrium.
+    most fp_tol^2 * (1 + STEP_FILTER_MARGIN), at max_iter, and for the step
+    of a relative equilibrium.
     """
     t_count, size, d = rows.shape
     agents = np.full(t_count, size) if agents is None else np.asarray(agents)
@@ -233,7 +225,6 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     status = np.empty(t_count, dtype=f"U{len(RELATIVE_EQUILIBRIUM)}")
     rotations = {}
     idx, m, x, w = np.arange(t_count), entries, rows, weights
-    last = None  # the flat previous step of each active trial
     cutoff = fp_tol * fp_tol * (1.0 + STEP_FILTER_MARGIN)
     floor = RE_STEP_FLOOR * RE_STEP_FLOOR
     columnwise = 2 <= d < PAIRWISE_SUM_FROM
@@ -285,74 +276,63 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
                 rises = np.diff(pots, axis=0, prepend=level[None])
                 level, weighted = pots[-1], idx[:len(w)]
             clear = norms.min() > MIN_ROW_NORM  # false on NaN too
-            if not clear and last is not None:
-                # a trial failing at the block's first step keeps the step before it,
-                # which the block's steps below overwrite
-                last = last.copy()
             steps_of = flat.reshape(states.shape)
             np.subtract(states[0], x, steps_of[0])
             np.subtract(states[1:], states[:-1], steps_of[1:])
             screen = np.einsum("stk,stk->st", flat, flat)
             at_max = k + steps > max_iter
-            # the block's steps s whose states k + s and k + s + 1 are tested for a
-            # relative equilibrium: those with k + s + 1 a multiple of RE_CHECK_EVERY
-            checks = range(-(k + 1) % RE_CHECK_EVERY, steps, RE_CHECK_EVERY)
+            # the block's steps s whose states k + s and k + s + 1 are tested for a relative
+            # equilibrium: k + s + 1 a multiple of RE_CHECK_EVERY, k + s short of max_iter
+            checks = range(-(k + 1) % RE_CHECK_EVERY, steps - at_max, RE_CHECK_EVERY)
             if clear and not at_max and not checks and screen.min() > cutoff:
                 if w is not None:
                     worst[weighted] = np.minimum(worst[weighted], rises.min(axis=0))
-                x, last, k, side = states[-1], flat[-1], k + steps, 1 - side
+                x, k, side = states[-1], k + steps, 1 - side
                 continue
-            # the first step at which each trial leaves; steps if it stays
-            fails = np.full(count, steps)
-            if not clear:
+            # each trial's first exit step (steps if it stays), its residual and its
+            # status; each rule below writes all three where its step is earlier
+            leave, step = np.full(count, steps), np.full(count, np.inf)
+            ending = np.empty(count, dtype=status.dtype)
+            if not clear:  # zero norm: the first step whose row image vanishes
                 bad = ~(norms > MIN_ROW_NORM).all(axis=2)
                 hit = bad.any(axis=0)
-                fails[hit] = bad.argmax(axis=0)[hit]
-            leave = np.minimum(fails, steps - 1) if at_max else fails.copy()
-            step = np.full(count, np.inf)
+                leave[hit], ending[hit] = bad.argmax(axis=0)[hit], ZERO_NORM
             band = (screen <= cutoff) & (np.arange(steps)[:, None] < leave)
-            for p, s in zip(*np.nonzero(band.T)):  # each trial's steps in order
+            for p, s in zip(*np.nonzero(band.T)):  # fixed point: each trial's steps in order
                 if s < leave[p]:
                     exact = _norm(flat[s, p, :spans[idx[p]]])
                     if exact <= fp_tol:
-                        leave[p], step[p] = s, exact
-            rotating = np.zeros(count, dtype=bool)
-            for s in checks:
+                        leave[p], step[p], ending[p] = s, exact, FIXED_POINT
+            for s in checks:  # relative equilibrium, tested on the trials running at s
                 pos = np.flatnonzero((leave > s) & (screen[s] > floor))
                 found = _rotations(m[pos], states[s - 1, pos] if s else x[pos], states[s, pos],
                                    norms[s, pos], agents[idx[pos]])
                 for p, rotation in zip(pos, found):
                     if rotation is not None:
-                        leave[p], step[p], rotating[p] = s, _norm(flat[s, p, :spans[idx[p]]]), True
-                        rotations[int(idx[p])] = rotation
+                        leave[p], step[p] = s, _norm(flat[s, p, :spans[idx[p]]])
+                        ending[p], rotations[int(idx[p])] = RELATIVE_EQUILIBRIUM, rotation
+            if at_max:  # max iter: every trial still running at the block's final step
+                for p in np.flatnonzero(leave == steps):
+                    leave[p], step[p] = steps - 1, _norm(flat[-1, p, :spans[idx[p]]])
+                    ending[p] = AT_MAX_ITER
             gone = np.flatnonzero(leave < steps)
-            failing = fails[gone] == leave[gone]
-            for p in gone[failing]:  # a failed trial keeps its previous step
-                s = leave[p]
-                before = flat[s - 1, p] if s else last[p] if last is not None else None
-                step[p] = np.inf if before is None else _norm(before[:spans[idx[p]]])
-            if at_max:
-                for p in gone[~failing & np.isinf(step[gone])]:
-                    step[p] = _norm(flat[-1, p, :spans[idx[p]]])
             at, trials = leave[gone], idx[gone]
-            iters[trials] = k + at
+            # a zero-norm trial counts the steps it completed
+            iters[trials] = np.maximum(k + at - (ending[gone] == ZERO_NORM), 0)
             residual[trials] = step[gone]
             final[trials] = np.where((at == 0)[:, None, None], x[gone], states[at - 1, gone])
-            status[trials] = np.where(step[gone] <= fp_tol, FIXED_POINT, AT_MAX_ITER)
-            status[trials[rotating[gone]]] = RELATIVE_EQUILIBRIUM
-            status[trials[failing]] = ZERO_NORM
-            iters[trials[failing]] = np.maximum(k + at[failing] - 1, 0)
+            status[trials] = ending[gone]
             if w is not None:  # the steps s < leave each trial took in this block
                 taken = np.arange(steps)[:, None] < leave[:len(w)]
                 worst[weighted] = np.minimum(worst[weighted],
                                              np.where(taken, rises, np.inf).min(axis=0))
             keep = leave == steps
             if len(gone):
-                idx, m, x, last = idx[keep], m[keep], states[-1][keep], flat[-1][keep]
+                idx, m, x = idx[keep], m[keep], states[-1][keep]
                 if w is not None:
                     w, level = w[keep[:len(w)]], level[keep[:len(w)]]
             else:
-                x, last, side = states[-1], flat[-1], 1 - side
+                x, side = states[-1], 1 - side
             k += steps
     return BatchResult(final, iters, residual, status, rotations, worst)
 
@@ -392,7 +372,7 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
     potential over a step. Trial t's final rows, iteration count, residual
     and smallest potential step equal those of `run` on entries[t] from the
     rows rows[t] bit for bit; a trial whose row image vanishes ends with
-    status ZERO_NORM instead of raising.
+    status ZERO_NORM and residual inf instead of raising.
 
     Trials with fewer agents share the call as `pad_agents` stacks them:
     agents[t] is then trial t's own agent count, and its results, the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spherecon import dynamics
-from spherecon.dynamics import (FIXED_POINT, RELATIVE_EQUILIBRIUM, ZERO_NORM, _row_norms,
+from spherecon.dynamics import (AT_MAX_ITER, FIXED_POINT, RELATIVE_EQUILIBRIUM, ZERO_NORM,
                                 _step, find_nonconsensus_fixed_point, fixed_point_residual,
                                 iterate, pad_agents, potential, run, run_batch)
 from spherecon.fixedpoint_rank import compute_D
@@ -175,6 +175,19 @@ def test_zero_row_image_reports_agent():
         iterate(m, c)
 
 
+def test_iterate_keeps_the_steps_bits():
+    # no second normalization of the rows the step returns
+    rng = np.random.default_rng(44)
+    for case in range(200):
+        n, d = int(rng.integers(2, 9)), int(rng.integers(2, 6))
+        symmetric = bool(case % 2)
+        g = (random_symmetric_connected if symmetric else random_strongly_connected)(
+            n, 0.5, 9400 + case)
+        a = sample_sdd(g, margin=0.1, symmetric=symmetric, seed=9600 + case)
+        c = random_configuration(n, d, seed=9800 + case)
+        assert np.array_equal(iterate(a, c).rows, _step(a.entries, c.rows)[0])
+
+
 def _per_trial_run(entries, rows, fp_tol, max_iter, weights):
     """The per-trial step loop the lockstep kernel replaced, kept as its
     reference: (final rows, iterations, residual, potential history)."""
@@ -236,15 +249,16 @@ def test_lockstep_matches_per_trial_loop():
 
 @pytest.mark.parametrize("padded", [False, True])
 def test_lockstep_matches_per_trial_loop_across_the_pairwise_width(padded):
-    # d = 7 sums each row's squares column by column, d = 8 and 9 take
-    # numpy's pairwise reduction; mixed n, run as one call per (n, d) or as
-    # one padded call per d
+    # the kernel adds each row's squares column by column at d = 6 and 7 and
+    # takes numpy's pairwise reduction at d = 8 and 9; the reference loop's
+    # `_step` takes np.linalg.norm at every d. Mixed n, run as one call per
+    # (n, d) or as one padded call per d
     assert 7 < dynamics.PAIRWISE_SUM_FROM <= 8
     rng = np.random.default_rng(43)
     by_d = {}
-    for case in range(60):
-        n, d = int(rng.integers(2, 11)), (7, 8, 9)[case % 3]
-        symmetric = bool(case % 2)
+    for case in range(80):
+        n, d = int(rng.integers(2, 11)), (6, 7, 8, 9)[case % 4]
+        symmetric = bool(case // 4 % 2)
         g = (random_symmetric_connected if symmetric else random_strongly_connected)(
             n, 0.5, 9000 + case)
         a = sample_sdd(g, margin=0.1, symmetric=symmetric, seed=9100 + case)
@@ -279,7 +293,7 @@ def test_lockstep_matches_per_trial_loop_across_the_pairwise_width(padded):
             assert residual == ref_residual
             assert least == _least_step(ref_history)
             lengths.append(int(iters))
-    assert len(lengths) == 60 and min(lengths) < 50 and lengths.count(200) > 0
+    assert len(lengths) == 80 and min(lengths) < 50 and lengths.count(200) > 0
 
 
 def _assert_matches_per_trial_run(out, t, m, start, max_iter):
@@ -312,8 +326,8 @@ def test_block_boundaries_match_per_trial_loop(monkeypatch, block_steps, block_f
     for t in range(3):
         _assert_matches_per_trial_run(out, t, a[t], starts[t], 40)
     assert out.iters[0] == 0 and out.iters[1:].min() > 0
-    # zero-norm failures on a block's first and second step and on step 1;
-    # the first keeps the residual of the last step of the block before
+    # zero-norm failures on a block's first and second step and on step 1,
+    # each with residual inf
     for fail_at in {1, block_steps, block_steps + 1}:
         m, start = _fails_at_step(fail_at)
         n = len(start)
@@ -322,8 +336,8 @@ def test_block_boundaries_match_per_trial_loop(monkeypatch, block_steps, block_f
         out = run_batch(np.stack(mats), np.stack(starts), max_iter=60,
                         potential_weights=np.stack(mats))
         assert (out.status == ZERO_NORM).tolist() == [True, False, False]
-        rows, iters, residual, history = _per_trial_run(m, start, 0.0, fail_at - 1, m)
-        assert out.iters[0] == fail_at - 1 and out.residual[0] == residual
+        rows, _, _, history = _per_trial_run(m, start, 0.0, fail_at - 1, m)
+        assert out.iters[0] == fail_at - 1 and out.residual[0] == np.inf
         assert np.array_equal(out.rows[0], iterate(m, Configuration(rows)).rows)
         # the smallest step covers the states up to the rows the trial keeps
         kept = np.einsum("ij,ik,jk->", m, out.rows[0], out.rows[0])
@@ -355,15 +369,6 @@ def test_zero_row_image_fails_only_its_trial():
         assert np.array_equal(Configuration(rows[t]).rows, run(mats[t], starts[t]).final.rows)
     with pytest.raises(ZeroDivisionError, match="agent 1"):
         run(ones, Configuration(antipodal))
-
-
-def test_row_norms_are_numpys_bit_for_bit():
-    # the column loop below PAIRWISE_SUM_FROM columns, numpy's reduction above
-    rng = np.random.default_rng(42)
-    for d in range(1, 13):
-        for shape in ((1,), (5,), (7, 9), (300, 8)):
-            z = rng.standard_normal(shape + (d,)) * 10.0 ** rng.uniform(-8, 3, shape + (d,))
-            assert np.array_equal(_row_norms(z), np.linalg.norm(z, axis=-1))
 
 
 def _per_shape_and_padded(mats, starts, weights, fp_tol=1e-12, max_iter=300):
@@ -457,9 +462,8 @@ def test_zero_norm_trial_inside_a_padded_batch():
     for padded, alone in outcomes:
         _assert_same(padded, alone)
     failed = outcomes[1][0]
-    # it fails on step 1 and keeps the count and the residual of step 0
-    assert failed[3] == ZERO_NORM and failed[1] == 0 and failed[2] == np.linalg.norm(
-        iterate(m, Configuration(start)).rows - start)
+    # it fails on step 1 and keeps the count of step 0, with residual inf
+    assert failed[3] == ZERO_NORM and failed[1] == 0 and failed[2] == np.inf
     assert [o[0][3] == ZERO_NORM for o in outcomes] == [False, True, False, False]
     with pytest.raises(ZeroDivisionError, match="agent 3"):
         iterate(m, Configuration(failed[0]))
@@ -527,6 +531,19 @@ def test_rotating_wave_stops_as_relative_equilibrium_alone_and_padded(monkeypatc
     assert np.abs(turns) == pytest.approx(np.full(3, rotation.angle), abs=RE_FIT_TOL)
     res = run(m, Configuration(start), max_iter=10 ** 5)
     assert (res.status, res.converged, res.iterations) == (RELATIVE_EQUILIBRIUM, False, k)
+
+
+@pytest.mark.parametrize("block_steps", [1, 32])
+def test_step_at_max_iter_is_measured_not_tested_for_rotation(monkeypatch, block_steps):
+    # the wave passes its first test, at step RE_CHECK_EVERY - 1, unless that
+    # step is max_iter: there it stops at max_iter without a test
+    monkeypatch.setattr(dynamics, "BLOCK_STEPS", block_steps)
+    m, start = _rotating_wave()
+    k = dynamics.RE_CHECK_EVERY - 1
+    for max_iter, status in ((k, AT_MAX_ITER), (k + 1, RELATIVE_EQUILIBRIUM)):
+        out = run_batch(m[None], start[None], max_iter=max_iter)
+        assert out.status.tolist() == [status] and out.iters.tolist() == [k]
+        assert out.residual[0] > RE_STEP_FLOOR
 
 
 def _splay(n, k, a, b):
