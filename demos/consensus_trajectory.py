@@ -20,14 +20,14 @@ def main():
     a = sample_sdd(g, margin=0.1, symmetric=True, seed=seed + 1)
     c0 = random_configuration(n, d, seed + 2)
 
-    res = run(a, c0, potential_weights=a.entries)
+    res = run(a, c0, potential=True)
     # walk the same trajectory step by step to print its potential
     states = [c0]
     for _ in range(res.iterations):
         states.append(iterate(a, states[-1]))
     v = np.array([potential(a, c) for c in states])
-    # iterate takes the kernel's step bit for bit, but the potential is summed in
-    # another order here, so the walk matches the kernel to round-off
+    # iterate takes the kernel's step bit for bit, but the kernel takes the potential
+    # from its steps, sum_i ||(M X)_i|| x_i . F(X)_i, so the walk matches it to round-off
     assert abs(np.diff(v).min() - res.min_potential_step) <= 1e-12
 
     print(f"{n} agents on S^{d - 1}, {g.adjacency.sum()} directed edges")

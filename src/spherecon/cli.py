@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 
-from .experiments import (ExperimentConfig, MissingSeedError, cmd_consensus_sweep,
-                          cmd_jg_rank, cmd_pentagon_demo, cmd_rank_table,
+from .experiments import (GRAPH_MODELS, ExperimentConfig, MissingSeedError,
+                          cmd_consensus_sweep, cmd_jg_rank, cmd_pentagon_demo, cmd_rank_table,
                           cmd_stability_audit, cmd_theorem2_probe)
 
 
@@ -20,7 +20,7 @@ FLAGS = {"config": {"help": "JSON config file; flags override its fields"},
          "seed": {"type": int, "help": "master seed (required)"},
          "n": {"type": int}, "d": {"type": int}, "margin": {"type": float},
          "trials": {"type": int}, "slack": {"type": float}, "edge_prob": {"type": float},
-         "graph": {"choices": ["random", "complete", "ring", "er"]},
+         "graph": {"choices": GRAPH_MODELS},
          "symmetric": {"action": "store_true", "default": None},
          "out": {"help": "output directory for records.csv / summary.json"}}
 # per subcommand: its help and the flags it reads beyond config, seed, n, d,
@@ -81,18 +81,19 @@ def main(argv=None) -> int:
                              f"weight matrices, but the config sets "
                              f"\"symmetric\": {json.dumps(cfg.symmetric)}")
         cfg.symmetric = required
-    if args.command == "sweep":
-        _, summary = cmd_consensus_sweep(cfg)
-    elif args.command == "rank-table":
-        _, summary = cmd_rank_table(cfg)
-    elif args.command == "theorem2":
-        _, summary = cmd_theorem2_probe(cfg)
-    elif args.command == "audit":
-        summary = cmd_stability_audit(cfg, count=args.count)
-    elif args.command == "jg-rank":
-        summary = cmd_jg_rank(cfg, count=args.count)
-    else:  # pragma: no cover
-        raise SystemExit(f"unknown command {args.command}")
+    try:  # a command rejects what it cannot run with a ValueError naming it
+        if args.command == "sweep":
+            _, summary = cmd_consensus_sweep(cfg)
+        elif args.command == "rank-table":
+            _, summary = cmd_rank_table(cfg)
+        elif args.command == "theorem2":
+            _, summary = cmd_theorem2_probe(cfg)
+        elif args.command == "audit":
+            summary = cmd_stability_audit(cfg, count=args.count)
+        else:
+            summary = cmd_jg_rank(cfg, count=args.count)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
     slim = {k: v for k, v in summary.items()
             if k not in ("details", "reports", "counterexamples", "errors",

@@ -2,7 +2,7 @@
 normalized conical combination of its neighbors' states. Includes the
 quadratic potential, the lockstep kernel behind every trajectory (`run_batch`
 for a stack of trials, `run` for one), which can keep each trial's smallest
-per-step change of a potential, and the descent mode used to locate
+per-step change of its potential, and the descent mode used to locate
 non-consensus fixed points.
 """
 
@@ -97,8 +97,9 @@ class BatchResult:
     RELATIVE_EQUILIBRIUM, AT_MAX_ITER or ZERO_NORM; the residual of a
     ZERO_NORM trial is inf. rotations maps each trial that stopped at a
     relative equilibrium to its Rotation.
-    min_potential_step, for trials with potential weights, holds each one's
-    smallest change of the potential over a step, inf if it took none."""
+    min_potential_step, with potential tracking, holds each trial's smallest
+    change of its potential tr(X^T M X) over a step it took up to the rows
+    it keeps, inf if it took none."""
 
     rows: np.ndarray
     iters: np.ndarray
@@ -168,16 +169,15 @@ def _rotations(m: np.ndarray, before: np.ndarray, after: np.ndarray, norms: np.n
 
 
 def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
-              max_iter: int, weights: Optional[np.ndarray] = None,
+              max_iter: int, potential: bool = False,
               agents: Optional[np.ndarray] = None) -> BatchResult:
     """The one loop over iteration steps, for a (T, n, n) stack of iteration
     matrices and a (T, n, d) stack of start rows, of which trial t's first
-    agents[t] are real (all n without agents). weights, an (S, n, n) stack,
-    belongs to the first S trials.
+    agents[t] are real (all n without agents).
 
-    Active trials form a compact working set (matrices, rows, potential
-    weights) that takes blocks of steps: up to BLOCK_STEPS, fewer where the
-    block's states would pass BLOCK_FLOATS or max_iter, at least one. Inside
+    Active trials form a compact working set (matrices and rows) that takes
+    blocks of steps: up to BLOCK_STEPS, fewer where the block's states would
+    pass BLOCK_FLOATS or max_iter, at least one. Inside
     a block only the update runs; after it, every step of the block is
     screened at once. Unless no trial can leave in the block, an exit scan
     finds each trial's first exit step (the block's length if it stays), its
@@ -194,10 +194,13 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     a trial's exit inside the block are discarded. The working set is
     re-gathered only after a block in which a trial left, and a trial's
     iteration count, residual, final rows and status are written then, once.
-    With weights, the potential tr(X^T W X) of each of the first S trials is
-    taken at every state of a block, and its change over each step the trial
-    took up to the rows it keeps is folded into that trial's smallest step;
-    as trials leave in order, those stay a prefix of the working set.
+    With potential, each trial's potential tr(X^T M X) is taken from the
+    steps themselves: as F(X)_i = (M X)_i / ||(M X)_i||, it is the sum over
+    the real agents of ||(M X)_i|| x_i . F(X)_i, which the block's row norms
+    and states hold for every state a step starts from. Its change over each
+    step into a state up to the rows the trial keeps is folded into that
+    trial's smallest step. The state a zero-norm trial keeps has a NaN
+    potential, and NaN changes are left out.
 
     A step is matmul, square, the sum of the squares' columns, sqrt and a
     divide per column, each a ufunc writing into buffers made once per
@@ -224,14 +227,14 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     residual = np.full(t_count, np.inf)
     status = np.empty(t_count, dtype=f"U{len(RELATIVE_EQUILIBRIUM)}")
     rotations = {}
-    idx, m, x, w = np.arange(t_count), entries, rows, weights
+    idx, m, x = np.arange(t_count), entries, rows
     cutoff = fp_tol * fp_tol * (1.0 + STEP_FILTER_MARGIN)
     floor = RE_STEP_FLOOR * RE_STEP_FLOOR
     columnwise = 2 <= d < PAIRWISE_SUM_FROM
-    worst = None  # each weighted trial's smallest potential step so far
-    if w is not None:  # and the potential of its current state
-        worst = np.full(len(w), np.inf)
-        level = np.einsum("tij,stik,stjk->st", w, x[None, :len(w)], x[None, :len(w)])[0]
+    # each trial's smallest potential step so far, and the potential of the state
+    # before its current one (NaN before the first, so that no step is taken from it)
+    worst = np.full(t_count, np.inf) if potential else None
+    level = np.full(t_count, np.nan)
     k, shape = 0, None
     with np.errstate(all="ignore"):  # steps after a zero-norm image are discarded
         while len(idx) and k <= max_iter:
@@ -240,6 +243,8 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
                                max_iter - k + 1))
             if shape != (steps, count):
                 shape, side = (steps, count), 0
+                real = np.arange(size) < agents[idx, None]  # the running trials' real agents
+                pots = np.empty((steps, count))
                 norms = np.empty((steps, count, size))
                 flat = np.empty((steps, count, size * d))  # the block's steps
                 squares = np.empty((count, size, d))
@@ -271,10 +276,13 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
                 for column in z_columns:
                     np.divide(column, norm, column)
                 prev = z
-            if w is not None:
-                pots = np.einsum("tij,stik,stjk->st", w, states[:, :len(w)], states[:, :len(w)])
-                rises = np.diff(pots, axis=0, prepend=level[None])
-                level, weighted = pots[-1], idx[:len(w)]
+            if potential:  # of the states k .. k + steps - 1: sum_i ||(M X)_i|| x_i . F(X)_i
+                real_norms = norms * real
+                np.einsum("ti,tid,tid->t", real_norms[0], x, states[0], out=pots[0])
+                np.einsum("sti,stid,stid->st", real_norms[1:], states[:-1], states[1:],
+                          out=pots[1:])
+                rises = np.diff(pots, axis=0, prepend=level[None, idx])
+                level[idx] = pots[-1]
             clear = norms.min() > MIN_ROW_NORM  # false on NaN too
             steps_of = flat.reshape(states.shape)
             np.subtract(states[0], x, steps_of[0])
@@ -285,8 +293,8 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
             # equilibrium: k + s + 1 a multiple of RE_CHECK_EVERY, k + s short of max_iter
             checks = range(-(k + 1) % RE_CHECK_EVERY, steps - at_max, RE_CHECK_EVERY)
             if clear and not at_max and not checks and screen.min() > cutoff:
-                if w is not None:
-                    worst[weighted] = np.minimum(worst[weighted], rises.min(axis=0))
+                if potential:
+                    worst[idx] = np.fmin(worst[idx], np.fmin.reduce(rises))
                 x, k, side = states[-1], k + steps, 1 - side
                 continue
             # each trial's first exit step (steps if it stays), its residual and its
@@ -322,15 +330,12 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
             residual[trials] = step[gone]
             final[trials] = np.where((at == 0)[:, None, None], x[gone], states[at - 1, gone])
             status[trials] = ending[gone]
-            if w is not None:  # the steps s < leave each trial took in this block
-                taken = np.arange(steps)[:, None] < leave[:len(w)]
-                worst[weighted] = np.minimum(worst[weighted],
-                                             np.where(taken, rises, np.inf).min(axis=0))
+            if potential:  # the steps into the states s <= leave each trial kept in this block
+                taken = np.arange(steps)[:, None] <= leave
+                worst[idx] = np.fmin(worst[idx], np.fmin.reduce(np.where(taken, rises, np.inf)))
             keep = leave == steps
             if len(gone):
                 idx, m, x = idx[keep], m[keep], states[-1][keep]
-                if w is not None:
-                    w, level = w[keep[:len(w)]], level[keep[:len(w)]]
             else:
                 x, side = states[-1], 1 - side
             k += steps
@@ -338,16 +343,15 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
 
 
 def run(m, c0: Configuration, fp_tol: float = FP_TOL, max_iter: int = MAX_ITER,
-        potential_weights: Optional[np.ndarray] = None) -> TrajectoryResult:
+        potential: bool = False) -> TrajectoryResult:
     """Iterate until the fixed-point residual ||f(x) - x||_2 drops to fp_tol,
     the trajectory is certified to rotate rigidly (a relative equilibrium),
-    or max_iter steps have been taken. With potential_weights, an n x n
-    array W, records the smallest change of tr(X^T W X) over a step (inf
-    without a step). A lockstep run of one trial; a zero-norm row image
-    raises ZeroDivisionError naming the agent."""
+    or max_iter steps have been taken. With potential, records the smallest
+    change of tr(X^T M X) over a step (inf without a step), M the iteration
+    matrix. A lockstep run of one trial; a zero-norm row image raises
+    ZeroDivisionError naming the agent."""
     entries = as_array(m)
-    weights = None if potential_weights is None else np.asarray(potential_weights, float)[None]
-    out = _lockstep(entries[None], c0.rows[None], fp_tol, max_iter, weights)
+    out = _lockstep(entries[None], c0.rows[None], fp_tol, max_iter, potential)
     if out.status[0] == ZERO_NORM:
         _step(entries, out.rows[0])  # raises, naming the agent
     return TrajectoryResult(
@@ -356,23 +360,22 @@ def run(m, c0: Configuration, fp_tol: float = FP_TOL, max_iter: int = MAX_ITER,
         residual=float(out.residual[0]),
         converged=out.status[0] == FIXED_POINT,
         status=str(out.status[0]),
-        min_potential_step=None if weights is None else float(out.min_potential_step[0]),
+        min_potential_step=float(out.min_potential_step[0]) if potential else None,
     )
 
 
 def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
-              max_iter: int = MAX_ITER,
-              potential_weights: Optional[np.ndarray] = None,
+              max_iter: int = MAX_ITER, potential: bool = False,
               agents: Optional[np.ndarray] = None) -> BatchResult:
     """Run many independent trajectories of one sphere dimension in lockstep.
 
     entries is a (T, n, n) stack of iteration matrices and rows a (T, n, d)
-    stack of start configurations; potential_weights, an (S, n, n) stack with
-    S <= T, records for each of the first S trials the smallest change of its
-    potential over a step. Trial t's final rows, iteration count, residual
-    and smallest potential step equal those of `run` on entries[t] from the
-    rows rows[t] bit for bit; a trial whose row image vanishes ends with
-    status ZERO_NORM and residual inf instead of raising.
+    stack of start configurations; with potential, each trial records the
+    smallest change over a step of its potential tr(X^T M X), M its own
+    iteration matrix. Trial t's final rows, iteration count, residual and
+    smallest potential step equal those of `run` on entries[t] from the rows
+    rows[t] bit for bit; a trial whose row image vanishes ends with status
+    ZERO_NORM and residual inf instead of raising.
 
     Trials with fewer agents share the call as `pad_agents` stacks them:
     agents[t] is then trial t's own agent count, and its results, the
@@ -380,17 +383,15 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
     unpadded stack.
     """
     return _lockstep(np.asarray(entries, dtype=float), np.asarray(rows, dtype=float),
-                     fp_tol, max_iter, potential_weights, agents)
+                     fp_tol, max_iter, potential, agents)
 
 
-def pad_agents(entries: list, rows: list, weights: Optional[list] = None):
+def pad_agents(entries: list, rows: list):
     """Stack trials of one d and any n for one `run_batch` call, each padded
-    with trailing agents up to the largest n; weights, if any, belong to the
-    leading trials. A pad agent has an identity row and column in its
-    iteration matrix, the start row e_1 and zero potential weights, so it maps
-    to itself exactly (norm 1, step 0) and adds nothing to the potential.
-    Returns the padded (entries, rows, weights or None) and the agent counts,
-    as `run_batch` takes them."""
+    with trailing agents up to the largest n. A pad agent has an identity row
+    and column in its iteration matrix and the start row e_1, so it maps to
+    itself exactly (norm 1, step 0). Returns the padded (entries, rows) and
+    the agent counts, as `run_batch` takes them."""
     agents = np.array([len(r) for r in rows])
     count, size, d = len(rows), int(agents.max()), rows[0].shape[1]
     mats = np.tile(np.eye(size), (count, 1, 1))
@@ -399,12 +400,7 @@ def pad_agents(entries: list, rows: list, weights: Optional[list] = None):
     for t, n in enumerate(agents):
         mats[t, :n, :n] = entries[t]
         starts[t, :n] = rows[t]
-    stacked = None
-    if weights:
-        stacked = np.zeros((len(weights), size, size))
-        for t, w in enumerate(weights):
-            stacked[t, :len(w), :len(w)] = w
-    return mats, starts, stacked, agents
+    return mats, starts, agents
 
 
 def fixed_point_residual(m, c: Configuration) -> float:

@@ -40,6 +40,7 @@ from .state import Configuration, classify_configuration, start_rows, tangent_ba
 from .tolerances import A_RESIDUAL_TOL, AUDIT_PERTURBATION, LIMIT_RANK_TOL, NEUTRAL_TOL
 from .weights import WeightMatrix, descent_matrix, sdd_entries
 
+GRAPH_MODELS = ("random", "complete", "ring", "er")
 RECORD_FIELDS = ["trial", "seed", "n", "d", "graph_hash", "matrix_hash", "class",
                  "rank", "iters", "residual_A", "residual_MA", "spec_radius"]
 
@@ -56,7 +57,7 @@ class ExperimentConfig:
     d: Optional[int] = None
     n_range: tuple = (3, 8)
     d_range: tuple = (2, 5)
-    graph: str = "random"  # random | complete | ring | er
+    graph: str = "random"  # one of GRAPH_MODELS
     edge_prob: float = 0.5
     symmetric: Optional[bool] = None
     margin: float = 0.1
@@ -77,6 +78,8 @@ class ExperimentConfig:
         for name in ("margin", "slack"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if self.graph not in GRAPH_MODELS:
+            raise ValueError(f"graph must be one of {', '.join(GRAPH_MODELS)}, got {self.graph!r}")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
         for name in ("n_range", "d_range"):
@@ -148,7 +151,7 @@ def _emit(cfg: ExperimentConfig, records: Optional[list], summary: dict):
 @dataclass
 class _Trial:
     """One planned trial: its draws and, once run, its outcome. model is the
-    graph model (random | complete | ring | er), drawn symmetric or not by
+    graph model (one of GRAPH_MODELS), drawn symmetric or not by
     symmetric_graph; seed is the record's seed, derive_seed(master, t). error
     holds the exception of a failed draw or a ZeroDivisionError for a
     zero-norm row image; final is the limit configuration otherwise."""
@@ -257,18 +260,13 @@ def _run_group(cfg: ExperimentConfig, members: list, descent: bool):
     the largest n (dynamics.pad_agents), with the weight matrix itself or
     (descent) its descent matrix, and store each outcome on its trial, pad
     rows stripped. Without descent, symmetric trials keep their least potential step."""
-    weights = None
     if descent:
         mats = [descent_matrix(tr.weights, cfg.slack).entries for tr in members]
-    else:  # symmetric trials first: the kernel tracks their potential
-        members.sort(key=lambda tr: not tr.symmetric)
+    else:
         mats = [tr.weights.entries for tr in members]
-        weights = [m for m, tr in zip(mats, members) if tr.symmetric]
-    entries, starts, weights, agents = dynamics.pad_agents(
-        mats, [tr.start for tr in members], weights)
-    out = dynamics.run_batch(entries, starts, max_iter=cfg.max_iter,
-                             potential_weights=weights, agents=agents)
-    least = [] if weights is None else out.min_potential_step
+    entries, starts, agents = dynamics.pad_agents(mats, [tr.start for tr in members])
+    out = dynamics.run_batch(entries, starts, max_iter=cfg.max_iter, potential=not descent,
+                             agents=agents)
     for pos, trial in enumerate(members):
         trial.iters, trial.residual = int(out.iters[pos]), float(out.residual[pos])
         trial.status, trial.rotation = str(out.status[pos]), out.rotations.get(pos)
@@ -280,8 +278,8 @@ def _run_group(cfg: ExperimentConfig, members: list, descent: bool):
                 trial.error = exc
                 continue
         trial.final = Configuration(rows)
-        if pos < len(least) and least[pos] < np.inf:
-            trial.min_potential_step = float(least[pos])
+        if not descent and trial.symmetric and out.min_potential_step[pos] < np.inf:
+            trial.min_potential_step = float(out.min_potential_step[pos])
 
 
 def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
@@ -570,6 +568,8 @@ def collect_descent_fixed_points(cfg: ExperimentConfig, count: int,
     trial order are kept, and the trials after the last hit do not count.
     A chunk holds the missing hits over the hit rate seen so far (taken as 1
     before the first chunk), so it runs few trials past the last hit kept."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     out = []
     t = 0
     statuses = dict.fromkeys(dynamics.STATUSES, 0)

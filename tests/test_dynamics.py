@@ -79,7 +79,7 @@ def test_run_from_consensus():
 def test_run_monotone_potential_symmetric():
     a = sample_sdd(complete_graph(5), margin=0.1, symmetric=True, seed=7)
     c0 = random_configuration(5, 3, seed=8)
-    res = run(a, c0, potential_weights=a.entries)
+    res = run(a, c0, potential=True)
     assert res.min_potential_step >= -1e-10
     assert res.converged
 
@@ -88,9 +88,31 @@ def test_descent_mode_descends_potential():
     a = sample_sdd(complete_graph(5), margin=0.1, symmetric=True, seed=9)
     md = descent_matrix(a, slack=0.25)
     c0 = random_configuration(5, 3, seed=10)
-    # descent lowers tr(X^T A X), so it never lowers the potential of -A
-    res = run(md, c0, potential_weights=-a.entries)
+    # the descent matrix alpha*I - A is symmetric, so its own potential, which is
+    # n*alpha - tr(X^T A X) on the sphere, never falls
+    res = run(md, c0, potential=True)
     assert res.min_potential_step >= -1e-10
+
+
+def test_kernel_potential_steps_match_the_quadratic_form_along_the_walk():
+    # the kernel takes tr(X^T M X) from its steps, sum_i ||(M X)_i|| x_i . F(X)_i;
+    # `potential` sums the quadratic form. Along the trajectory walked with the
+    # kernel's own step, the smallest steps agree within 64 ulps of the largest
+    # potential (the two sums round differently; 6 ulps is the largest gap seen)
+    for case in range(12):
+        n, d = 3 + case % 6, 2 + case % 4
+        a = sample_sdd(random_symmetric_connected(n, 0.5, 100 + case), 0.1, True, seed=200 + case)
+        m = descent_matrix(a, 0.25) if case % 2 else a
+        c0 = random_configuration(n, d, seed=300 + case)
+        res = run(m, c0, potential=True, max_iter=2000)
+        walk = [c0.rows]
+        for _ in range(res.iterations):
+            walk.append(_step(m.entries, walk[-1])[0])
+        assert np.array_equal(Configuration(walk[-1]).rows, res.final.rows)
+        v = np.array([potential(m, Configuration._unchecked(rows)) for rows in walk])
+        assert len(v) > 10
+        assert abs(np.diff(v).min() - res.min_potential_step) <= 64 * np.finfo(float).eps * abs(
+            v).max()
 
 
 def test_run_limits_are_fixed_points():
@@ -188,13 +210,15 @@ def test_iterate_keeps_the_steps_bits():
         assert np.array_equal(iterate(a, c).rows, _step(a.entries, c.rows)[0])
 
 
-def _per_trial_run(entries, rows, fp_tol, max_iter, weights):
+def _per_trial_run(entries, rows, fp_tol, max_iter):
     """The per-trial step loop the lockstep kernel replaced, kept as its
-    reference: (final rows, iterations, residual, potential history)."""
+    reference: (final rows, iterations, residual, potential history). The
+    potential tr(X^T M X) of each state is taken as the kernel takes it, from
+    the step out of it: sum_i ||(M X)_i|| x_i . F(X)_i."""
     history = []
     for k in range(max_iter + 1):
-        history.append(np.einsum("ij,ik,jk->", weights, rows, rows))
-        nxt, _ = _step(entries, rows)
+        nxt, norms = _step(entries, rows)
+        history.append(np.einsum("i,id,id->", norms, rows, nxt))
         residual = float(np.linalg.norm(nxt - rows))
         if residual <= fp_tol or k == max_iter:
             break
@@ -223,15 +247,14 @@ def _lockstep_against_per_trial_loop(max_iter=300):
         a = sample_sdd(g, margin=0.1, symmetric=symmetric, seed=4000 + case)
         m = descent_matrix(a, slack=0.25).entries if case % 3 == 0 else a.entries
         rows = random_configuration(n, d, seed=5000 + case).rows
-        groups.setdefault((n, d), []).append((m, rows, a.entries))
+        groups.setdefault((n, d), []).append((m, rows))
     lengths = []
     for members in groups.values():
-        mats, starts, weights = (np.stack(x) for x in zip(*members))
-        out = run_batch(mats, starts, fp_tol=1e-12, max_iter=max_iter,
-                        potential_weights=weights)
+        mats, starts = (np.stack(x) for x in zip(*members))
+        out = run_batch(mats, starts, fp_tol=1e-12, max_iter=max_iter, potential=True)
         assert ZERO_NORM not in out.status
-        for t, (m, rows, w) in enumerate(members):
-            final, iters, residual, history = _per_trial_run(m, rows, 1e-12, max_iter, w)
+        for t, (m, rows) in enumerate(members):
+            final, iters, residual, history = _per_trial_run(m, rows, 1e-12, max_iter)
             assert np.array_equal(Configuration(out.rows[t]).rows, Configuration(final).rows)
             assert out.iters[t] == iters
             assert out.residual[t] == residual
@@ -263,16 +286,14 @@ def test_lockstep_matches_per_trial_loop_across_the_pairwise_width(padded):
             n, 0.5, 9000 + case)
         a = sample_sdd(g, margin=0.1, symmetric=symmetric, seed=9100 + case)
         m = descent_matrix(a, slack=0.25).entries if case % 4 == 0 else a.entries
-        by_d.setdefault(d, []).append((m, random_configuration(n, d, seed=9200 + case).rows,
-                                       a.entries))
+        by_d.setdefault(d, []).append((m, random_configuration(n, d, seed=9200 + case).rows))
     lengths = []
     for members in by_d.values():
-        mats, starts, weights = (list(x) for x in zip(*members))
+        mats, starts = (list(x) for x in zip(*members))
         outcomes = {}
         if padded:
-            entries, rows, stacked, agents = pad_agents(mats, starts, weights)
-            out = run_batch(entries, rows, max_iter=200, potential_weights=stacked,
-                            agents=agents)
+            entries, rows, agents = pad_agents(mats, starts)
+            out = run_batch(entries, rows, max_iter=200, potential=True, agents=agents)
             for t, rows in enumerate(starts):
                 outcomes[t] = (out.rows[t, :len(rows)], out.iters[t], out.residual[t],
                                out.min_potential_step[t])
@@ -282,13 +303,13 @@ def test_lockstep_matches_per_trial_loop_across_the_pairwise_width(padded):
                 shapes.setdefault(len(rows), []).append(t)
             for ts in shapes.values():
                 out = run_batch(np.stack([mats[t] for t in ts]), np.stack([starts[t] for t in ts]),
-                                max_iter=200, potential_weights=np.stack([weights[t] for t in ts]))
+                                max_iter=200, potential=True)
                 for pos, t in enumerate(ts):
                     outcomes[t] = (out.rows[pos], out.iters[pos], out.residual[pos],
                                    out.min_potential_step[pos])
-        for t, (m, start, w) in enumerate(members):
+        for t, (m, start) in enumerate(members):
             rows, iters, residual, least = outcomes[t]
-            final, ref_iters, ref_residual, ref_history = _per_trial_run(m, start, 1e-12, 200, w)
+            final, ref_iters, ref_residual, ref_history = _per_trial_run(m, start, 1e-12, 200)
             assert np.array_equal(rows, final) and iters == ref_iters
             assert residual == ref_residual
             assert least == _least_step(ref_history)
@@ -297,9 +318,9 @@ def test_lockstep_matches_per_trial_loop_across_the_pairwise_width(padded):
 
 
 def _assert_matches_per_trial_run(out, t, m, start, max_iter):
-    """Trial t of a run_batch result, whose potential weights are its
-    iteration matrices, against the per-trial loop."""
-    final, iters, residual, history = _per_trial_run(m, start, 1e-12, max_iter, m)
+    """Trial t of a run_batch result with potential tracking against the
+    per-trial loop."""
+    final, iters, residual, history = _per_trial_run(m, start, 1e-12, max_iter)
     assert np.array_equal(out.rows[t], final) and out.iters[t] == iters
     assert out.residual[t] == residual
     assert out.min_potential_step[t] == _least_step(history)
@@ -322,7 +343,7 @@ def test_block_boundaries_match_per_trial_loop(monkeypatch, block_steps, block_f
     a = [sample_sdd(complete_graph(4), 0.1, True, seed=s).entries for s in range(3)]
     starts = [consensus_configuration(4, np.array([0.6, 0.8])).rows] + [
         random_configuration(4, 2, seed=30 + s).rows for s in range(2)]
-    out = run_batch(np.stack(a), np.stack(starts), max_iter=40, potential_weights=np.stack(a))
+    out = run_batch(np.stack(a), np.stack(starts), max_iter=40, potential=True)
     for t in range(3):
         _assert_matches_per_trial_run(out, t, a[t], starts[t], 40)
     assert out.iters[0] == 0 and out.iters[1:].min() > 0
@@ -333,15 +354,14 @@ def test_block_boundaries_match_per_trial_loop(monkeypatch, block_steps, block_f
         n = len(start)
         mats = [m] + [sample_sdd(complete_graph(n), 0.1, True, seed=s).entries for s in (1, 2)]
         starts = [start] + [random_configuration(n, 2, seed=40 + s).rows for s in (1, 2)]
-        out = run_batch(np.stack(mats), np.stack(starts), max_iter=60,
-                        potential_weights=np.stack(mats))
+        out = run_batch(np.stack(mats), np.stack(starts), max_iter=60, potential=True)
         assert (out.status == ZERO_NORM).tolist() == [True, False, False]
-        rows, _, _, history = _per_trial_run(m, start, 0.0, fail_at - 1, m)
+        rows, _, _, history = _per_trial_run(m, start, 0.0, fail_at - 1)
         assert out.iters[0] == fail_at - 1 and out.residual[0] == np.inf
         assert np.array_equal(out.rows[0], iterate(m, Configuration(rows)).rows)
-        # the smallest step covers the states up to the rows the trial keeps
-        kept = np.einsum("ij,ik,jk->", m, out.rows[0], out.rows[0])
-        assert out.min_potential_step[0] == _least_step(np.append(history, kept))
+        # the rows the trial keeps have no step out of them, so their potential
+        # is NaN and the smallest step covers the states before them
+        assert out.min_potential_step[0] == _least_step(history)
         for t in (1, 2):
             _assert_matches_per_trial_run(out, t, mats[t], starts[t], 60)
 
@@ -371,35 +391,31 @@ def test_zero_row_image_fails_only_its_trial():
         run(ones, Configuration(antipodal))
 
 
-def _per_shape_and_padded(mats, starts, weights, fp_tol=1e-12, max_iter=300):
-    """Trials of one d run as one padded call and as one call per n, the
-    first len(weights) recording their potential; yields, per trial, its
-    padded and its same-shape outcome (rows, iters, residual, status,
-    smallest potential step or None), the padded rows stripped of their pad
-    agents after a check that those stayed e_1."""
-    entries, padded, stacked, agents = pad_agents(mats, starts, weights)
-    out = run_batch(entries, padded, fp_tol, max_iter, stacked, agents)
+def _per_shape_and_padded(mats, starts, fp_tol=1e-12, max_iter=300):
+    """Trials of one d run as one padded call and as one call per n, each
+    recording its potential; yields, per trial, its padded and its
+    same-shape outcome (rows, iters, residual, status, smallest potential
+    step), the padded rows stripped of their pad agents after a check that
+    those stayed e_1."""
+    entries, padded, agents = pad_agents(mats, starts)
+    out = run_batch(entries, padded, fp_tol, max_iter, True, agents)
     shapes = {}
     for t, rows in enumerate(starts):
         shapes.setdefault(len(rows), []).append(t)
     alone = {}
     for members in shapes.values():
-        weighted = [weights[t] for t in members if t < len(weights)]
         ref = run_batch(np.stack([mats[t] for t in members]),
                         np.stack([starts[t] for t in members]), fp_tol=fp_tol,
-                        max_iter=max_iter,
-                        potential_weights=np.stack(weighted) if weighted else None)
-        least = [] if ref.min_potential_step is None else ref.min_potential_step
+                        max_iter=max_iter, potential=True)
         for pos, t in enumerate(members):
             alone[t] = (ref.rows[pos], ref.iters[pos], ref.residual[pos], ref.status[pos],
-                        least[pos] if pos < len(least) else None)
+                        ref.min_potential_step[pos])
     for t, rows in enumerate(starts):
         n = len(rows)
         pad = out.rows[t, n:]
         assert np.array_equal(pad, np.eye(1, pad.shape[1]).repeat(len(pad), axis=0))
-        least = out.min_potential_step[t] if t < len(weights) else None
         yield (out.rows[t, :n], out.iters[t], out.residual[t], out.status[t],
-               least), alone[t]
+               out.min_potential_step[t]), alone[t]
 
 
 def _assert_same(padded, alone):
@@ -411,9 +427,9 @@ def _assert_same(padded, alone):
 
 
 def test_padded_lockstep_matches_one_call_per_shape():
-    # mixed n in [2, 9] at each d in [2, 5]; symmetric weights, whose trials
-    # come first and record their potential, and non-symmetric ones; plain and
-    # descent matrices; some trials stopped at max_iter
+    # mixed n in [2, 9] at each d in [2, 5]; symmetric and non-symmetric
+    # weights, plain and descent matrices, in one call per d; some trials
+    # stopped at max_iter
     rng = np.random.default_rng(41)
     by_d = {}
     for case in range(320):
@@ -423,14 +439,11 @@ def test_padded_lockstep_matches_one_call_per_shape():
             n, 0.5, 6000 + case)
         a = sample_sdd(g, margin=0.1, symmetric=symmetric, seed=7000 + case)
         m = descent_matrix(a, slack=0.25).entries if case % 3 == 0 else a.entries
-        by_d.setdefault(d, []).append(
-            (not symmetric, m, random_configuration(n, d, seed=8000 + case).rows, a.entries))
+        by_d.setdefault(d, []).append((m, random_configuration(n, d, seed=8000 + case).rows))
     lengths = []
     for members in by_d.values():
-        members.sort(key=lambda member: member[0])  # symmetric trials first
-        _, mats, starts, weights = (list(x) for x in zip(*members))
-        symmetric = sum(not member[0] for member in members)
-        for padded, alone in _per_shape_and_padded(mats, starts, weights[:symmetric]):
+        mats, starts = (list(x) for x in zip(*members))
+        for padded, alone in _per_shape_and_padded(mats, starts):
             _assert_same(padded, alone)
             lengths.append(int(padded[1]))
     assert len(by_d) == 4 and min(lengths) < 50 and lengths.count(300) > 0
@@ -458,7 +471,7 @@ def test_zero_norm_trial_inside_a_padded_batch():
     starts = [random_configuration(n, 2, seed=20 + n).rows for n in (5, 4, 2)]
     mats.insert(1, m)
     starts.insert(1, start)
-    outcomes = list(_per_shape_and_padded(mats, starts, mats))
+    outcomes = list(_per_shape_and_padded(mats, starts))
     for padded, alone in outcomes:
         _assert_same(padded, alone)
     failed = outcomes[1][0]
@@ -477,16 +490,16 @@ def test_padded_step_inside_the_screen_band_is_decided_exactly():
     # the exact path stops it and records the right residual.
     a = sample_sdd(random_symmetric_connected(4, 0.5, 9), 0.1, True, seed=10)
     start = random_configuration(4, 3, seed=11).rows
-    _, _, step6, _ = _per_trial_run(a.entries, start, 0.0, 6, a.entries)
+    _, _, step6, _ = _per_trial_run(a.entries, start, 0.0, 6)
     others = [sample_sdd(complete_graph(n), 0.1, True, seed=60 + n) for n in (7, 9)]
     mats = [a.entries] + [o.entries for o in others]
     starts = [start] + [random_configuration(n, 3, seed=70 + n).rows for n in (7, 9)]
     for fp_tol, stop in ((step6 * (1.0 - 1e-10), False), (step6, True)):
         assert fp_tol ** 2 <= step6 ** 2 <= fp_tol ** 2 * (1.0 + STEP_FILTER_MARGIN)
-        outcomes = list(_per_shape_and_padded(mats, starts, mats, fp_tol, 40))
+        outcomes = list(_per_shape_and_padded(mats, starts, fp_tol, 40))
         for padded, alone in outcomes:
             _assert_same(padded, alone)
-        final, iters, residual, _ = _per_trial_run(a.entries, start, fp_tol, 40, a.entries)
+        final, iters, residual, _ = _per_trial_run(a.entries, start, fp_tol, 40)
         rows, k, res = outcomes[0][0][:3]
         assert np.array_equal(rows, final) and k == iters and res == residual
         assert (k == 6 and res == step6) if stop else k > 6
@@ -508,8 +521,8 @@ def test_rotating_wave_stops_as_relative_equilibrium_alone_and_padded(monkeypatc
     m, start = _rotating_wave()
     alone = run_batch(m[None], start[None], max_iter=10 ** 5)
     other = sample_sdd(complete_graph(5), 0.1, True, seed=1).entries
-    entries, rows, _, agents = pad_agents([other, m], [random_configuration(5, 2, seed=3).rows,
-                                                       start])
+    entries, rows, agents = pad_agents([other, m], [random_configuration(5, 2, seed=3).rows,
+                                                    start])
     padded = run_batch(entries, rows, max_iter=10 ** 5, agents=agents)
     assert alone.status.tolist() == [RELATIVE_EQUILIBRIUM]
     assert padded.status.tolist() == [FIXED_POINT, RELATIVE_EQUILIBRIUM]
@@ -518,7 +531,7 @@ def test_rotating_wave_stops_as_relative_equilibrium_alone_and_padded(monkeypatc
     assert np.array_equal(padded.rows[1, :3], alone.rows[0])
     assert padded.residual[1] == alone.residual[0] > RE_STEP_FLOOR
     # the stop state and its step are those of the iteration itself
-    final, iters, residual, _ = _per_trial_run(m, start, 0.0, k, m)
+    final, iters, residual, _ = _per_trial_run(m, start, 0.0, k)
     assert np.array_equal(alone.rows[0], final) and alone.residual[0] == residual
     (key, rotation), = alone.rotations.items()
     assert key == 0 and list(padded.rotations) == [1]

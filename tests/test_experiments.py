@@ -57,11 +57,12 @@ def test_config_from_json_names_unknown_keys(tmp_path):
     ("n", 1), ("d", 1), ("seed", -3),
     ("margin", float("inf")), ("margin", float("nan")),
     ("slack", float("inf")), ("slack", float("nan")), ("max_iter", -5), ("max_iter", 0),
+    ("graph", "rnadom"),
 ])
 def test_config_rejects_values_no_trial_can_use(field, value, tmp_path):
     # a probability outside [0, 1], an empty range, a dimension below 2, a
-    # negative master seed, a margin or slack that is not finite, or no
-    # iteration at all
+    # negative master seed, a margin or slack that is not finite, no
+    # iteration at all, or a graph model that does not exist
     with pytest.raises(ValueError, match=f"^{field} must"):
         ExperimentConfig(**{"seed": 1, field: value})
     from spherecon.cli import main
@@ -203,6 +204,34 @@ def test_rank_table_counts_converged_limits_only():
     assert list(summary["iteration_histogram"]) == ["0-9", "10-99", "100-149", "150"]
     assert summary["iteration_histogram"]["150"] == len(stalled)
     assert sum(summary["rank_counts"].values()) == cfg.trials - len(stalled)
+
+
+def test_rank_table_limits_at_three_agents_follow_the_triangle_rule():
+    # on three agents an er graph is a path or a triangle. A path's potential
+    # minimum is rank 1; a triangle's, with off-diagonal weights a, b and c, is
+    # rank 2 exactly when 1/a, 1/b and 1/c satisfy the strict triangle
+    # inequalities. Every converged descent limit of the command is checked
+    # against its trial's draws, tied to its record by the matrix hash
+    from spherecon.experiments import _Trial, matrix_hash
+    cfg = ExperimentConfig(seed=12345, trials=4000, n=3, d=2, graph="er", edge_prob=0.57,
+                           symmetric=True)
+    records, _ = cmd_rank_table(cfg)
+    trials = _plan(cfg, [_Trial(t, 3, 2, True, "er") for t in range(cfg.trials)])
+    paths, triangles = [], []  # the converged limits' ranks, with the rule on a triangle
+    for trial, r in zip(trials, records):
+        assert r.matrix_hash == matrix_hash(trial.weights.entries)
+        if r.klass in ("nonconverged", "error"):
+            continue
+        a = trial.weights.entries
+        if np.count_nonzero(trial.graph.adjacency) == 4:
+            paths.append(r.rank)
+        else:
+            inverse = 1.0 / np.array([a[0, 1], a[0, 2], a[1, 2]])
+            triangles.append((r.rank, bool((2.0 * inverse < inverse.sum()).all())))
+    assert len(paths) > 2000 and len(triangles) > 1000
+    assert set(paths) == {1}
+    assert {rule for _, rule in triangles} == {False, True}
+    assert all(rank == (2 if rule else 1) for rank, rule in triangles)
 
 
 def test_sweep_reports_twisted_circle_limit_by_d():
@@ -357,6 +386,18 @@ def test_jg_rank_small():
     assert summary["nonsym_full_rank"] == 5
     assert summary["sym_deficiency_satisfied"] == summary["rank_ge2_points"]
     assert summary["max_null_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("command", ["audit", "jg-rank"])
+def test_a_count_below_one_is_rejected(command, tmp_path):
+    cfg = ExperimentConfig(seed=1, n=4, d=3, symmetric=True)
+    with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
+        collect_descent_fixed_points(cfg, count=0)
+    from spherecon.cli import main
+    with pytest.raises(SystemExit, match="^count must be >= 1, got -3$"):
+        main([command, "--seed", "1", "--n", "4", "--d", "3", "--count", "-3",
+              "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
 
 
 def test_descent_search_reports_shortfall():

@@ -1,6 +1,7 @@
 """The output comparison tool (tools/same_outputs.py): one checkout against
 itself writes identical files, and any file that differs or exists on one
-side only is listed and fails the comparison."""
+side only is listed, with the JSON keys or CSV columns that differ, and fails
+the comparison."""
 
 import sys
 from pathlib import Path
@@ -28,8 +29,8 @@ def test_a_checkout_against_itself_writes_identical_files(monkeypatch, capsys):
 def test_differing_and_one_sided_files_are_listed(tmp_path, monkeypatch, capsys):
     def run_commands(checkout, commands, out):
         (out / "sweep").mkdir(parents=True)
-        (out / "sweep" / "records.csv").write_text("trial\n0\n")
-        (out / "sweep" / "summary.json").write_text(f'{{"side": "{checkout.name}"}}')
+        (out / "sweep" / "records.csv").write_text(f"trial,side\n0,{checkout.name}\n")
+        (out / "sweep" / "summary.json").write_text(f'{{"seed": 1, "side": "{checkout.name}"}}')
         (out / "sweep" / f"{checkout.name}.txt").write_text("")
 
     monkeypatch.setattr(same_outputs, "run_commands", run_commands)
@@ -38,6 +39,7 @@ def test_differing_and_one_sided_files_are_listed(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().out.splitlines() == [
         "only in change: sweep/change.txt",
         "only in parent: sweep/parent.txt",
-        "differs: sweep/summary.json",
-        "4 files compared, 3 not identical",
+        "differs: sweep/records.csv (columns: side)",
+        "differs: sweep/summary.json (keys: side)",
+        "4 files compared, 4 not identical",
     ]

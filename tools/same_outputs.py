@@ -7,13 +7,17 @@ DIR is a checkout of each side. Every command of COMMANDS runs as
 checkout's src/ first on PYTHONPATH and one BLAS thread, and its standard
 output is kept beside the files it writes as stdout.txt. Every file written
 on either side is then compared byte for byte. The tool lists each file that
-differs or exists on one side only, and exits 1 if there is one, 0 if every
-file is identical. A command that fails on either side stops the tool.
+differs or exists on one side only, naming the top-level keys that differ in
+a JSON file and the columns that differ in a CSV file, and exits 1 if there
+is one, 0 if every file is identical. A command that fails on either side
+stops the tool.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -53,18 +57,42 @@ def written(root: Path) -> set:
     return {path.relative_to(root).as_posix() for path in root.rglob("*") if path.is_file()}
 
 
+def _fields(path: Path) -> dict:
+    """A JSON object's top-level values, each as canonical JSON, or a CSV
+    file's columns, each as its list of values; empty for other files."""
+    if path.suffix == ".json":
+        obj = json.loads(path.read_text())
+        if isinstance(obj, dict):
+            return {k: json.dumps(v, sort_keys=True) for k, v in obj.items()}
+    elif path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh)) or [[]]
+        return {name: [row[i:i + 1] for row in rows] for i, name in enumerate(header)}
+    return {}
+
+
+def _named(parent: Path, change: Path) -> str:
+    """" (keys: ...)" or " (columns: ...)" naming the JSON keys or CSV columns
+    whose values differ between the two files, or "" if none is found."""
+    ours, theirs = _fields(parent), _fields(change)
+    names = [k for k in {**ours, **theirs} if ours.get(k) != theirs.get(k)]
+    kind = "keys" if parent.suffix == ".json" else "columns"
+    return f" ({kind}: {', '.join(names)})" if names else ""
+
+
 def differing(parent: Path, change: Path) -> list:
-    """(file, how) for each file under either root that is not byte-identical
-    under the other, in path order; how is "differs" or "only in <side>"."""
+    """One line for each file under either root that is not byte-identical
+    under the other, in path order: "only in <side>: <file>" or "differs:
+    <file>", the latter with the JSON keys or CSV columns that differ."""
     ours, theirs = written(parent), written(change)
     found = []
     for name in sorted(ours | theirs):
         if name not in theirs:
-            found.append((name, "only in parent"))
+            found.append(f"only in parent: {name}")
         elif name not in ours:
-            found.append((name, "only in change"))
+            found.append(f"only in change: {name}")
         elif (parent / name).read_bytes() != (change / name).read_bytes():
-            found.append((name, "differs"))
+            found.append(f"differs: {name}{_named(parent / name, change / name)}")
     return found
 
 
@@ -78,8 +106,8 @@ def main(argv=None) -> int:
         for side, out in outs.items():
             run_commands(getattr(args, side), COMMANDS, out)
         found = differing(outs["parent"], outs["change"])
-        for name, how in found:
-            print(f"{how}: {name}")
+        for line in found:
+            print(line)
         total = len(written(outs["parent"]) | written(outs["change"]))
     print(f"{total} files compared, {len(found)} not identical")
     return 1 if found else 0
