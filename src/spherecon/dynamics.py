@@ -1,7 +1,7 @@
 """The sphere-projection iteration: each agent replaces its state by the
 normalized conical combination of its neighbors' states. Includes the
-quadratic potential, the lockstep kernel behind every trajectory (`run_batch`
-for a stack of trials, `run` for one), which can keep each trial's smallest
+quadratic potential, the lockstep kernel behind every trajectory (`run_batch`,
+which `run` calls on a stack of one), which can keep each trial's smallest
 per-step change of its potential, and the descent mode used to locate
 non-consensus fixed points.
 """
@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .state import (Configuration, ConfigurationClass, agent_blocks, as_array,
-                    classify_configuration, tangent_basis)
+                    classify_configuration, relative_rank, tangent_basis)
 from .tolerances import (FP_TOL, LIMIT_RANK_TOL, MIN_ROW_NORM, RE_FIT_TOL, RE_ORBIT_MARGIN,
                          RE_STEP_FLOOR, STEP_FILTER_MARGIN)
 from .weights import WeightMatrix, descent_matrix
@@ -157,7 +157,7 @@ def _rotations(m: np.ndarray, before: np.ndarray, after: np.ndarray, norms: np.n
         moduli = -np.sort(-np.abs(np.linalg.eigvals(reduced)), axis=-1)
         moduli = np.pad(moduli, ((0, 0), (0, 1)))  # modulus 0 past the last
         _, sv, space = np.linalg.svd(rows)
-        ranks = (sv > LIMIT_RANK_TOL * sv[:, :1]).sum(axis=-1)
+        ranks = relative_rank(sv, LIMIT_RANK_TOL)
         orbit = d * (d - 1) // 2 - (d - ranks) * (d - ranks - 1) // 2
         off = moduli[np.arange(len(ps)), orbit]
         for p, r, v, largest in zip(ps, ranks, space, off):
@@ -168,12 +168,18 @@ def _rotations(m: np.ndarray, before: np.ndarray, after: np.ndarray, norms: np.n
     return found
 
 
-def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
-              max_iter: int, potential: bool = False,
+def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
+              max_iter: int = MAX_ITER, potential: bool = False,
               agents: Optional[np.ndarray] = None) -> BatchResult:
-    """The one loop over iteration steps, for a (T, n, n) stack of iteration
+    """Run many independent trajectories of one sphere dimension in lockstep:
+    the one loop over iteration steps, for a (T, n, n) stack of iteration
     matrices and a (T, n, d) stack of start rows, of which trial t's first
-    agents[t] are real (all n without agents).
+    agents[t] are real (all n without agents). Trials with fewer agents share
+    the call as `pad_agents` stacks them; trial t's results, its leading
+    agents[t] final rows included, equal those of a call on its own unpadded
+    stack, and those of `run` on it, bit for bit. The final rows are the
+    kernel's own states, never normalized again. A trial whose row image
+    vanishes ends with status ZERO_NORM and residual inf instead of raising.
 
     Active trials form a compact working set (matrices and rows) that takes
     blocks of steps: up to BLOCK_STEPS, fewer where the block's states would
@@ -194,13 +200,14 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     a trial's exit inside the block are discarded. The working set is
     re-gathered only after a block in which a trial left, and a trial's
     iteration count, residual, final rows and status are written then, once.
-    With potential, each trial's potential tr(X^T M X) is taken from the
-    steps themselves: as F(X)_i = (M X)_i / ||(M X)_i||, it is the sum over
-    the real agents of ||(M X)_i|| x_i . F(X)_i, which the block's row norms
-    and states hold for every state a step starts from. Its change over each
-    step into a state up to the rows the trial keeps is folded into that
-    trial's smallest step. The state a zero-norm trial keeps has a NaN
-    potential, and NaN changes are left out.
+    With potential, each trial keeps the smallest change over a step of its
+    potential tr(X^T M X), M its own iteration matrix (inf without a step),
+    taken from the steps themselves: as F(X)_i = (M X)_i / ||(M X)_i||, it is
+    the sum over the real agents of ||(M X)_i|| x_i . F(X)_i, which the
+    block's row norms and states hold for every state a step starts from.
+    Its change over each step into a state up to the rows the trial keeps is
+    folded into that trial's smallest step. The state a zero-norm trial keeps
+    has a NaN potential, and NaN changes are left out.
 
     A step is matmul, square, the sum of the squares' columns, sqrt and a
     divide per column, each a ufunc writing into buffers made once per
@@ -219,6 +226,7 @@ def _lockstep(entries: np.ndarray, rows: np.ndarray, fp_tol: float,
     most fp_tol^2 * (1 + STEP_FILTER_MARGIN), at max_iter, and for the step
     of a relative equilibrium.
     """
+    entries, rows = np.asarray(entries, dtype=float), np.asarray(rows, dtype=float)
     t_count, size, d = rows.shape
     agents = np.full(t_count, size) if agents is None else np.asarray(agents)
     spans = agents * d
@@ -346,44 +354,22 @@ def run(m, c0: Configuration, fp_tol: float = FP_TOL, max_iter: int = MAX_ITER,
         potential: bool = False) -> TrajectoryResult:
     """Iterate until the fixed-point residual ||f(x) - x||_2 drops to fp_tol,
     the trajectory is certified to rotate rigidly (a relative equilibrium),
-    or max_iter steps have been taken. With potential, records the smallest
+    or max_iter steps have been taken: `run_batch` on a stack of one, whose
+    final rows it keeps as they are. With potential, records the smallest
     change of tr(X^T M X) over a step (inf without a step), M the iteration
-    matrix. A lockstep run of one trial; a zero-norm row image raises
-    ZeroDivisionError naming the agent."""
+    matrix. A zero-norm row image raises ZeroDivisionError naming the agent."""
     entries = as_array(m)
-    out = _lockstep(entries[None], c0.rows[None], fp_tol, max_iter, potential)
+    out = run_batch(entries[None], c0.rows[None], fp_tol, max_iter, potential)
     if out.status[0] == ZERO_NORM:
         _step(entries, out.rows[0])  # raises, naming the agent
     return TrajectoryResult(
-        final=Configuration(out.rows[0]),
+        final=Configuration._unchecked(out.rows[0]),
         iterations=int(out.iters[0]),
         residual=float(out.residual[0]),
         converged=out.status[0] == FIXED_POINT,
         status=str(out.status[0]),
         min_potential_step=float(out.min_potential_step[0]) if potential else None,
     )
-
-
-def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
-              max_iter: int = MAX_ITER, potential: bool = False,
-              agents: Optional[np.ndarray] = None) -> BatchResult:
-    """Run many independent trajectories of one sphere dimension in lockstep.
-
-    entries is a (T, n, n) stack of iteration matrices and rows a (T, n, d)
-    stack of start configurations; with potential, each trial records the
-    smallest change over a step of its potential tr(X^T M X), M its own
-    iteration matrix. Trial t's final rows, iteration count, residual and
-    smallest potential step equal those of `run` on entries[t] from the rows
-    rows[t] bit for bit; a trial whose row image vanishes ends with status
-    ZERO_NORM and residual inf instead of raising.
-
-    Trials with fewer agents share the call as `pad_agents` stacks them:
-    agents[t] is then trial t's own agent count, and its results, the
-    leading agents[t] final rows included, are those of a call on its
-    unpadded stack.
-    """
-    return _lockstep(np.asarray(entries, dtype=float), np.asarray(rows, dtype=float),
-                     fp_tol, max_iter, potential, agents)
 
 
 def pad_agents(entries: list, rows: list):

@@ -259,7 +259,8 @@ def _run_group(cfg: ExperimentConfig, members: list, descent: bool):
     """Run trials of one d as one dynamics.run_batch call, agents padded to
     the largest n (dynamics.pad_agents), with the weight matrix itself or
     (descent) its descent matrix, and store each outcome on its trial, pad
-    rows stripped. Without descent, symmetric trials keep their least potential step."""
+    rows stripped and the rows kept as the kernel left them. Without descent,
+    symmetric trials keep their least potential step."""
     if descent:
         mats = [descent_matrix(tr.weights, cfg.slack).entries for tr in members]
     else:
@@ -273,11 +274,11 @@ def _run_group(cfg: ExperimentConfig, members: list, descent: bool):
         rows = out.rows[pos, :trial.n]
         if trial.status == dynamics.ZERO_NORM:
             try:
-                dynamics.iterate(mats[pos], Configuration(rows))
+                dynamics.iterate(mats[pos], Configuration._unchecked(rows))
             except ZeroDivisionError as exc:  # names the agent
                 trial.error = exc
                 continue
-        trial.final = Configuration(rows)
+        trial.final = Configuration._unchecked(rows)
         if not descent and trial.symmetric and out.min_potential_step[pos] < np.inf:
             trial.min_potential_step = float(out.min_potential_step[pos])
 
@@ -329,20 +330,25 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
 SPECTRAL_STACK = 64  # trials per spectral_radius call: caps its stacks at a few MB
 
 
-def _spectral_radii(trials: list) -> dict:
-    """The spectral radius at each fixed-point limit, by trial index: stacked
-    `stability.spectral_radius` calls per (n, d), SPECTRAL_STACK trials each."""
+def _stacks(trials: list):
+    """The trials cut into stacks of one (n, d) and at most SPECTRAL_STACK
+    members each, in trial order within a shape."""
     shapes: dict = {}
     for trial in trials:
-        if trial.status == dynamics.FIXED_POINT:
-            shapes.setdefault((trial.n, trial.d), []).append(trial)
-    radii = {}
+        shapes.setdefault((trial.n, trial.d), []).append(trial)
     for members in shapes.values():
         for k in range(0, len(members), SPECTRAL_STACK):
-            part = members[k:k + SPECTRAL_STACK]
-            rho = stability.spectral_radius(np.stack([tr.weights.entries for tr in part]),
-                                            np.stack([tr.final.rows for tr in part]))
-            radii.update((tr.t, float(r)) for tr, r in zip(part, rho))
+            yield members[k:k + SPECTRAL_STACK]
+
+
+def _spectral_radii(trials: list) -> dict:
+    """The spectral radius at each fixed-point limit, by trial index: one
+    stacked `stability.spectral_radius` call per stack of `_stacks`."""
+    radii = {}
+    for part in _stacks([tr for tr in trials if tr.status == dynamics.FIXED_POINT]):
+        rho = stability.spectral_radius(np.stack([tr.weights.entries for tr in part]),
+                                        np.stack([tr.final.rows for tr in part]))
+        radii.update((tr.t, float(r)) for tr, r in zip(part, rho))
     return radii
 
 
@@ -567,7 +573,11 @@ def collect_descent_fixed_points(cfg: ExperimentConfig, count: int,
     RuntimeWarning. Trials run in lockstep chunks; the first `count` hits in
     trial order are kept, and the trials after the last hit do not count.
     A chunk holds the missing hits over the hit rate seen so far (taken as 1
-    before the first chunk), so it runs few trials past the last hit kept."""
+    before the first chunk), so it runs few trials past the last hit kept.
+    The search descends symmetric weight matrices only: a config that asks
+    for non-symmetric ones is a ValueError."""
+    if cfg.symmetric is False:
+        raise ValueError("the descent search needs symmetric weights, not symmetric=False")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     out = []
@@ -625,21 +635,20 @@ def cmd_stability_audit(cfg: ExperimentConfig, count: int = 100,
                         "certificate_eigenvalue": cert.certificate_eigenvalue,
                         "trace_match": trace.match})
     escapes = 0
-    if points:
+    if points:  # an escape is a perturbed trial that converges to consensus
         out = dynamics.run_batch(np.stack([a.entries for a, _, _ in points]),
                                  np.stack(perturbed), max_iter=cfg.max_iter)
-        escapes = sum(classify_configuration(Configuration(rows)).is_consensus
+        escapes = sum(classify_configuration(Configuration._unchecked(rows)).is_consensus
                       for rows, status in zip(out.rows, out.status)
-                      if status != dynamics.ZERO_NORM)
-    # determinant floor for sqrt(2)-condition matrices, SPECTRAL_STACK draws per stack
+                      if status == dynamics.FIXED_POINT)
+    # determinant floor for sqrt(2)-condition matrices, one det call per stack of `_stacks`
     draws = _plan(replace(cfg, margin=0.45), [_Trial(k, cfg.n, cfg.d, True, cfg.graph)
                                               for k in range(det_trials)], streams=(11, 12, 13))
     for trial in draws:
         if trial.error is not None:
             raise trial.error
     min_abs_det = np.inf
-    for k in range(0, len(draws), SPECTRAL_STACK):
-        part = draws[k:k + SPECTRAL_STACK]
+    for part in _stacks(draws):
         red = stability.reduced_matrix(np.stack([tr.weights.entries for tr in part]),
                                        np.stack([tr.start for tr in part]))
         min_abs_det = min(min_abs_det, float(np.abs(np.linalg.det(red)).min()))

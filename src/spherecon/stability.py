@@ -13,7 +13,7 @@ import numpy as np
 from .dynamics import _step, fixed_point_residual
 from .state import (Configuration, TangentBasis, agent_blocks, as_array,
                     classify_configuration, relative_rank, tangent_basis,
-                    tangent_projectors, unit_rows)
+                    tangent_projectors)
 from .tolerances import (A_RESIDUAL_TOL, CERTIFICATE_FP_TOL, CLASS_TOL, NEUTRAL_TOL,
                          TRACE_TOL)
 from .weights import WeightMatrix, satisfies_sqrt2_condition
@@ -44,11 +44,13 @@ def reduced_matrix(m, c, basis_x: Optional[TangentBasis] = None,
     of matrices and a (T, n, d) stack of unit rows, a (T, n(d-1), n(d-1))
     stack.
 
-    Block (i,j) is m_ij * R_{y_i}^T R_{x_j} / ||row i of M X||.
+    Block (i,j) is m_ij * R_{y_i}^T R_{x_j} / ||row i of M X||. The basis at y
+    is taken on the image rows as the iteration step computes them, which are
+    unit rows already.
     """
     da, y_rows = _scaled_entries(m, c)
     bx = basis_x if basis_x is not None else tangent_basis(c)
-    by = basis_y if basis_y is not None else tangent_basis(unit_rows(y_rows))
+    by = basis_y if basis_y is not None else tangent_basis(y_rows)
     return agent_blocks(da, bx.blocks, np.swapaxes(by.blocks, -1, -2))
 
 
@@ -69,10 +71,11 @@ def differential_report(m, c: Configuration,
                         basis_x: Optional[TangentBasis] = None,
                         basis_y: Optional[TangentBasis] = None) -> DifferentialReport:
     """Compute the projected Jacobian, the reduced matrix, its spectrum and
-    determinant."""
+    determinant, all from one iteration step, whose image rows give the
+    projectors and, unless basis_y is given, the basis at y as they are."""
     da, y_rows = _scaled_entries(m, c)
     bx = basis_x if basis_x is not None else tangent_basis(c)
-    by = basis_y if basis_y is not None else tangent_basis(unit_rows(y_rows))
+    by = basis_y if basis_y is not None else tangent_basis(y_rows)
     # projected_jacobian and reduced_matrix, sharing one iteration step
     jac = agent_blocks(da, tangent_projectors(c.rows), tangent_projectors(y_rows))
     red = agent_blocks(da, bx.blocks, np.swapaxes(by.blocks, -1, -2))
@@ -140,9 +143,10 @@ def instability_certificate(a: WeightMatrix, c: Configuration,
     """Classify the stability of a fixed point of the weight iteration.
 
     For symmetric A, a positive top eigenvalue of the symmetric certificate
-    matrix implies an eigenvalue of the differential strictly beyond 1; both
-    facts are verified numerically. Non-symmetric A falls back to the
-    spectral radius of the reduced matrix alone. Spectral radii within
+    matrix implies an eigenvalue of the differential strictly beyond 1; the
+    label is read from the spectral radius of the reduced matrix, and the
+    certificate's top eigenvalue is reported beside it. Non-symmetric A
+    reports the spectral radius alone. Spectral radii within
     CLASS_TOL of 1 on non-consensus points are reported neutral, never stable.
     """
     res = fixed_point_residual(a, c)
@@ -157,8 +161,6 @@ def instability_certificate(a: WeightMatrix, c: Configuration,
     if a.is_symmetric():
         h = certificate_matrix(a, c)
         lam_h = float(np.linalg.eigvalsh(h).max())
-        if lam_h > CLASS_TOL and rho > 1.0 + CLASS_TOL:
-            return StabilityClassification("unstable-certified", rho, lam_h)
     if rho > 1.0 + CLASS_TOL:
         return StabilityClassification("unstable-certified", rho, lam_h)
     if rho >= 1.0 - CLASS_TOL:

@@ -33,8 +33,9 @@ class Configuration:
 
     @classmethod
     def _unchecked(cls, rows: np.ndarray) -> "Configuration":
-        """The configuration of (n, d) float rows that are unit rows already:
-        no normalization, no copy; the array becomes read-only."""
+        """The configuration of unit rows the package made (`unit_rows`,
+        `dynamics._step`, `dynamics.run_batch`): no normalization, no copy;
+        the array becomes read-only. Rows from outside take the checks."""
         c = object.__new__(cls)
         rows.flags.writeable = False
         object.__setattr__(c, "rows", rows)
@@ -131,12 +132,12 @@ def consensus_configuration(n: int, xbar: np.ndarray) -> Configuration:
     return Configuration(np.tile(xbar / nrm, (n, 1)))
 
 
-def relative_rank(s: np.ndarray, tol: float = RANK_TOL) -> int:
+def relative_rank(s: np.ndarray, tol: float = RANK_TOL):
     """Number of the descending singular values s above tol times the
-    largest; 0 when s is empty or all zero."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    largest; 0 when s is empty or all zero. For a stack of them along the
+    last axis, an array of one rank each."""
+    ranks = (s > tol * s[..., :1]).sum(-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def numerical_rank(c: Configuration, tol: float = RANK_TOL) -> int:

@@ -379,6 +379,35 @@ def test_stability_audit_small():
     assert summary["min_abs_det_sqrt2"] > 0
 
 
+def test_audit_counts_only_converged_escapes(monkeypatch):
+    # the escape run cut at 50 steps: every trial's last rows then look like consensus,
+    # but only the trials that reached a fixed point escaped to it
+    from spherecon import dynamics
+    from spherecon.state import Configuration, classify_configuration
+    real, escape_runs = dynamics.run_batch, []
+
+    def short_escapes(entries, rows, *args, agents=None, **kwargs):
+        if agents is not None:  # the descent search
+            return real(entries, rows, *args, agents=agents, **kwargs)
+        escape_runs.append(real(entries, rows, *args, **{**kwargs, "max_iter": 50}))
+        return escape_runs[-1]
+
+    monkeypatch.setattr(dynamics, "run_batch", short_escapes)
+    cfg = ExperimentConfig(seed=1, n=4, d=3, symmetric=True)
+    summary = cmd_stability_audit(cfg, count=20, det_trials=20)
+    (out,) = escape_runs
+    assert all(classify_configuration(Configuration._unchecked(rows)).is_consensus
+               for rows in out.rows)
+    assert summary["escapes_to_consensus"] == int((out.status == "fixed-point").sum()) == 11
+
+
+@pytest.mark.parametrize("command", [cmd_stability_audit, cmd_jg_rank])
+def test_descent_commands_reject_non_symmetric_weights(command):
+    cfg = ExperimentConfig(seed=1, n=4, d=3, symmetric=False)
+    with pytest.raises(ValueError, match="needs symmetric weights"):
+        command(cfg, count=2)
+
+
 def test_jg_rank_small():
     cfg = ExperimentConfig(seed=31, trials=100, n=4, d=3, symmetric=True)
     summary = cmd_jg_rank(cfg, count=5)

@@ -37,7 +37,7 @@ def test_linearization_matches_blockwise_reference():
         y_rows = z / norms[:, None]
         da = a.entries / norms[:, None]
         bx = tangent_basis(c).blocks
-        by = tangent_basis(Configuration(y_rows)).blocks
+        by = tangent_basis(y_rows).blocks
         px = [np.eye(d) - np.outer(x, x) for x in c.rows]
         py = [np.eye(d) - np.outer(x, x) for x in y_rows]
         k = d - 1
@@ -222,6 +222,22 @@ def test_descent_found_d3_points_unstable():
         if found >= 5:
             break
     assert found >= 5
+
+
+def test_certificate_is_positive_exactly_where_the_radius_passes_one():
+    # across layers: at symmetric fixed points the descent search finds for d >= 3, the
+    # certificate matrix's top eigenvalue passes CLASS_TOL exactly where the reduced
+    # matrix's spectral radius passes 1 + CLASS_TOL
+    from spherecon.experiments import ExperimentConfig, collect_descent_fixed_points
+    from spherecon.tolerances import CLASS_TOL
+    for seed, n, d in [(1, 4, 3), (20260826, 4, 3), (7, 5, 3), (3, 4, 4)]:
+        cfg = ExperimentConfig(seed=seed, n=n, d=d, symmetric=True)
+        points = collect_descent_fixed_points(cfg, count=40)
+        assert len(points) == 40
+        for a, c, _ in points:
+            cert = instability_certificate(a, c)
+            assert (cert.certificate_eigenvalue > CLASS_TOL) == (
+                cert.spectral_radius > 1.0 + CLASS_TOL)
 
 
 def test_trace_formula_random_configurations():

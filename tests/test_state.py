@@ -190,7 +190,8 @@ def test_configuration_json_round_trip():
 
 def test_relative_rank_keeps_the_three_rules_it_replaced():
     # the cutoff s > tol * s[0] as numerical_rank, fixedpoint_rank's guarded
-    # rank and the determinant check's full-rank test each wrote it
+    # rank and the determinant check's full-rank test each wrote it, and on a
+    # stack as the relative-equilibrium test wrote it
     rng = np.random.default_rng(30)
     for k in range(2000):
         size = int(rng.integers(1, 7))
@@ -206,4 +207,9 @@ def test_relative_rank_keeps_the_three_rules_it_replaced():
     for shape in ((0, 3), (3, 0), (0, 0)):
         assert matrix_rank(np.zeros(shape)) == 0
     assert matrix_rank(np.zeros((3, 4))) == 0 and relative_rank(np.zeros(3)) == 0
+    stack = np.sort(10.0 ** rng.uniform(-12, 2, (60, 4)), axis=1)[:, ::-1]
+    stack[::3] = 0.0
+    assert np.array_equal(relative_rank(stack), (stack > RANK_TOL * stack[:, :1]).sum(axis=-1))
+    assert np.array_equal(relative_rank(stack), [relative_rank(s) for s in stack])
+    assert type(relative_rank(stack[0])) is int
     assert numerical_rank(random_configuration(5, 3, seed=31)) == 3

@@ -33,6 +33,7 @@ COMMANDS = {
                    "--trials", "2000", "--seed", "12345"],
     "audit": ["audit", "--n", "4", "--d", "3", "--count", "20", "--seed", "1"],
     "jg-rank": ["jg-rank", "--n", "4", "--d", "3", "--count", "20", "--seed", "1"],
+    "pentagon": ["pentagon"],
 }
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
