@@ -97,7 +97,7 @@ def main(argv=None) -> int:
 
     slim = {k: v for k, v in summary.items()
             if k not in ("details", "reports", "counterexamples", "errors",
-                         "relative_equilibria")}
+                         "relative_equilibria", "quasi_periodic")}
     print(json.dumps(slim, indent=2, default=str))
     return 0
 

@@ -114,8 +114,20 @@ def _short_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
+def graph_hashes(adjacency: np.ndarray) -> list:
+    """The hash of each graph of a (T, n, n) stack of adjacency matrices:
+    of the bytes `DirectedGraph.to_json` writes, its edges' text taken from
+    one table of the n^2 "[i, j]" items, in row-major order as argwhere
+    lists them."""
+    count, n, _ = adjacency.shape
+    items = np.array([f"[{i}, {j}]" for i in range(1, n + 1) for j in range(1, n + 1)])
+    head = f'{{"n": {n}, "edges": ['
+    return [_short_hash((head + ", ".join(items[edges]) + "]}").encode())
+            for edges in adjacency.reshape(count, -1)]
+
+
 def graph_hash(g: DirectedGraph) -> str:
-    return _short_hash(g.to_json().encode())
+    return graph_hashes(g.adjacency[None])[0]
 
 
 def matrix_hash(a: np.ndarray) -> str:
@@ -173,6 +185,7 @@ class _Trial:
     min_potential_step: Optional[float] = None
     status: Optional[str] = None
     rotation: Optional[dynamics.Rotation] = None
+    turn: Optional[dynamics.Turn] = None
 
 
 def _plan(cfg: ExperimentConfig, trials: list, streams=(1, 2, 3)) -> list:
@@ -271,6 +284,7 @@ def _run_group(cfg: ExperimentConfig, members: list, descent: bool):
     for pos, trial in enumerate(members):
         trial.iters, trial.residual = int(out.iters[pos]), float(out.residual[pos])
         trial.status, trial.rotation = str(out.status[pos]), out.rotations.get(pos)
+        trial.turn = out.turns.get(pos)
         rows = out.rows[pos, :trial.n]
         if trial.status == dynamics.ZERO_NORM:
             try:
@@ -300,10 +314,14 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
     for members in groups.values():
         _run_group(cfg, members, descent)
     radii = {} if descent else _spectral_radii(trials)
+    graph_of = {}
+    for part in _stacks([tr for tr in trials if tr.graph is not None]):
+        graph_of.update(zip((tr.t for tr in part),
+                            graph_hashes(np.array([tr.graph.adjacency for tr in part]))))
     records, errors, nan = [], [], float("nan")
     for trial in trials:
         tseed = trial.seed
-        hashes = (graph_hash(trial.graph) if trial.graph else "",
+        hashes = (graph_of.get(trial.t, ""),
                   matrix_hash(trial.weights.entries) if trial.weights else "")
         if trial.error is not None:
             errors.append({"trial": trial.t, "error": str(trial.error)})
@@ -485,7 +503,10 @@ def cmd_theorem2_probe(cfg: ExperimentConfig):
     are recorded as non-converged rather than counted against the probe. Most
     of them turn rigidly and stop at a certified relative equilibrium, which
     the summary lists with its rotation angle, rank and largest modulus off
-    the orbit; the others run to max_iter.
+    the orbit. At d = 2 most of the others stop once their shape has made a
+    certified full turn on an attracting circle (quasi-periodic), which the
+    summary lists with its turn lag, return distance and exponents; the rest
+    run to max_iter.
     """
     if cfg.symmetric:
         raise ValueError("theorem2 probe requires non-symmetric weight matrices")
@@ -507,6 +528,8 @@ def cmd_theorem2_probe(cfg: ExperimentConfig):
         **run_fields,
         "relative_equilibria": [{"trial": tr.t, **tr.rotation._asdict()}
                                 for tr in trials if tr.rotation is not None],
+        "quasi_periodic": [{"trial": tr.t, **tr.turn._asdict()}
+                           for tr in trials if tr.turn is not None],
     }
     _emit(cfg, records, summary)
     return records, summary

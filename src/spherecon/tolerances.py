@@ -41,3 +41,18 @@ RE_STEP_FLOOR = 1e-6
 # a rotating trial stops only if every eigenvalue off its orbit has modulus <= 1 - RE_ORBIT_MARGIN,
 # that is, if the rotation is linearly stable; not derived
 RE_ORBIT_MARGIN = 1e-3
+# a trial's shape, its agents' angles relative to the first, must move this far from where its
+# window starts before a return counts: ten times QP_RETURN_TOL, so a loop is never a jitter
+QP_EXCURSION = 0.1
+# distance of a shape's return to its start, modulo 2 pi per angle, that closes a loop: above the
+# best returns (median 7.4e-4 in 2000 steps) of orbits on a circle, small enough to close it
+QP_RETURN_TOL = 1e-2
+# smallest shape step through a turn: far below the smallest step (1.5e-3) seen on a turn of a
+# non-converging trial, so an orbit creeping along its curve is never certified on round-off
+QP_STEP_FLOOR = 1e-4
+# the rotation and curve exponents of a turn lie within this of 0: above the 2.5e-4 that 99% of
+# the loops of non-converging trials reach; not derived
+QP_NEUTRAL_BAND = 3e-4
+# every other exponent of a turn is at most -QP_EXPONENT_MARGIN: twice QP_NEUTRAL_BAND, so that a
+# spiral onto a focus, whose curve and next exponents are equal, never passes both tests
+QP_EXPONENT_MARGIN = 6e-4

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from spherecon import dynamics
-from spherecon.dynamics import (AT_MAX_ITER, FIXED_POINT, RELATIVE_EQUILIBRIUM, ZERO_NORM,
-                                _step, find_nonconsensus_fixed_point, fixed_point_residual,
+from spherecon.dynamics import (AT_MAX_ITER, FIXED_POINT, QUASI_PERIODIC, RELATIVE_EQUILIBRIUM,
+                                ZERO_NORM, _step, find_nonconsensus_fixed_point, fixed_point_residual,
                                 iterate, pad_agents, potential, run, run_batch)
 from spherecon.fixedpoint_rank import compute_D
 from spherecon.graph import (DirectedGraph, complete_graph,
                              random_strongly_connected,
                              random_symmetric_connected)
-from spherecon.state import (Configuration, classify_configuration,
-                             consensus_configuration, random_configuration, unit_rows)
-from spherecon.tolerances import RE_FIT_TOL, RE_ORBIT_MARGIN, RE_STEP_FLOOR, STEP_FILTER_MARGIN
+from spherecon.state import (Configuration, agent_blocks, classify_configuration,
+                             consensus_configuration, random_configuration, tangent_basis,
+                             unit_rows)
+from spherecon.tolerances import (QP_EXPONENT_MARGIN, QP_NEUTRAL_BAND, QP_RETURN_TOL, RE_FIT_TOL,
+                                  RE_ORBIT_MARGIN, RE_STEP_FLOOR, STEP_FILTER_MARGIN)
 from spherecon.weights import (WeightMatrix, descent_matrix,
                                left_scale_normalize, sample_sdd)
 
@@ -606,3 +608,86 @@ def test_trial_resting_at_a_fixed_point_is_no_rotation():
     res = run(a, random_configuration(4, 2, seed=0), fp_tol=0.0,
               max_iter=dynamics.RE_CHECK_EVERY + 10)
     assert res.status == dynamics.AT_MAX_ITER and 0.0 < res.residual < RE_STEP_FLOOR
+
+
+def _spiral(b, c, amplitude):
+    """The splay state of the directed 4-ring I + b P + c P^T, its agents a
+    quarter turn apart: an exact relative equilibrium. b and c put the
+    complex pair of its reduced matrix just inside the unit circle, 1/14 of
+    a turn apart. Returns the matrix, the pair, and a start moved off the
+    splay state by amplitude along the pair's eigenvector, which spirals back
+    onto it."""
+    m = np.eye(4) + b * np.roll(np.eye(4), 1, axis=1) + c * np.roll(np.eye(4), -1, axis=1)
+    angles = 0.5 * np.pi * np.arange(4)
+    rows = np.column_stack([np.cos(angles), np.sin(angles)])
+    image, norms = _step(m, rows)
+    reduced = agent_blocks(m / norms[:, None], tangent_basis(rows).blocks,
+                           np.swapaxes(tangent_basis(image).blocks, -1, -2))
+    mu, vectors = np.linalg.eig(reduced)
+    j = np.argmax(np.where(mu.imag > 0, np.abs(mu), 0.0))
+    v = (vectors[:, j] * np.conj(vectors[0, j]) / abs(vectors[0, j])).real
+    v -= v.mean()
+    angles = angles + amplitude * v / np.abs(v).max()
+    return m, mu[j], np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def test_spiral_onto_a_focus_never_stops_as_quasi_periodic(monkeypatch):
+    # two constructed relative equilibria whose complex pair has modulus
+    # 1 - 2e-4 and 1 - 5e-4: a start 0.03 off spirals back, sweeping a full
+    # turn around the focus about every 14 steps. It is too slow a rotation
+    # to pass the RE test, so it runs on; it never stops as quasi-periodic
+    cases = [_spiral(0.891481, 0.55961, 0.03), _spiral(0.890636, 0.558264, 0.03)]
+    for (_, pair, _), eps in zip(cases, (2e-4, 5e-4)):
+        assert abs(pair) == pytest.approx(1.0 - eps, abs=1e-6)
+        assert np.angle(pair) == pytest.approx(2.0 * np.pi / 14, abs=1e-6)
+    mats, starts = (np.stack(x) for x in zip(*[(m, start) for m, _, start in cases]))
+    out = run_batch(mats, starts, max_iter=20_000)
+    assert set(out.status) <= {RELATIVE_EQUILIBRIUM, AT_MAX_ITER} and not out.turns
+    # the spirals pass the turn and step tests; only the exponents stop them:
+    # the circle's and the next exponent are the pair's, equal, and the
+    # first spiral's sits inside the neutral band, the second's outside it
+    shapes = [dynamics._shapes(starts)]
+    rows = starts
+    for _ in range(dynamics.TURN_WINDOW):
+        rows, _ = _step(mats, rows)
+        shapes.append(dynamics._shapes(rows))
+    shapes = np.swapaxes(np.array(shapes), 0, 1)
+    assert dynamics._turns(mats, shapes) == [None, None]
+    monkeypatch.setattr(dynamics, "QP_NEUTRAL_BAND", np.inf)
+    monkeypatch.setattr(dynamics, "QP_EXPONENT_MARGIN", -np.inf)
+    loose = dynamics._turns(mats, shapes)
+    assert all(turn is not None for turn in loose)
+    (_, first, next_), (_, second, next2) = (turn.exponents for turn in loose)
+    assert first == pytest.approx(next_, rel=1e-9) and second == pytest.approx(next2, rel=1e-9)
+    assert -QP_EXPONENT_MARGIN < first < 0.0 and abs(first) <= QP_NEUTRAL_BAND < abs(second)
+
+
+@pytest.mark.parametrize("block_steps", [1, 32])
+def test_quasi_periodic_stop_alone_and_padded(monkeypatch, block_steps):
+    # started 0.08 off a focus like those above, a 13th of a turn apart, a
+    # trial leaves it for an attracting circle. It stops at the same step
+    # with the same turn and rows alone and padded beside two trials that
+    # leave earlier, one of them symmetric and never tested; run on with the
+    # stop switched off, it neither converges nor rotates rigidly
+    monkeypatch.setattr(dynamics, "BLOCK_STEPS", block_steps)
+    m, _, start = _spiral(0.908972, 0.548989, 0.08)
+    alone = run_batch(m[None], start[None], max_iter=10 ** 5)
+    assert alone.status.tolist() == [QUASI_PERIODIC] and list(alone.turns) == [0]
+    turn = alone.turns[0]
+    assert abs(turn.exponents[0]) <= QP_NEUTRAL_BAND and abs(turn.exponents[1]) <= QP_NEUTRAL_BAND
+    assert turn.exponents[2] <= -QP_EXPONENT_MARGIN and turn.return_distance <= QP_RETURN_TOL
+    k = int(alone.iters[0])
+    assert (k + 1) % dynamics.RE_CHECK_EVERY == 0
+    symmetric = sample_sdd(complete_graph(6), 0.1, True, seed=2).entries
+    wave, wave_start = _rotating_wave()
+    entries, rows, agents = pad_agents(
+        [wave, symmetric, m], [wave_start, random_configuration(6, 2, seed=4).rows, start])
+    padded = run_batch(entries, rows, max_iter=10 ** 5, agents=agents)
+    assert padded.status.tolist() == [RELATIVE_EQUILIBRIUM, FIXED_POINT, QUASI_PERIODIC]
+    assert padded.iters[2] == k and padded.turns == {2: turn}
+    assert np.array_equal(padded.rows[2, :4], alone.rows[0])
+    # the stop state is the iteration's own
+    final, iters, residual, _ = _per_trial_run(m, start, 0.0, k)
+    assert np.array_equal(alone.rows[0], final) and alone.residual[0] == residual
+    monkeypatch.setattr(dynamics, "TURN_TESTS", 0)
+    assert run_batch(m[None], start[None], max_iter=10 ** 5).status.tolist() == [AT_MAX_ITER]

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from spherecon.dynamics import RELATIVE_EQUILIBRIUM, _step
+from spherecon import dynamics
+from spherecon.dynamics import AT_MAX_ITER, RELATIVE_EQUILIBRIUM, _step, run_batch
 from spherecon.experiments import (RECORD_FIELDS, ExperimentConfig, _plan, _run_trials,
                                    _theorem2_trials, cmd_consensus_sweep, cmd_jg_rank,
                                    cmd_pentagon_demo, cmd_rank_table,
@@ -282,13 +283,16 @@ def test_theorem2_probe_zero_counterexamples():
     _, summary = cmd_theorem2_probe(cfg)
     assert summary["rank_ge2_count"] == 0
     assert summary["counterexamples"] == []
-    # a trial that does not converge stops at a relative equilibrium or at max_iter
+    # a trial that does not converge stops at a relative equilibrium, as
+    # quasi-periodic or at max_iter
     counts = summary["status_counts"]
     assert counts["relative-equilibrium"] > 0 and counts["zero-norm"] == 0
-    assert counts["relative-equilibrium"] + counts["max-iter"] == summary["nonconverged"]
+    assert (counts["relative-equilibrium"] + counts["quasi-periodic"] + counts["max-iter"]
+            == summary["nonconverged"])
     assert summary["iteration_histogram"]["100000"] == counts["max-iter"]
     assert sum(counts.values()) == cfg.trials
     assert len(summary["relative_equilibria"]) == counts["relative-equilibrium"]
+    assert len(summary["quasi_periodic"]) == counts["quasi-periodic"]
 
 
 def test_near_rank_one_collapses_do_not_stop_as_rotations():
@@ -322,6 +326,25 @@ def test_stopped_trials_keep_rotating():
         assert np.linalg.norm(image - rows, axis=(1, 2)).min() > RE_STEP_FLOOR
         rows = image
         assert np.abs(rows @ np.swapaxes(rows, -1, -2) - gram).max() <= RE_FIT_TOL
+
+
+def test_quasi_periodic_trials_never_converge(monkeypatch):
+    # every trial that a 40-trial theorem2 run at (n, d) = (5, 2) stops as
+    # quasi-periodic, listed in the summary with its turn, run again from its
+    # start to max_iter with the stop switched off: none reaches a fixed
+    # point or passes the RE test
+    cfg = ExperimentConfig(seed=20260826, trials=40, n=5, d=2, symmetric=False)
+    records, summary = cmd_theorem2_probe(cfg)
+    listed = summary["quasi_periodic"]
+    assert len(listed) == summary["status_counts"]["quasi-periodic"] >= 5
+    assert all(set(entry) == {"trial", "lag", "return_distance", "exponents"} for entry in listed)
+    assert {records[entry["trial"]].klass for entry in listed} == {"nonconverged"}
+    trials = _plan(cfg, _theorem2_trials(cfg))
+    stopped = [trials[entry["trial"]] for entry in listed]
+    monkeypatch.setattr(dynamics, "TURN_TESTS", 0)
+    out = run_batch(np.stack([descent_matrix(tr.weights, cfg.slack).entries for tr in stopped]),
+                    np.stack([tr.start for tr in stopped]), max_iter=cfg.max_iter)
+    assert out.status.tolist() == [AT_MAX_ITER] * len(stopped)
 
 
 def test_theorem2_perturbation_of_symmetric_matrix():
@@ -438,7 +461,8 @@ def test_descent_search_reports_shortfall():
     assert len(points) == 0
     assert points.counts == {"requested": 2, "trials_run": 1000, "zero_norm_trials": 0,
                              "status_counts": {"fixed-point": 0, "relative-equilibrium": 0,
-                                               "max-iter": 1000, "zero-norm": 0}}
+                                               "quasi-periodic": 0, "max-iter": 1000,
+                                               "zero-norm": 0}}
     with pytest.warns(RuntimeWarning):
         summary = cmd_jg_rank(cfg, count=2)
     assert summary["fixed_points"] == 0
@@ -583,9 +607,11 @@ def test_cli_theorem2_and_flag_overrides(tmp_path):
     assert summary["rank_ge2_count"] == 0
     # stdout leaves out the per-trial lists that summary.json keeps
     printed = json.loads(proc.stdout)
-    assert "relative_equilibria" in summary and "relative_equilibria" not in printed
+    for key in ("relative_equilibria", "quasi_periodic"):
+        assert key in summary and key not in printed
     assert printed == {k: v for k, v in summary.items()
-                       if k not in ("counterexamples", "errors", "relative_equilibria")}
+                       if k not in ("counterexamples", "errors", "relative_equilibria",
+                                    "quasi_periodic")}
 
 
 def test_record_csv_round_trip(tmp_path):

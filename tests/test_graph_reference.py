@@ -15,7 +15,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from spherecon.experiments import graph_hash
+from spherecon.experiments import graph_hash, graph_hashes
 from spherecon.graph import (DirectedGraph, is_strongly_connected, random_connected_er,
                              random_strongly_connected, random_symmetric_connected)
 from spherecon.weights import sample_sdd
@@ -156,3 +156,16 @@ def test_strong_connectivity_matches_scipy_strong_components():
         outcomes.append(is_strongly_connected(DirectedGraph(adj)))
         assert outcomes[-1] == (ncomp == 1), adj.astype(int)
     assert 2000 < sum(outcomes) < 8000  # both answers well represented
+
+
+def test_stacked_graph_hashes_match_the_json_reference():
+    # a stack hashed at once gives each graph's hash of its JSON text, the
+    # edgeless graph and two-digit agent numbers included
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 7, 12):
+        adj = rng.random((50, n, n)) < rng.random((50, 1, 1))
+        adj[:, np.arange(n), np.arange(n)] = False
+        adj[0] = False
+        expected = [_ref_graph_hash(n, [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(a))])
+                    for a in adj]
+        assert graph_hashes(adj) == expected

@@ -36,5 +36,8 @@ def test_every_entry_has_its_value_and_a_reason():
         "STEP_FILTER_MARGIN": 1e-9,
         # added with the relative-equilibrium stop; no value before it
         "RE_FIT_TOL": 1e-10, "RE_STEP_FLOOR": 1e-6, "RE_ORBIT_MARGIN": 1e-3,
+        # added with the quasi-periodic stop; no value before it
+        "QP_EXCURSION": 0.1, "QP_RETURN_TOL": 1e-2, "QP_STEP_FLOOR": 1e-4,
+        "QP_NEUTRAL_BAND": 3e-4, "QP_EXPONENT_MARGIN": 6e-4,
     }
     assert all(getattr(tolerances, name) == value for name, value in entries.items())
