@@ -1,10 +1,9 @@
 """The sphere-projection iteration: each agent replaces its state by the
 normalized conical combination of its neighbors' states. Includes the
 quadratic potential, the lockstep kernel behind every trajectory (`run_batch`,
-which `run` calls on a stack of one), which can keep each trial's smallest
-per-step change of its potential and stops a trial that is certified never
-to converge (a rigid rotation, or a full turn on an attracting circle), and
-the descent mode used to locate non-consensus fixed points.
+which `run` calls on a stack of one), which stops a trial certified never to
+converge (a rigid rotation, or a full turn on an attracting circle), and the
+descent mode used to locate non-consensus fixed points.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import loops
 from .state import (Configuration, ConfigurationClass, agent_blocks, as_array,
                     classify_configuration, relative_rank, tangent_basis)
 from .tolerances import (FP_TOL, LIMIT_RANK_TOL, MIN_ROW_NORM, QP_EXCURSION, QP_EXPONENT_MARGIN,
@@ -37,10 +37,9 @@ TURN_WINDOW = 2 * RE_CHECK_EVERY
 # quasi-periodic tests a trial is given: each of the 197 trials of 30 theorem2 rounds (n = 5,
 # 40 trials) that passed did so within its first 13; one that does not turn is watched no longer
 TURN_TESTS = 16
-# trials per quasi-periodic test and steps per piece of a loop's product: a test's arrays stay
-# within a few hundred KB, so that it leaves the peak memory of a run all but unchanged
-TURN_STACK = 2
-LOOP_PIECE = 64
+# trials per replay of a quasi-periodic test: its arrays stay within a few MB, so that it
+# leaves the peak memory of a run all but unchanged
+TURN_STACK = 8
 
 # the ways a trial ends, one per trial in BatchResult.status: it reached a fixed point; it
 # turns rigidly (a relative equilibrium); it turns around an attracting circle of shapes that
@@ -109,7 +108,10 @@ class Turn(NamedTuple):
     """A full turn of a trial's shape on an attracting circle: the steps
     the turn took from the start of its window, the distance of the shape's
     first return to where it started, and the three largest Lyapunov
-    exponents over that loop (the rotation's, the circle's, the next)."""
+    exponents over that loop (the rotation's, the circle's, the next). The
+    third is resolved only down to about log(eps) / L over a loop of L steps:
+    at L = 478, two products equal up to round-off gave -0.0696 and -0.0728,
+    and log(eps) / 478 = -0.0754, so its digits there are no measurement."""
 
     lag: int
     return_distance: float
@@ -196,153 +198,214 @@ def _rotations(m: np.ndarray, before: np.ndarray, after: np.ndarray, norms: np.n
     return found
 
 
-def _shapes(rows: np.ndarray) -> np.ndarray:
-    """The shape of (..., n, 2) rows on the circle: the angles of agents
-    2 .. n relative to agent 1, each in (-2 pi, 2 pi)."""
-    angles = np.arctan2(rows[..., 1], rows[..., 0])
-    return angles[..., 1:] - angles[..., :1]
+class _Block:
+    """Buffers for up to `steps` steps of a (count, size, d) stack of trials
+    and views of them, made once, so that the kernel's step (`run`) allocates
+    nothing. A step is matmul, square, the sum of the squares' columns, sqrt
+    and a divide per column, each a ufunc writing through the views. Below
+    PAIRWISE_SUM_FROM columns a call per column adds a row's squares in the
+    order `np.linalg.norm` does, without numpy's cost per row. The column
+    views are flat over all rows: numpy runs a one-axis operand in one plain
+    loop, where a divide broadcast over the columns loops once per row."""
+
+    def __init__(self, steps: int, count: int, size: int, d: int):
+        self.states, self.norms = np.empty((steps, count, size, d)), np.empty((steps, count, size))
+        self.squares = np.empty((count, size, d))
+        self.columns = list(self.squares.reshape(-1, d).T) if 2 <= d < PAIRWISE_SUM_FROM else []
+        # per step: the state, its columns flat over all trials, and its row norms
+        columns = self.states.reshape(steps, -1, d).transpose(0, 2, 1)
+        self.views = list(zip(self.states, map(list, columns), self.norms.reshape(steps, -1)))
+
+    def run(self, m: np.ndarray, x: np.ndarray, steps: Optional[int] = None):
+        """Take the block's steps (its first `steps`) from rows x under the
+        matrices m; returns the states and their row norms."""
+        matmul, multiply, add, sqrt, divide = np.matmul, np.multiply, np.add, np.sqrt, np.divide
+        squares, columns, later, prev = self.squares, self.columns, self.columns[2:], x
+        for z, z_columns, norm in self.views if steps is None else self.views[:steps]:
+            matmul(m, prev, z)
+            multiply(z, z, squares)
+            if columns:
+                add(columns[0], columns[1], norm)
+                for column in later:
+                    add(norm, column, norm)
+            else:
+                add.reduce(squares.reshape(-1, squares.shape[-1]), -1, None, norm)
+            sqrt(norm, norm)
+            for column in z_columns:
+                divide(column, norm, column)
+            prev = z
+        return self.states, self.norms
 
 
-def _loop_exponents(m: np.ndarray, shapes: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The Lyapunov exponents, largest first, of (C, n, n) iteration
-    matrices along the orbits whose shapes (C, T, n - 1) a window holds, each
-    over its loop from the window's first state to state ends[c].
-
-    A state is rebuilt from its shape with agent 1 at angle 0. The map
-    commutes with rotations, and in the quarter-turn tangent bases of d = 2
-    a rotated state has the same tangent coordinates, so the reduced
-    matrices of the rebuilt states chain up as those of the orbit would.
-    Their product over the loop, built in pieces of LOOP_PIECE steps, each a
-    tree of stacked matmuls (identity past the loop's end), maps the tangent
-    space at the loop's start to that at its return, which is all but the
-    same; the exponents are the logs of its eigenvalue moduli over the
-    loop's length. Over a closed loop these are exact for a periodic orbit
-    and carry no start-up transient: the QR method over a window of 1024
-    steps read the neutral exponents of these orbits up to 0.004 off 0,
-    more than ten times QP_NEUTRAL_BAND."""
-    count, n, _ = m.shape
-    product = np.broadcast_to(np.eye(n), m.shape)
-    for lo in range(0, int(ends.max()), LOOP_PIECE):
-        angles = np.zeros((count, min(LOOP_PIECE, shapes.shape[1] - 1 - lo) + 1, n))
-        angles[..., 1:] = shapes[:, lo:lo + angles.shape[1]]
-        rows = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        images = m[:, None] @ rows[:, :-1]
-        norms = np.linalg.norm(images, axis=-1)
-        images /= norms[..., None]
-        reduced = agent_blocks(m[:, None] / norms[..., None], tangent_basis(rows[:, :-1]).blocks,
-                               np.swapaxes(tangent_basis(images).blocks, -1, -2))
-        reduced[lo + np.arange(reduced.shape[1]) >= ends[:, None]] = np.eye(n)
-        while reduced.shape[1] > 1:  # the later matrix of each pair on the left
-            if reduced.shape[1] % 2:
-                reduced = np.concatenate([reduced, np.broadcast_to(np.eye(n), reduced[:, :1].shape)],
-                                         axis=1)
-            reduced = reduced[:, 1::2] @ reduced[:, 0::2]
-        product = reduced[:, 0] @ product
-    return -np.sort(-np.log(np.abs(np.linalg.eigvals(product))), axis=-1) / ends[:, None]
+def _replay(m: np.ndarray, rows: np.ndarray, steps: int):
+    """The states 0 .. steps, (steps + 1, C, n, d), of trials from their rows
+    under their matrices, and the row norms of each step, (steps, C, n), by
+    the kernel's own step: from a state the kernel reached they are its
+    states, bit for bit."""
+    states, norms = np.empty((steps + 1, *rows.shape)), np.empty((steps, *rows.shape[:2]))
+    states[0], block = rows, _Block(min(BLOCK_STEPS, steps), *rows.shape)
+    for lo in range(0, steps, BLOCK_STEPS):
+        hi = min(lo + BLOCK_STEPS, steps)
+        block.run(m, states[lo], hi - lo)
+        states[lo + 1:hi + 1], norms[lo:hi] = block.states[:hi - lo], block.norms[:hi - lo]
+    return states, norms
 
 
-def _turns(m: np.ndarray, shapes: np.ndarray) -> list:
-    """The quasi-periodic test of a stack of d = 2 trials from their (C, n, n)
-    iteration matrices and the shapes (C, T, n - 1) of a window's states.
-    Returns, per trial, its Turn if it passes, else None.
-
-    The shapes are unwrapped along the window, each step taken modulo 2 pi
-    per angle, so that each lifted angle moves continuously. The loop runs
-    from the window's first state to the first state whose shape, after one
-    more than QP_EXCURSION away, returns within QP_RETURN_TOL of the first,
-    modulo 2 pi per angle. A trial passes if three things hold.
-    (a) Over the loop (`_loop_exponents`), the two largest exponents, the
-    rotation's and the circle's, lie within QP_NEUTRAL_BAND of 0, and the
-    third is at most -QP_EXPONENT_MARGIN.
-    (b) Its shape has made a full turn: it came back advanced by a non-zero
-    multiple of 2 pi (a loop around the torus of shapes; the turn ends at
-    the return), or its angle about the loop's centroid, in the plane of the
-    loop's two principal directions, sweeps 2 pi monotonically (the turn
-    ends where the sweep reaches 2 pi).
-    (c) Every shape step up to the turn's end exceeds QP_STEP_FLOOR.
-    The orbit has then settled on a normally attracting circle of shapes, on
-    which the map is a circle homeomorphism, and it went once around, so the
-    circle holds no fixed point and the trial never converges. A spiral onto
-    a focus sweeps turns too, but its circle and next exponents are equal,
-    and QP_NEUTRAL_BAND < QP_EXPONENT_MARGIN fails it on one of them.
-    """
-    count, length, k = shapes.shape
-    found = [None] * count
-    # two float arrays of the window's size: the lifted shape less its start (shift), which
-    # becomes the lifted shape, and a scratch array
-    shift, scratch = np.zeros(shapes.shape), np.empty(shapes.shape)
-    moves, wrap = shift[:, 1:], scratch[:, 1:]
-    np.subtract(shapes[:, 1:], shapes[:, :-1], out=moves)
-    np.round(np.divide(moves, 2.0 * np.pi, out=wrap), out=wrap)
-    moves -= np.multiply(wrap, 2.0 * np.pi, out=wrap)
-    steps = np.sqrt(np.einsum("ctk,ctk->ct", moves, moves))
-    np.cumsum(moves, axis=1, out=moves)
-    np.round(np.divide(shift, 2.0 * np.pi, out=scratch), out=scratch)
-    scratch *= -2.0 * np.pi
-    scratch += shift  # each shape's offset from the start, modulo 2 pi per angle
-    away = np.sqrt(np.einsum("ctk,ctk->ct", scratch, scratch))
-    t = np.arange(length)
-    out = np.where((away > QP_EXCURSION).any(1), (away > QP_EXCURSION).argmax(1), length)
-    back = (away <= QP_RETURN_TOL) & (t > out[:, None])
-    returned = back.any(1) & (steps[:, 0] > QP_STEP_FLOOR)  # a turn starts with a step
-    if not returned.any():
-        return found
-    ends = np.where(returned, back.argmax(1), length - 1)
-    winds = np.round(shift[np.arange(count), ends] / (2.0 * np.pi)).any(-1)
-    lifts = np.add(shift, shapes[:, :1], out=shift)
-    lag = ends.copy()
-    swept = np.zeros(count, dtype=bool)
-    if k > 1:  # the angle about the loop's centroid in its principal plane
-        loop = (t <= ends[:, None]).astype(float)
-        centroid = np.einsum("ctk,ct->ck", lifts, loop) / (ends + 1)[:, None]
-        offset = np.subtract(lifts, centroid[:, None], out=scratch)
-        _, axes = np.linalg.eigh(np.einsum("ctk,ctl,ct->ckl", offset, offset, loop))
-        plane = offset @ axes[..., -2:]
-        sweep = np.unwrap(np.arctan2(plane[..., 1], plane[..., 0]), axis=1)
-        full = np.abs(sweep - sweep[:, :1]) >= 2.0 * np.pi
-        lag = np.where(winds, ends, np.where(full.any(1), full.argmax(1), length))
-        turning = np.diff(sweep, axis=1)
-        inside = t[:-1] < lag[:, None]
-        swept = full.any(1) & (((turning > 0) | ~inside).all(1) | ((turning < 0) | ~inside).all(1))
-    moving = np.where(t[:-1] < lag[:, None], steps, np.inf).min(1) > QP_STEP_FLOOR
-    turned = np.flatnonzero(returned & (winds | swept) & moving)
+def _turns(m: np.ndarray, states: np.ndarray, norms: np.ndarray, loop: loops.Loop) -> list:
+    """The quasi-periodic test of d = 2 trials from their (C, n, n) matrices,
+    the (T, C, n, 2) states of a window and the (T - 1, C, n) row norms of
+    its steps: per trial its Turn if it passes, else None. The loop runs
+    from the window's first state to its first return; the shapes
+    (`loops.shapes`) are lifted along it, each step taken modulo 2 pi per
+    angle (`loops.geometry`). A trial passes if (a) over the loop
+    (`loops.exponents`) the rotation's and the circle's exponents lie within
+    QP_NEUTRAL_BAND of 0 and the next is at most -QP_EXPONENT_MARGIN; (b) its
+    shape made a full turn: it came back advanced by a multiple of 2 pi (a
+    loop around the torus of shapes; the turn ends at the return), or its
+    angle about the loop's centroid, in the loop's principal plane, swept
+    2 pi monotonically (the turn ends there); and (c) every shape step of the
+    turn exceeds QP_STEP_FLOOR. The orbit has then settled on a normally
+    attracting circle of shapes, on which the map is a circle homeomorphism,
+    and went once around, so the circle holds no fixed point and the trial
+    never converges. A spiral onto a focus sweeps turns too, but its circle
+    and next exponents are equal, which QP_NEUTRAL_BAND < QP_EXPONENT_MARGIN
+    never passes. A Turn reads no state past its turn's end: any longer
+    window gives it too. loop is the window's `loops.geometry`."""
+    ends, lag, away, turned, _ = loop
+    found, turned = [None] * len(turned), np.flatnonzero(turned)
     if len(turned):
-        exponents = _loop_exponents(m[turned], lifts[turned], ends[turned])
-        exponents = np.pad(exponents, ((0, 0), (0, 1)), constant_values=-np.inf)[:, :3]
-        for c, (first, second, third) in zip(turned, exponents):
+        exponents = np.pad(loops.exponents(m[turned], states, norms, ends[turned], turned),
+                           ((0, 0), (0, 1)), constant_values=-np.inf)
+        for c, (first, second, third) in zip(turned, exponents[:, :3]):
             if max(abs(first), abs(second)) <= QP_NEUTRAL_BAND and third <= -QP_EXPONENT_MARGIN:
-                found[c] = Turn(int(lag[c]), float(away[c, ends[c]]),
+                found[c] = Turn(int(lag[c]), float(np.sqrt(away[c])),
                                 (float(first), float(second), float(third)))
     return found
 
 
-def _record(shapes: np.ndarray, rows: np.ndarray, first: int, states: np.ndarray, ring: int):
-    """Write the shapes of a (steps, C, n, 2) stack of states, the states
-    first, first + 1, ... of C watched trials, into their rows of the ring
-    of shapes, at the slots state mod ring."""
-    cols = (first + np.arange(len(states))) % ring
-    shapes[rows[:, None], cols] = np.swapaxes(_shapes(states), 0, 1)
-
-
-def _turn_test(m: np.ndarray, shapes: np.ndarray, rows: np.ndarray, since: np.ndarray,
-               state: int, ring: int, agents: np.ndarray) -> list:
-    """`_turns` of watched trials at a state, each from its (padded)
-    iteration matrix and the shapes its row of the ring holds, over its real
-    agents, from max(since, state - TURN_WINDOW) to state. Trials of one
-    agent count and window share a call, TURN_STACK at most."""
-    found = [None] * len(rows)
-    starts = np.maximum(since, state - TURN_WINDOW)
-    groups: dict = {}
-    for c, key in enumerate(zip(agents.tolist(), starts.tolist())):
-        groups.setdefault(key, []).append(c)
-    for (n, first), members in groups.items():
-        cols = np.arange(first, state + 1) % ring
+def _turn_test(m: np.ndarray, rows: np.ndarray, starts: np.ndarray, back: np.ndarray,
+               state: int, agents: np.ndarray) -> list:
+    """`_turns` at test step `state` of watched trials, from their padded
+    matrices and their rows at their windows' starts, over their real agents.
+    Only a trial whose detector saw a return (back >= 0) is replayed, first
+    up to the return, and on to `state` only if its turn is undecided there
+    (`loops.Loop`). Trials of one start share a replay, TURN_STACK at most,
+    in the order of their returns, and those of one agent count a `_turns`."""
+    found, groups = [None] * len(rows), {}
+    returned = np.flatnonzero(back >= 0)
+    for c in returned[np.argsort(back[returned], kind="stable")]:
+        groups.setdefault(int(starts[c]), []).append(c)
+    for first, members in groups.items():
         for lo in range(0, len(members), TURN_STACK):
             part = np.array(members[lo:lo + TURN_STACK])
-            window = shapes[rows[part][:, None], cols, :n - 1]
-            for c, turn in zip(part, _turns(m[part, :n, :n], window)):
-                found[c] = turn
+            reach = int(back[part].max()) - first
+            states, norms = _replay(m[part], rows[part], reach)
+            short = _turns_by_count(m[part], states, norms, agents[part], part, found)
+            if len(short) and first + reach < state:
+                more, more_norms = _replay(m[part[short]], states[-1, short], state - first - reach)
+                _turns_by_count(m[part[short]], np.concatenate([states[:, short], more[1:]]),
+                                np.concatenate([norms[:, short], more_norms]), agents[part[short]],
+                                part[short], found)
     return found
+
+
+def _turns_by_count(m: np.ndarray, states: np.ndarray, norms: np.ndarray, agents: np.ndarray,
+                    trials: np.ndarray, found: list) -> np.ndarray:
+    """`_turns` of padded trials, a call per real agent count, into found;
+    returns the positions of those whose turn the window left undecided."""
+    undecided = np.zeros(len(trials), dtype=bool)
+    for n in np.unique(agents):
+        at = np.flatnonzero(agents == n)
+        window = states[:, at, :n] if len(at) < len(trials) else states[..., :n, :]
+        loop = loops.geometry(window)
+        for c, turn in zip(trials[at], _turns(m[at, :n, :n], window, norms[:, at, :n], loop)):
+            found[c] = turn
+        undecided[at] = loop.undecided
+    return np.flatnonzero(undecided)
+
+
+class _Watch:
+    """The trials the quasi-periodic test watches, O(n d) numbers each: d = 2
+    trials with a non-symmetric matrix (the others have no chances) that the
+    RE test rejected at a test step where their shape stepped above
+    QP_STEP_FLOOR. One has a window open from each of the last two test
+    steps, one only until its first test. Per window it keeps the rows and
+    shape at its start and a detector: whether the shape has left by
+    QP_EXCURSION and the first state after that within QP_RETURN_TOL (back,
+    -1 before), found on the distances `_turns` takes, so that it sees the
+    return `_turns` finds, bit for bit."""
+
+    # per open window, sorted by trial and start: its trial and that trial's position in the
+    # working set, its start, back, 1 on the angles of real agents (0 on pads), its shape and
+    # rows at its start, and whether its shape has left
+    FIELDS = ("trial", "seen", "start", "back", "real", "origin", "rows", "left")
+
+    def __init__(self, entries: np.ndarray, agents: np.ndarray, d: int):
+        size, self.agents = entries.shape[1], agents
+        self.chances = np.where((entries != np.swapaxes(entries, 1, 2)).any(axis=(1, 2)) & (d == 2),
+                                TURN_TESTS, 0)  # the quasi-periodic tests each trial has left
+        self.trial = self.seen = self.start = self.back = np.zeros(0, dtype=int)
+        self.real = self.origin = np.zeros((0, size - 1))
+        self.rows, self.left = np.zeros((0, size, d)), np.zeros(0, dtype=bool)
+
+    def follow(self, states: np.ndarray, first: int, stop: int):
+        """Feed the detectors the leading `stop` states of a block's working
+        set, the states first, first + 1, ..."""
+        if not stop or not (self.back < 0).any():
+            return
+        away = loops.squared_distances(loops.shapes(states[:stop, self.seen]), self.origin,
+                                       self.real)
+        close = away <= QP_RETURN_TOL ** 2
+        if not self.left.all():  # the windows that have been out, up to each state
+            gone = np.logical_or.accumulate(away > QP_EXCURSION ** 2, axis=0) | self.left
+            close &= gone
+            self.left = gone[-1]
+        if close.any():
+            new = close.any(0) & (self.back < 0)
+            self.back[new] = first + close.argmax(0)[new]
+
+    def test(self, m: np.ndarray, pos: np.ndarray, trials: np.ndarray, before: np.ndarray,
+             after: np.ndarray, state: int) -> dict:
+        """The quasi-periodic test at test step `state` of the running trials
+        at working-set positions pos (trials their indices) that the RE test
+        rejected; before and after are the working set's states `state` and
+        `state` + 1. A watched one is tested on its older window and uses up a
+        chance; returns {position: Turn} of those that pass. One that did not
+        stop is watched on while it has chances: its window from `state` -
+        TURN_WINDOW closes and one opens here. Another joins if it has chances
+        and its shape steps above QP_STEP_FLOOR here."""
+        pos, trials = pos[self.chances[trials] > 0], trials[self.chances[trials] > 0]
+        if not len(pos) and not len(self.trial):
+            return {}
+        older = np.searchsorted(self.trial, trials)  # each watched one's older window
+        old = older < len(self.trial)
+        old[old] = self.trial[older[old]] == trials[old]
+        ready, w = np.flatnonzero(old), older[old]
+        found = _turn_test(m[pos[ready]], self.rows[w], self.start[w], self.back[w], state,
+                           self.agents[trials[ready]])
+        stopped = np.zeros(len(pos), dtype=bool)
+        stopped[ready] = [turn is not None for turn in found]
+        self.chances[trials[ready]] -= 1
+        real = (np.arange(self.real.shape[1]) < self.agents[trials, None] - 1).astype(float)
+        moving = loops.squared_distances(loops.shapes(after[pos]), loops.shapes(before[pos]), real)
+        going = ~stopped & (self.chances[trials] > 0) & (old | (moving > QP_STEP_FLOOR ** 2))
+        kept = np.isin(self.trial, trials[going]) & (self.start > state - TURN_WINDOW)
+        here = before[pos[going]]
+        opened = (trials[going], pos[going], np.full(len(here), state), np.full(len(here), -1),
+                  real[going], loops.shapes(here), here, np.zeros(len(here), dtype=bool))
+        order = np.argsort(np.concatenate([self.trial[kept], trials[going]]), kind="stable")
+        for name, new in zip(self.FIELDS, opened):
+            setattr(self, name, np.concatenate([getattr(self, name)[kept], new])[order])
+        return {int(pos[c]): turn for c, turn in zip(ready, found) if turn is not None}
+
+    def regather(self, keep: np.ndarray):
+        """Follow a re-gather of the working set to the positions where keep
+        holds; a watched trial that left is dropped."""
+        if len(self.trial):
+            stay = keep[self.seen]
+            for name in self.FIELDS:
+                setattr(self, name, getattr(self, name)[stay])
+            self.seen = np.cumsum(keep)[self.seen] - 1
 
 
 def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
@@ -359,11 +422,11 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
     vanishes ends with status ZERO_NORM and residual inf instead of raising.
 
     Active trials form a compact working set (matrices and rows) that takes
-    blocks of steps: up to BLOCK_STEPS, fewer where the block's states would
-    pass BLOCK_FLOATS or max_iter, at least one. Inside
-    a block only the update runs; after it, every step of the block is
-    screened at once. Unless no trial can leave in the block, an exit scan
-    finds each trial's first exit step (the block's length if it stays), its
+    blocks of steps (`_Block`): up to BLOCK_STEPS, fewer where the block's
+    states would pass BLOCK_FLOATS or max_iter, at least one. Inside a block
+    only the update runs; after it, every step of the block is screened.
+    Unless no trial can leave in the block, an exit scan finds each trial's
+    first exit step (the block's length if it stays), its
     residual and its status, by one rule per status, each writing all three
     where its step is earlier: ZERO_NORM at the first step whose row image
     vanishes, residual inf; FIXED_POINT at the first step whose exact
@@ -390,26 +453,12 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
 
     At d = 2, a trial with a non-symmetric matrix that the RE test rejects
     at a test step k, and whose shape step there exceeds QP_STEP_FLOOR, is
-    watched: from state k on, the shapes (`_shapes`) of its states are
-    written after each block into its row of a ring of TURN_WINDOW +
-    BLOCK_STEPS + 1 slots, state mod ring, so the states of the block past
-    a test step never overwrite the window before it. Rows are sized per
-    watched trial and reused when one leaves. At each later test step it is
-    tested (`_turn_test`) on the states from max(k, test step -
-    TURN_WINDOW) to the test step, and is watched on if it still runs and
-    has tests left of its TURN_TESTS; its Turn is kept in BatchResult.turns.
-    Symmetric trials, whose potential is monotone, and d >= 3 are never
-    tested.
-
-    A step is matmul, square, the sum of the squares' columns, sqrt and a
-    divide per column, each a ufunc writing into buffers made once per
-    working-set shape through views made with them, so a step allocates
-    nothing. Below PAIRWISE_SUM_FROM columns a call per column adds a row's
-    squares in the order `np.linalg.norm` does, without numpy's cost per
-    row; from there on numpy's own reduction runs. The views of the squares'
-    and the states' columns are flat over all rows: numpy runs a one-axis
-    operand in one plain loop, where a divide broadcast over the columns
-    loops once per row.
+    watched (`_Watch`): it keeps its rows at the start of its windows and a
+    return detector for each. At each later test step its window from
+    max(k, test step - TURN_WINDOW) is tested: replayed from its rows if it
+    returned (`_turn_test`). It is watched on while it runs and has tests
+    left of its TURN_TESTS; its Turn is kept in BatchResult.turns. Symmetric
+    trials, whose potential is monotone, and d >= 3 are never tested.
 
     A step's size is screened by the squared norm of the whole padded step,
     one einsum over the block. Trailing pad zeros can change the final bit of
@@ -427,20 +476,10 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
     residual = np.full(t_count, np.inf)
     status = np.empty(t_count, dtype=f"U{len(RELATIVE_EQUILIBRIUM)}")
     rotations, turns = {}, {}
-    # the quasi-periodic test's trials: d = 2 with a non-symmetric matrix. Those the RE test
-    # rejected at its last test are watched: the shapes of their states since then (or of the
-    # last TURN_WINDOW + 1 of them) are recorded in a ring of slots, state mod ring, in single
-    # precision: its round-off, below a millionth of a radian, is far below every threshold
-    chances = np.where((entries != np.swapaxes(entries, 1, 2)).any(axis=(1, 2)) & (d == 2),
-                       TURN_TESTS, 0)  # the quasi-periodic tests each trial has left
-    ring = TURN_WINDOW + BLOCK_STEPS + 1  # the window and the states of one block past it
-    watched = since = slots = np.zeros(0, dtype=int)  # trial, first state recorded, its slot
-    shapes = np.zeros((0, ring, size - 1), dtype=np.float32)
-    seen = watched  # the watched trials' positions in the working set
+    watch = _Watch(entries, agents, d)
     idx, m, x = np.arange(t_count), entries, rows
     cutoff = fp_tol * fp_tol * (1.0 + STEP_FILTER_MARGIN)
     floor = RE_STEP_FLOOR * RE_STEP_FLOOR
-    columnwise = 2 <= d < PAIRWISE_SUM_FROM
     # each trial's smallest potential step so far, and the potential of the state
     # before its current one (NaN before the first, so that no step is taken from it)
     worst = np.full(t_count, np.inf) if potential else None
@@ -455,39 +494,18 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
                 shape, side = (steps, count), 0
                 real = np.arange(size) < agents[idx, None]  # the running trials' real agents
                 pots = np.empty((steps, count))
-                norms = np.empty((steps, count, size))
                 flat = np.empty((steps, count, size * d))  # the block's steps
-                squares = np.empty((count, size, d))
-                square_rows = squares.reshape(-1, d)
-                columns = list(square_rows.T)
-                later = columns[2:]
-                # two alternating sides of states, so a block never writes the state
-                # it starts from; each is made when first used
+                # two alternating blocks, so a block never writes the state it starts
+                # from; each is made when first used
                 sides = [None, None]
             if sides[side] is None:
-                # the side's states and, per step, the state, its columns flat over
-                # all trials, and its row norms
-                states = np.empty((steps, count, size, d))
-                state_columns = states.reshape(steps, -1, d).transpose(0, 2, 1)
-                sides[side] = (states, list(zip(states, map(list, state_columns),
-                                                norms.reshape(steps, -1))))
-            states, views = sides[side]
-            prev = x
-            for z, z_columns, norm in views:  # the states after steps k .. k + steps - 1
-                np.matmul(m, prev, z)
-                np.multiply(z, z, squares)
-                if columnwise:
-                    np.add(columns[0], columns[1], norm)
-                    for column in later:
-                        np.add(norm, column, norm)
-                else:
-                    np.add.reduce(square_rows, -1, None, norm)
-                np.sqrt(norm, norm)
-                for column in z_columns:
-                    np.divide(column, norm, column)
-                prev = z
-            if len(watched):
-                _record(shapes, slots, k + 1, states[:, seen], ring)
+                sides[side] = _Block(steps, count, size, d)
+            states, norms = sides[side].run(m, x)  # the states after steps k .. k + steps - 1
+            at_max = k + steps > max_iter
+            # the block's steps s whose states k + s and k + s + 1 are tested for a relative
+            # equilibrium: k + s + 1 a multiple of RE_CHECK_EVERY, k + s short of max_iter
+            checks = range(-(k + 1) % RE_CHECK_EVERY, steps - at_max, RE_CHECK_EVERY)
+            watch.follow(states, k + 1, checks[0] if checks else steps)  # up to a test step
             if potential:  # of the states k .. k + steps - 1: sum_i ||(M X)_i|| x_i . F(X)_i
                 real_norms = norms * real
                 np.einsum("ti,tid,tid->t", real_norms[0], x, states[0], out=pots[0])
@@ -500,10 +518,6 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
             np.subtract(states[0], x, steps_of[0])
             np.subtract(states[1:], states[:-1], steps_of[1:])
             screen = np.einsum("stk,stk->st", flat, flat)
-            at_max = k + steps > max_iter
-            # the block's steps s whose states k + s and k + s + 1 are tested for a relative
-            # equilibrium: k + s + 1 a multiple of RE_CHECK_EVERY, k + s short of max_iter
-            checks = range(-(k + 1) % RE_CHECK_EVERY, steps - at_max, RE_CHECK_EVERY)
             if clear and not at_max and not checks and screen.min() > cutoff:
                 if potential:
                     worst[idx] = np.fmin(worst[idx], np.fmin.reduce(rises))
@@ -523,47 +537,21 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
                     exact = _norm(flat[s, p, :spans[idx[p]]])
                     if exact <= fp_tol:
                         leave[p], step[p], ending[p] = s, exact, FIXED_POINT
-            for s in checks:  # relative equilibrium, tested on the trials running at s
+            for s in checks:  # relative equilibrium, on the trials running at s
                 pos = np.flatnonzero((leave > s) & (screen[s] > floor))
-                found = _rotations(m[pos], states[s - 1, pos] if s else x[pos], states[s, pos],
-                                   norms[s, pos], agents[idx[pos]])
+                before = states[s - 1] if s else x
+                found = _rotations(m[pos], before[pos], states[s, pos], norms[s, pos],
+                                   agents[idx[pos]])
                 for p, rotation in zip(pos, found):
                     if rotation is not None:
                         leave[p], step[p] = s, _norm(flat[s, p, :spans[idx[p]]])
                         ending[p], rotations[int(idx[p])] = RELATIVE_EQUILIBRIUM, rotation
-                # quasi-periodic, tested on the trials the RE test rejected that were watched
-                # for one interval at least; the rest of them start being watched here
-                pos = pos[(chances[idx[pos]] > 0) & (leave[pos] > s)]
-                old = np.isin(idx[pos], watched)
-                row = np.searchsorted(watched, idx[pos])  # each old one's entry in watched
-                ready = np.flatnonzero(old)
-                ready = ready[since[row[ready]] < k + s]
-                found = _turn_test(m[pos[ready]], shapes, slots[row[ready]], since[row[ready]],
-                                   k + s, ring, agents[idx[pos[ready]]])
-                for p, turn in zip(pos[ready], found):
-                    if turn is not None:
-                        leave[p], step[p] = s, _norm(flat[s, p, :spans[idx[p]]])
-                        ending[p], turns[int(idx[p])] = QUASI_PERIODIC, turn
-                chances[idx[pos[ready]]] -= 1
-                # a trial joins if its shape steps above QP_STEP_FLOOR here, where the window
-                # of its first two tests starts; its record takes a slot no watched trial holds
-                start = np.concatenate([(states[s - 1] if s else x)[None], states[s:]])
-                moves = np.diff(_shapes(start[:2, pos]), axis=0)[0]
-                moves -= 2.0 * np.pi * np.round(moves / (2.0 * np.pi))
-                moves *= np.arange(size - 1) < agents[idx[pos], None] - 1
-                going = (leave[pos] > s) & (chances[idx[pos]] > 0) & (
-                    old | (np.linalg.norm(moves, axis=-1) > QP_STEP_FLOOR))
-                taken, first = np.full(len(pos), -1), np.full(len(pos), k + s)
-                taken[old], first[old] = slots[row[old]], since[row[old]]
-                pos, taken, first, new = pos[going], taken[going], first[going], ~old[going]
-                free = np.setdiff1d(np.arange(len(shapes)), taken)
-                short = new.sum() - len(free)
-                if short > 0:
-                    free = np.append(free, len(shapes) + np.arange(short))
-                    shapes = np.concatenate([shapes, np.empty((short, ring, size - 1), np.float32)])
-                taken[new] = free[:new.sum()]
-                _record(shapes, taken[new], k + s, start[:, pos[new]], ring)
-                watched, since, slots, seen = idx[pos], first, taken, pos
+                # quasi-periodic, on the trials the RE test rejected
+                pos = pos[leave[pos] > s]
+                for p, turn in watch.test(m, pos, idx[pos], before, states[s], k + s).items():
+                    leave[p], step[p] = s, _norm(flat[s, p, :spans[idx[p]]])
+                    ending[p], turns[int(idx[p])] = QUASI_PERIODIC, turn
+                watch.follow(states[s:], k + s + 1, min(steps - s, RE_CHECK_EVERY))
             if at_max:  # max iter: every trial still running at the block's final step
                 for p in np.flatnonzero(leave == steps):
                     leave[p], step[p] = steps - 1, _norm(flat[-1, p, :spans[idx[p]]])
@@ -580,10 +568,8 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
                 worst[idx] = np.fmin(worst[idx], np.fmin.reduce(np.where(taken, rises, np.inf)))
             keep = leave == steps
             if len(gone):
-                stay = keep[seen]
-                watched, since, slots = watched[stay], since[stay], slots[stay]
+                watch.regather(keep)
                 idx, m, x = idx[keep], m[keep], states[-1][keep]
-                seen = np.searchsorted(idx, watched)
             else:
                 x, side = states[-1], 1 - side
             k += steps
@@ -593,8 +579,10 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
 def run(m, c0: Configuration, fp_tol: float = FP_TOL, max_iter: int = MAX_ITER,
         potential: bool = False) -> TrajectoryResult:
     """Iterate until the fixed-point residual ||f(x) - x||_2 drops to fp_tol,
-    the trajectory is certified to rotate rigidly (a relative equilibrium),
-    or max_iter steps have been taken: `run_batch` on a stack of one, whose
+    the trajectory is certified to rotate rigidly (a relative equilibrium)
+    or, for a non-symmetric matrix at d = 2, to turn around an attracting
+    circle of shapes (quasi-periodic), or max_iter steps have been taken:
+    `run_batch` on a stack of one, whose
     final rows it keeps as they are. With potential, records the smallest
     change of tr(X^T M X) over a step (inf without a step), M the iteration
     matrix. A zero-norm row image raises ZeroDivisionError naming the agent."""

@@ -1,11 +1,12 @@
 """The pair harness (tools/bench_pairs.py): it flags runs the benchmark
 judged incorrect instead of folding them into the medians unnoticed,
-alternates the sides over every listed workload, and names a side that is
-not a git checkout by the content of its sources."""
+alternates the sides over every listed workload, and names every side by
+the content of its sources, checked against the tree beside the tool."""
 
 import argparse
 import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -92,3 +93,35 @@ def test_a_side_outside_git_is_named_by_its_sources(tmp_path, monkeypatch):
     assert bench_pairs.git_revision(side) == revision
     (side / "src" / "pkg" / "a.py").write_text("x = 2\n")
     assert bench_pairs.git_revision(side) != revision
+
+
+def test_every_side_is_named_by_its_sources_and_checked_against_the_tree(tmp_path, monkeypatch,
+                                                                         capsys):
+    # a git checkout is named by `git describe` and by the hash of its src/,
+    # which a plain copy of the same sources shares; the change side's hash is
+    # checked against the src/ tree beside the tool
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    tree, checkout, copy, other = (tmp_path / side for side in ("tree", "checkout", "copy",
+                                                                "other"))
+    for side in (tree, checkout, copy, other):
+        (side / "src" / "pkg").mkdir(parents=True)
+        (side / "src" / "pkg" / "a.py").write_text("x = 2\n" if side == other else "x = 1\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(checkout)]
+    for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "a"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    assert re.fullmatch(r"[0-9a-f]{7,}", bench_pairs.git_revision(checkout))
+    assert bench_pairs.src_sha256(checkout) == bench_pairs.src_sha256(copy)
+    monkeypatch.setattr(bench_pairs, "ROOT", tree)
+    monkeypatch.setattr(bench_pairs, "run_side", lambda checkout, workload, seconds, seed=None: {
+        **_run(100.0), "setup_s": 0.2, "peak_rss_mb": 40.0})
+    out = tmp_path / "BENCH.json"
+    for change, matches in ((copy, True), (other, False)):
+        argv = ["--parent", str(checkout), "--change", str(change), "--workload", "sweep",
+                "--pairs", "2", "--seconds", "1", "--out", str(out)]
+        assert bench_pairs.main(argv) == 0
+        entry = json.loads(out.read_text())["workloads"]["sweep"]
+        assert entry["parent_revision"] == bench_pairs.git_revision(checkout)
+        assert entry["parent_src_sha256"] == bench_pairs.src_sha256(tree)
+        assert entry["change_src_sha256"] == bench_pairs.src_sha256(change)
+        assert entry["change_matches_tree"] is matches
+        assert ("warning" in capsys.readouterr().err) is not matches

@@ -1,9 +1,11 @@
 """The iteration map, potential, trajectory runner, and descent mode."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spherecon import dynamics
+from spherecon import dynamics, loops
 from spherecon.dynamics import (AT_MAX_ITER, FIXED_POINT, QUASI_PERIODIC, RELATIVE_EQUILIBRIUM,
                                 ZERO_NORM, _step, find_nonconsensus_fixed_point, fixed_point_residual,
                                 iterate, pad_agents, potential, run, run_batch)
@@ -646,16 +648,16 @@ def test_spiral_onto_a_focus_never_stops_as_quasi_periodic(monkeypatch):
     # the spirals pass the turn and step tests; only the exponents stop them:
     # the circle's and the next exponent are the pair's, equal, and the
     # first spiral's sits inside the neutral band, the second's outside it
-    shapes = [dynamics._shapes(starts)]
-    rows = starts
+    states, norms = [starts], []
     for _ in range(dynamics.TURN_WINDOW):
-        rows, _ = _step(mats, rows)
-        shapes.append(dynamics._shapes(rows))
-    shapes = np.swapaxes(np.array(shapes), 0, 1)
-    assert dynamics._turns(mats, shapes) == [None, None]
+        rows, step_norms = _step(mats, states[-1])
+        states.append(rows)
+        norms.append(step_norms)
+    window = np.array(states), np.array(norms), loops.geometry(np.array(states))
+    assert dynamics._turns(mats, *window) == [None, None]
     monkeypatch.setattr(dynamics, "QP_NEUTRAL_BAND", np.inf)
     monkeypatch.setattr(dynamics, "QP_EXPONENT_MARGIN", -np.inf)
-    loose = dynamics._turns(mats, shapes)
+    loose = dynamics._turns(mats, *window)
     assert all(turn is not None for turn in loose)
     (_, first, next_), (_, second, next2) = (turn.exponents for turn in loose)
     assert first == pytest.approx(next_, rel=1e-9) and second == pytest.approx(next2, rel=1e-9)
@@ -691,3 +693,77 @@ def test_quasi_periodic_stop_alone_and_padded(monkeypatch, block_steps):
     assert np.array_equal(alone.rows[0], final) and alone.residual[0] == residual
     monkeypatch.setattr(dynamics, "TURN_TESTS", 0)
     assert run_batch(m[None], start[None], max_iter=10 ** 5).status.tolist() == [AT_MAX_ITER]
+
+
+def test_replay_retraces_the_kernel_alone_and_padded(monkeypatch):
+    # from a state the kernel reached, a replay takes the kernel's own steps:
+    # its states and row norms are the kernel's bit for bit, in blocks of any
+    # length, alone and padded beside a larger trial
+    monkeypatch.setattr(dynamics, "TURN_TESTS", 0)
+    m, _, start = _spiral(0.908972, 0.548989, 0.08)
+
+    def kernel(k):  # the kernel's state k
+        return run_batch(m[None], start[None], fp_tol=0.0, max_iter=k).rows[0]
+
+    stored, steps = kernel(1000), 70
+    symmetric = sample_sdd(complete_graph(6), 0.1, True, seed=2).entries
+    other = random_configuration(6, 2, seed=4).rows
+    entries, _, _ = pad_agents([m, symmetric], [start, other])
+    rows = np.stack([np.vstack([stored, [[1.0, 0.0]] * 2]), other])
+    for block_steps in (1, 32):
+        monkeypatch.setattr(dynamics, "BLOCK_STEPS", block_steps)
+        alone, alone_norms = dynamics._replay(m[None], stored[None], steps)
+        padded, padded_norms = dynamics._replay(entries, rows, steps)
+        assert np.array_equal(padded[:, 0, :4], alone[:, 0])
+        assert np.array_equal(padded_norms[:, 0, :4], alone_norms[:, 0])
+        for j in (1, 33, steps):
+            assert np.array_equal(alone[j, 0], kernel(1000 + j))
+            assert np.array_equal(alone_norms[j - 1, 0], _step(m, alone[j - 1, 0])[1])
+
+
+@pytest.mark.parametrize("block_steps", [1, 32])
+def test_return_detector_sees_every_return(monkeypatch, block_steps):
+    # every window the quasi-periodic test looks at in a padded theorem2 batch
+    # (n from 3 to 8, d = 2), replayed whole: the window's first return, as
+    # `_turns` finds it on its float64 states, is the one its streamed
+    # detector saw, and a window without one was seen to have none
+    from spherecon.experiments import ExperimentConfig, _plan, _theorem2_trials
+    monkeypatch.setattr(dynamics, "BLOCK_STEPS", block_steps)
+    cfg = ExperimentConfig(seed=20260826, trials=40, d=2, symmetric=False)
+    trials = _plan(cfg, _theorem2_trials(cfg))
+    entries, starts, agents = pad_agents([descent_matrix(tr.weights, cfg.slack).entries
+                                          for tr in trials], [tr.start for tr in trials])
+    windows, turn_test = [], dynamics._turn_test
+
+    def spy(m, rows, firsts, back, state, counts):
+        windows.extend(zip(m, rows, firsts, back, [state] * len(m), counts))
+        return turn_test(m, rows, firsts, back, state, counts)
+
+    monkeypatch.setattr(dynamics, "_turn_test", spy)
+    run_batch(entries, starts, max_iter=5000, agents=agents)
+    returned = 0
+    for m, rows, first, back, state, n in windows:
+        states, _ = dynamics._replay(m[None], rows[None], state - first)
+        shapes = loops.shapes(states[:, :, :n])
+        end = loops.first_returns(loops.squared_distances(shapes, shapes[0]))[0]
+        assert back == (first + end if end < len(shapes) else -1)
+        returned += end < len(shapes)
+    assert len(windows) >= 10 and 0 < returned < len(windows)
+
+
+def test_watching_many_trials_keeps_the_peak_memory_bounded():
+    # 256 copies of the quasi-periodic trial above, all watched and tested at
+    # the same steps: a watched trial keeps O(n d) numbers and a test replays
+    # TURN_STACK trials at a time, so the traced peak stays under 10 MB (6.7 MB
+    # measured). A float32 record of the last 2081 shapes of each watched
+    # trial would take 6.4 MB alone; kept beside the rest, it peaked at 13.9 MB
+    m, _, start = _spiral(0.908972, 0.548989, 0.08)
+    tracemalloc.start()
+    try:
+        out = run_batch(np.repeat(m[None], 256, axis=0), np.repeat(start[None], 256, axis=0),
+                        max_iter=10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(out.status) == {QUASI_PERIODIC} and len(set(out.iters)) == 1
+    assert peak < 10e6

@@ -18,6 +18,12 @@ incorrect runs and failed trials. A workload's result is stored under its
 name, or under "<workload>@<seed>" with --seed, and results already in
 --out under other keys are kept, so one file can hold every workload of a
 change and its runs at other seeds.
+
+Each side is named by its `git describe` and, always, by a content hash of
+its src/ tree, which a copy of a commit (`git archive`) shares with the
+commit's checkout. change_matches_tree says whether the change side's hash
+is that of the src/ tree beside this tool when the file was written, the
+tree a BENCH file is committed with; the tool warns when it is not.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def run_side(checkout: Path, workload: str, seconds: float, seed=None) -> dict:
@@ -109,13 +116,19 @@ def workload_list(text: str) -> list:
 
 
 def git_revision(checkout: Path) -> str:
-    """The side's `git describe`; for a side that is not a git checkout, a
-    content hash of its src/ tree, "src-sha256:<12 hex>", over each file's
-    path, length and bytes in path order, bytecode caches left out."""
+    """The side's `git describe`; for a side that is not a git checkout, its
+    `src_sha256`."""
     proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
                           capture_output=True, text=True)
     if proc.returncode == 0:
         return proc.stdout.strip()
+    return src_sha256(checkout)
+
+
+def src_sha256(checkout: Path) -> str:
+    """A content hash of the side's src/ tree, "src-sha256:<12 hex>", over
+    each file's path, length and bytes in path order, bytecode caches left
+    out."""
     src = checkout / "src"
     digest = hashlib.sha256()
     for path in sorted(src.rglob("*")):
@@ -151,11 +164,18 @@ def main(argv=None) -> int:
     result = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     result["machine"] = {"python": platform.python_version(), "processor": platform.machine(),
                          "cpus": os.cpu_count(), "system": platform.platform()}
+    change_hash = src_sha256(args.change)
+    matches = change_hash == src_sha256(ROOT)
+    if not matches:
+        print(f"warning: the change side's {change_hash} is not this tree's src/", file=sys.stderr)
     for workload, runs in pairs.items():
         key = workload if args.seed is None else f"{workload}@{args.seed}"
         result["workloads"][key] = {
             "parent_revision": git_revision(args.parent),
+            "parent_src_sha256": src_sha256(args.parent),
             "change_revision": git_revision(args.change),
+            "change_src_sha256": change_hash,
+            "change_matches_tree": matches,
             "seconds": args.seconds,
             "seed": args.seed,
             "summary": summarise(runs, metrics),
