@@ -199,29 +199,34 @@ def _rotations(m: np.ndarray, before: np.ndarray, after: np.ndarray, norms: np.n
 
 
 class _Block:
-    """Buffers for up to `steps` steps of a (count, size, d) stack of trials
-    and views of them, made once, so that the kernel's step (`run`) allocates
-    nothing. A step is matmul, square, the sum of the squares' columns, sqrt
-    and a divide per column, each a ufunc writing through the views. Below
+    """Buffers for a block of up to `steps` steps of a (count, size, d) stack
+    of trials and views of them, made once, so that the kernel's step (`run`)
+    allocates nothing. It holds the states 0 .. steps, state 0 the block's
+    start, and the row norms of the steps out of states 0 .. steps - 1. A
+    step is matmul, square, the sum of the squares' columns, sqrt and a
+    divide per column, each a ufunc writing through the views. Below
     PAIRWISE_SUM_FROM columns a call per column adds a row's squares in the
     order `np.linalg.norm` does, without numpy's cost per row. The column
     views are flat over all rows: numpy runs a one-axis operand in one plain
     loop, where a divide broadcast over the columns loops once per row."""
 
     def __init__(self, steps: int, count: int, size: int, d: int):
-        self.states, self.norms = np.empty((steps, count, size, d)), np.empty((steps, count, size))
+        self.states = np.empty((steps + 1, count, size, d))
+        self.norms = np.empty((steps, count, size))
         self.squares = np.empty((count, size, d))
         self.columns = list(self.squares.reshape(-1, d).T) if 2 <= d < PAIRWISE_SUM_FROM else []
-        # per step: the state, its columns flat over all trials, and its row norms
-        columns = self.states.reshape(steps, -1, d).transpose(0, 2, 1)
-        self.views = list(zip(self.states, map(list, columns), self.norms.reshape(steps, -1)))
+        # per step: the state it starts from, the state it makes, that state's columns flat
+        # over all trials, and the row norms
+        columns = self.states[1:].reshape(steps, -1, d).transpose(0, 2, 1)
+        self.views = list(zip(self.states[:-1], self.states[1:], map(list, columns),
+                              self.norms.reshape(steps, -1)))
 
-    def run(self, m: np.ndarray, x: np.ndarray, steps: Optional[int] = None):
-        """Take the block's steps (its first `steps`) from rows x under the
-        matrices m; returns the states and their row norms."""
+    def run(self, m: np.ndarray, steps: Optional[int] = None):
+        """Take the block's steps (its first `steps`) from its state 0 under
+        the matrices m; returns the states and the row norms of the steps."""
         matmul, multiply, add, sqrt, divide = np.matmul, np.multiply, np.add, np.sqrt, np.divide
-        squares, columns, later, prev = self.squares, self.columns, self.columns[2:], x
-        for z, z_columns, norm in self.views if steps is None else self.views[:steps]:
+        squares, columns, later = self.squares, self.columns, self.columns[2:]
+        for prev, z, z_columns, norm in self.views if steps is None else self.views[:steps]:
             matmul(m, prev, z)
             multiply(z, z, squares)
             if columns:
@@ -233,7 +238,6 @@ class _Block:
             sqrt(norm, norm)
             for column in z_columns:
                 divide(column, norm, column)
-            prev = z
         return self.states, self.norms
 
 
@@ -246,16 +250,19 @@ def _replay(m: np.ndarray, rows: np.ndarray, steps: int):
     states[0], block = rows, _Block(min(BLOCK_STEPS, steps), *rows.shape)
     for lo in range(0, steps, BLOCK_STEPS):
         hi = min(lo + BLOCK_STEPS, steps)
-        block.run(m, states[lo], hi - lo)
-        states[lo + 1:hi + 1], norms[lo:hi] = block.states[:hi - lo], block.norms[:hi - lo]
+        block.states[0] = states[lo]
+        block.run(m, hi - lo)
+        states[lo + 1:hi + 1], norms[lo:hi] = block.states[1:hi - lo + 1], block.norms[:hi - lo]
     return states, norms
 
 
-def _turns(m: np.ndarray, states: np.ndarray, norms: np.ndarray, loop: loops.Loop) -> list:
-    """The quasi-periodic test of d = 2 trials from their (C, n, n) matrices,
-    the (T, C, n, 2) states of a window and the (T - 1, C, n) row norms of
-    its steps: per trial its Turn if it passes, else None. The loop runs
-    from the window's first state to its first return; the shapes
+def _turns(m: np.ndarray, states: np.ndarray, norms: np.ndarray, agents: np.ndarray):
+    """The quasi-periodic test of padded d = 2 trials from their (C, n, n)
+    matrices, the (T, C, n, 2) states of a window, the (T - 1, C, n) row
+    norms of its steps and their real agent counts, one test per count:
+    per trial its Turn if it passes, else None, and the positions of the
+    trials whose turn the window left undecided (`loops.Loop`). The loop
+    runs from the window's first state to its first return; the shapes
     (`loops.shapes`) are lifted along it, each step taken modulo 2 pi per
     angle (`loops.geometry`). A trial passes if (a) over the loop
     (`loops.exponents`) the rotation's and the circle's exponents lie within
@@ -270,17 +277,23 @@ def _turns(m: np.ndarray, states: np.ndarray, norms: np.ndarray, loop: loops.Loo
     never converges. A spiral onto a focus sweeps turns too, but its circle
     and next exponents are equal, which QP_NEUTRAL_BAND < QP_EXPONENT_MARGIN
     never passes. A Turn reads no state past its turn's end: any longer
-    window gives it too. loop is the window's `loops.geometry`."""
-    ends, lag, away, turned, _ = loop
-    found, turned = [None] * len(turned), np.flatnonzero(turned)
-    if len(turned):
-        exponents = np.pad(loops.exponents(m[turned], states, norms, ends[turned], turned),
+    window gives it too."""
+    found, undecided = [None] * len(agents), np.zeros(len(agents), dtype=bool)
+    for n in np.unique(agents):
+        at = np.flatnonzero(agents == n)
+        window = states[:, at, :n] if len(at) < len(agents) else states[..., :n, :]
+        ends, lag, away, turned, undecided[at] = loops.geometry(window)
+        turned = np.flatnonzero(turned)
+        if not len(turned):
+            continue
+        exponents = np.pad(loops.exponents(m[at[turned], :n, :n], window, norms[:, at, :n],
+                                           ends[turned], turned),
                            ((0, 0), (0, 1)), constant_values=-np.inf)
         for c, (first, second, third) in zip(turned, exponents[:, :3]):
             if max(abs(first), abs(second)) <= QP_NEUTRAL_BAND and third <= -QP_EXPONENT_MARGIN:
-                found[c] = Turn(int(lag[c]), float(np.sqrt(away[c])),
-                                (float(first), float(second), float(third)))
-    return found
+                found[at[c]] = Turn(int(lag[c]), float(np.sqrt(away[c])),
+                                    (float(first), float(second), float(third)))
+    return found, np.flatnonzero(undecided)
 
 
 def _turn_test(m: np.ndarray, rows: np.ndarray, starts: np.ndarray, back: np.ndarray,
@@ -288,9 +301,9 @@ def _turn_test(m: np.ndarray, rows: np.ndarray, starts: np.ndarray, back: np.nda
     """`_turns` at test step `state` of watched trials, from their padded
     matrices and their rows at their windows' starts, over their real agents.
     Only a trial whose detector saw a return (back >= 0) is replayed, first
-    up to the return, and on to `state` only if its turn is undecided there
-    (`loops.Loop`). Trials of one start share a replay, TURN_STACK at most,
-    in the order of their returns, and those of one agent count a `_turns`."""
+    up to the return, and on to `state` only if its turn is undecided there.
+    Trials of one start share a replay, TURN_STACK at most, in the order of
+    their returns."""
     found, groups = [None] * len(rows), {}
     returned = np.flatnonzero(back >= 0)
     for c in returned[np.argsort(back[returned], kind="stable")]:
@@ -300,28 +313,17 @@ def _turn_test(m: np.ndarray, rows: np.ndarray, starts: np.ndarray, back: np.nda
             part = np.array(members[lo:lo + TURN_STACK])
             reach = int(back[part].max()) - first
             states, norms = _replay(m[part], rows[part], reach)
-            short = _turns_by_count(m[part], states, norms, agents[part], part, found)
+            turns, short = _turns(m[part], states, norms, agents[part])
             if len(short) and first + reach < state:
                 more, more_norms = _replay(m[part[short]], states[-1, short], state - first - reach)
-                _turns_by_count(m[part[short]], np.concatenate([states[:, short], more[1:]]),
-                                np.concatenate([norms[:, short], more_norms]), agents[part[short]],
-                                part[short], found)
+                longer, _ = _turns(m[part[short]], np.concatenate([states[:, short], more[1:]]),
+                                   np.concatenate([norms[:, short], more_norms]),
+                                   agents[part[short]])
+                for c, turn in zip(short, longer):
+                    turns[c] = turn
+            for c, turn in zip(part, turns):
+                found[c] = turn
     return found
-
-
-def _turns_by_count(m: np.ndarray, states: np.ndarray, norms: np.ndarray, agents: np.ndarray,
-                    trials: np.ndarray, found: list) -> np.ndarray:
-    """`_turns` of padded trials, a call per real agent count, into found;
-    returns the positions of those whose turn the window left undecided."""
-    undecided = np.zeros(len(trials), dtype=bool)
-    for n in np.unique(agents):
-        at = np.flatnonzero(agents == n)
-        window = states[:, at, :n] if len(at) < len(trials) else states[..., :n, :]
-        loop = loops.geometry(window)
-        for c, turn in zip(trials[at], _turns(m[at, :n, :n], window, norms[:, at, :n], loop)):
-            found[c] = turn
-        undecided[at] = loop.undecided
-    return np.flatnonzero(undecided)
 
 
 class _Watch:
@@ -348,13 +350,14 @@ class _Watch:
         self.real = self.origin = np.zeros((0, size - 1))
         self.rows, self.left = np.zeros((0, size, d)), np.zeros(0, dtype=bool)
 
-    def follow(self, states: np.ndarray, first: int, stop: int):
-        """Feed the detectors the leading `stop` states of a block's working
-        set, the states first, first + 1, ..."""
-        if not stop or not (self.back < 0).any():
+    def follow(self, states: np.ndarray, first: int):
+        """Feed the detectors a block's states first, first + 1, ... of the
+        working set. `run_batch` calls it once per block, after the block's
+        test: as a block ends at a test step at the latest, a test reads
+        detectors that saw every state up to it and none past it."""
+        if not (self.back < 0).any():
             return
-        away = loops.squared_distances(loops.shapes(states[:stop, self.seen]), self.origin,
-                                       self.real)
+        away = loops.squared_distances(loops.shapes(states[:, self.seen]), self.origin, self.real)
         close = away <= QP_RETURN_TOL ** 2
         if not self.left.all():  # the windows that have been out, up to each state
             gone = np.logical_or.accumulate(away > QP_EXCURSION ** 2, axis=0) | self.left
@@ -422,26 +425,29 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
     vanishes ends with status ZERO_NORM and residual inf instead of raising.
 
     Active trials form a compact working set (matrices and rows) that takes
-    blocks of steps (`_Block`): up to BLOCK_STEPS, fewer where the block's
-    states would pass BLOCK_FLOATS or max_iter, at least one. Inside a block
-    only the update runs; after it, every step of the block is screened.
-    Unless no trial can leave in the block, an exit scan finds each trial's
-    first exit step (the block's length if it stays), its
-    residual and its status, by one rule per status, each writing all three
-    where its step is earlier: ZERO_NORM at the first step whose row image
-    vanishes, residual inf; FIXED_POINT at the first step whose exact
-    residual is at most fp_tol; RELATIVE_EQUILIBRIUM at each step k short of
-    max_iter with k + 1 a multiple of RE_CHECK_EVERY, for the trials still
-    running there whose step exceeds RE_STEP_FLOOR and that pass
-    `_rotations` on the states k and k + 1 the block holds; QUASI_PERIODIC
-    at those steps, for the watched trials still running there (below) that
-    the RE test rejected and that pass `_turns`; AT_MAX_ITER at step
-    max_iter, for every trial still running there. A trial leaving at step
-    k keeps its state k and the count k; a zero-norm trial keeps the
-    rows it failed at and the count of the steps it completed. Steps past
-    a trial's exit inside the block are discarded. The working set is
-    re-gathered only after a block in which a trial left, and a trial's
-    iteration count, residual, final rows and status are written then, once.
+    blocks of steps, one `_Block` per working-set shape: a block from state k
+    holds the states k .. k + s as its states 0 .. s. It takes up to
+    BLOCK_STEPS steps, fewer where its states would pass BLOCK_FLOATS or
+    max_iter, at least one, and it ends at the latest at the next test step,
+    a state k with k + 1 a multiple of RE_CHECK_EVERY, so that a test always
+    falls on a block's state 0. Inside a block only the update runs; after
+    it, every step of the block is screened. Unless no trial can leave in
+    the block, an exit scan finds each trial's first exit step (the block's
+    length if it stays) and its status, by one rule per status, each writing
+    both where its step is earlier: ZERO_NORM at the first step whose row
+    image vanishes; FIXED_POINT at the first step whose exact residual is at
+    most fp_tol; RELATIVE_EQUILIBRIUM at a block's state 0 if it is a test
+    step short of max_iter, for the trials whose step there exceeds
+    RE_STEP_FLOOR and that pass `_rotations` on the block's states 0 and 1;
+    QUASI_PERIODIC there, for the watched trials (below) that the RE test
+    rejected and that pass `_turns`; AT_MAX_ITER at step max_iter, for every
+    trial still running there. A trial leaving at step k keeps its state k,
+    the count k and, as its residual, the exact norm of its step k; a
+    zero-norm trial keeps the rows it failed at, the count of the steps it
+    completed and residual inf. Steps past a trial's exit inside the block
+    are discarded. The working set is re-gathered only after a block in
+    which a trial left, and a trial's iteration count, residual, final rows
+    and status are written then, once.
     With potential, each trial keeps the smallest change over a step of its
     potential tr(X^T M X), M its own iteration matrix (inf without a step),
     taken from the steps themselves: as F(X)_i = (M X)_i / ||(M X)_i||, it is
@@ -454,18 +460,19 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
     At d = 2, a trial with a non-symmetric matrix that the RE test rejects
     at a test step k, and whose shape step there exceeds QP_STEP_FLOOR, is
     watched (`_Watch`): it keeps its rows at the start of its windows and a
-    return detector for each. At each later test step its window from
-    max(k, test step - TURN_WINDOW) is tested: replayed from its rows if it
-    returned (`_turn_test`). It is watched on while it runs and has tests
-    left of its TURN_TESTS; its Turn is kept in BatchResult.turns. Symmetric
-    trials, whose potential is monotone, and d >= 3 are never tested.
+    return detector for each, fed each block's states after its test. At
+    each later test step its window from max(k, test step - TURN_WINDOW) is
+    tested: replayed from its rows if it returned (`_turn_test`). It is
+    watched on while it runs and has tests left of its TURN_TESTS; its Turn
+    is kept in BatchResult.turns. Symmetric trials, whose potential is
+    monotone, and d >= 3 are never tested.
 
     A step's size is screened by the squared norm of the whole padded step,
     one einsum over the block. Trailing pad zeros can change the final bit of
     that dot, so a trial is decided on its exact residual, the root of the
-    dot over its real agents alone. That is taken only when the screen is at
-    most fp_tol^2 * (1 + STEP_FILTER_MARGIN), at max_iter, and for the step
-    of a relative equilibrium.
+    dot over its real agents alone. That is taken only where the screen is
+    at most fp_tol^2 * (1 + STEP_FILTER_MARGIN), and for the step a trial
+    leaves on.
     """
     entries, rows = np.asarray(entries, dtype=float), np.asarray(rows, dtype=float)
     t_count, size, d = rows.shape
@@ -489,79 +496,64 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
         while len(idx) and k <= max_iter:
             count = len(idx)
             steps = max(1, min(BLOCK_STEPS, BLOCK_FLOATS // (count * size * d),
-                               max_iter - k + 1))
+                               max_iter - k + 1, RE_CHECK_EVERY - (k + 1) % RE_CHECK_EVERY))
             if shape != (steps, count):
-                shape, side = (steps, count), 0
+                shape, block = (steps, count), _Block(steps, count, size, d)
                 real = np.arange(size) < agents[idx, None]  # the running trials' real agents
                 pots = np.empty((steps, count))
                 flat = np.empty((steps, count, size * d))  # the block's steps
-                # two alternating blocks, so a block never writes the state it starts
-                # from; each is made when first used
-                sides = [None, None]
-            if sides[side] is None:
-                sides[side] = _Block(steps, count, size, d)
-            states, norms = sides[side].run(m, x)  # the states after steps k .. k + steps - 1
+            block.states[0] = x
+            states, norms = block.run(m)  # the states k .. k + steps
             at_max = k + steps > max_iter
-            # the block's steps s whose states k + s and k + s + 1 are tested for a relative
-            # equilibrium: k + s + 1 a multiple of RE_CHECK_EVERY, k + s short of max_iter
-            checks = range(-(k + 1) % RE_CHECK_EVERY, steps - at_max, RE_CHECK_EVERY)
-            watch.follow(states, k + 1, checks[0] if checks else steps)  # up to a test step
+            # state 0 is tested for a relative equilibrium: a test step short of max_iter
+            check = (k + 1) % RE_CHECK_EVERY == 0 and k < max_iter
             if potential:  # of the states k .. k + steps - 1: sum_i ||(M X)_i|| x_i . F(X)_i
-                real_norms = norms * real
-                np.einsum("ti,tid,tid->t", real_norms[0], x, states[0], out=pots[0])
-                np.einsum("sti,stid,stid->st", real_norms[1:], states[:-1], states[1:],
-                          out=pots[1:])
+                np.einsum("sti,stid,stid->st", norms * real, states[:-1], states[1:], out=pots)
                 rises = np.diff(pots, axis=0, prepend=level[None, idx])
                 level[idx] = pots[-1]
             clear = norms.min() > MIN_ROW_NORM  # false on NaN too
-            steps_of = flat.reshape(states.shape)
-            np.subtract(states[0], x, steps_of[0])
-            np.subtract(states[1:], states[:-1], steps_of[1:])
+            np.subtract(states[1:], states[:-1], flat.reshape(states[1:].shape))
             screen = np.einsum("stk,stk->st", flat, flat)
-            if clear and not at_max and not checks and screen.min() > cutoff:
+            if clear and not at_max and not check and screen.min() > cutoff:
+                watch.follow(states[1:], k + 1)
                 if potential:
                     worst[idx] = np.fmin(worst[idx], np.fmin.reduce(rises))
-                x, k, side = states[-1], k + steps, 1 - side
+                x, k = states[-1], k + steps
                 continue
-            # each trial's first exit step (steps if it stays), its residual and its
-            # status; each rule below writes all three where its step is earlier
-            leave, step = np.full(count, steps), np.full(count, np.inf)
-            ending = np.empty(count, dtype=status.dtype)
+            # each trial's first exit step (steps if it stays) and its status; each rule
+            # below writes both where its step is earlier
+            leave, ending = np.full(count, steps), np.empty(count, dtype=status.dtype)
             if not clear:  # zero norm: the first step whose row image vanishes
                 bad = ~(norms > MIN_ROW_NORM).all(axis=2)
                 hit = bad.any(axis=0)
                 leave[hit], ending[hit] = bad.argmax(axis=0)[hit], ZERO_NORM
             band = (screen <= cutoff) & (np.arange(steps)[:, None] < leave)
             for p, s in zip(*np.nonzero(band.T)):  # fixed point: each trial's steps in order
-                if s < leave[p]:
-                    exact = _norm(flat[s, p, :spans[idx[p]]])
-                    if exact <= fp_tol:
-                        leave[p], step[p], ending[p] = s, exact, FIXED_POINT
-            for s in checks:  # relative equilibrium, on the trials running at s
-                pos = np.flatnonzero((leave > s) & (screen[s] > floor))
-                before = states[s - 1] if s else x
-                found = _rotations(m[pos], before[pos], states[s, pos], norms[s, pos],
+                if s < leave[p] and _norm(flat[s, p, :spans[idx[p]]]) <= fp_tol:
+                    leave[p], ending[p] = s, FIXED_POINT
+            if check:  # relative equilibrium, then quasi-periodic on the trials it rejected
+                pos = np.flatnonzero((leave > 0) & (screen[0] > floor))
+                found = _rotations(m[pos], states[0, pos], states[1, pos], norms[0, pos],
                                    agents[idx[pos]])
                 for p, rotation in zip(pos, found):
                     if rotation is not None:
-                        leave[p], step[p] = s, _norm(flat[s, p, :spans[idx[p]]])
-                        ending[p], rotations[int(idx[p])] = RELATIVE_EQUILIBRIUM, rotation
-                # quasi-periodic, on the trials the RE test rejected
-                pos = pos[leave[pos] > s]
-                for p, turn in watch.test(m, pos, idx[pos], before, states[s], k + s).items():
-                    leave[p], step[p] = s, _norm(flat[s, p, :spans[idx[p]]])
-                    ending[p], turns[int(idx[p])] = QUASI_PERIODIC, turn
-                watch.follow(states[s:], k + s + 1, min(steps - s, RE_CHECK_EVERY))
+                        leave[p], ending[p] = 0, RELATIVE_EQUILIBRIUM
+                        rotations[int(idx[p])] = rotation
+                pos = pos[leave[pos] > 0]
+                for p, turn in watch.test(m, pos, idx[pos], states[0], states[1], k).items():
+                    leave[p], ending[p], turns[int(idx[p])] = 0, QUASI_PERIODIC, turn
             if at_max:  # max iter: every trial still running at the block's final step
-                for p in np.flatnonzero(leave == steps):
-                    leave[p], step[p] = steps - 1, _norm(flat[-1, p, :spans[idx[p]]])
-                    ending[p] = AT_MAX_ITER
+                last = leave == steps
+                leave[last], ending[last] = steps - 1, AT_MAX_ITER
+            watch.follow(states[1:], k + 1)
             gone = np.flatnonzero(leave < steps)
             at, trials = leave[gone], idx[gone]
             # a zero-norm trial counts the steps it completed
             iters[trials] = np.maximum(k + at - (ending[gone] == ZERO_NORM), 0)
-            residual[trials] = step[gone]
-            final[trials] = np.where((at == 0)[:, None, None], x[gone], states[at - 1, gone])
+            for s, p, t in zip(at, gone, trials):  # the exact step each trial leaves on
+                residual[t] = _norm(flat[s, p, :spans[t]])
+            residual[trials[ending[gone] == ZERO_NORM]] = np.inf
+            final[trials] = states[at, gone]
             status[trials] = ending[gone]
             if potential:  # the steps into the states s <= leave each trial kept in this block
                 taken = np.arange(steps)[:, None] <= leave
@@ -571,7 +563,7 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
                 watch.regather(keep)
                 idx, m, x = idx[keep], m[keep], states[-1][keep]
             else:
-                x, side = states[-1], 1 - side
+                x = states[-1]
             k += steps
     return BatchResult(final, iters, residual, status, rotations, turns, worst)
 

@@ -550,7 +550,7 @@ def test_rotating_wave_stops_as_relative_equilibrium_alone_and_padded(monkeypatc
     assert (res.status, res.converged, res.iterations) == (RELATIVE_EQUILIBRIUM, False, k)
 
 
-@pytest.mark.parametrize("block_steps", [1, 32])
+@pytest.mark.parametrize("block_steps", [1, 5, 32])
 def test_step_at_max_iter_is_measured_not_tested_for_rotation(monkeypatch, block_steps):
     # the wave passes its first test, at step RE_CHECK_EVERY - 1, unless that
     # step is max_iter: there it stops at max_iter without a test
@@ -561,6 +561,23 @@ def test_step_at_max_iter_is_measured_not_tested_for_rotation(monkeypatch, block
         out = run_batch(m[None], start[None], max_iter=max_iter)
         assert out.status.tolist() == [status] and out.iters.tolist() == [k]
         assert out.residual[0] > RE_STEP_FLOOR
+
+
+def test_one_block_per_working_set_shape(monkeypatch):
+    # the wave alone up to max_iter 500 meets no test step and no exit: its
+    # blocks take two shapes, 15 of 32 steps and a last one of 21, and each
+    # shape is built once, its state 0 holding each block's start
+    builds, init = [], dynamics._Block.__init__
+
+    def spy(block, steps, count, size, d):
+        builds.append((steps, count))
+        init(block, steps, count, size, d)
+
+    monkeypatch.setattr(dynamics._Block, "__init__", spy)
+    m, start = _rotating_wave()
+    out = run_batch(m[None], start[None], max_iter=500)
+    assert out.status.tolist() == [AT_MAX_ITER] and out.iters.tolist() == [500]
+    assert builds == [(32, 1), (21, 1)]
 
 
 def _splay(n, k, a, b):
@@ -653,18 +670,18 @@ def test_spiral_onto_a_focus_never_stops_as_quasi_periodic(monkeypatch):
         rows, step_norms = _step(mats, states[-1])
         states.append(rows)
         norms.append(step_norms)
-    window = np.array(states), np.array(norms), loops.geometry(np.array(states))
-    assert dynamics._turns(mats, *window) == [None, None]
+    window = np.array(states), np.array(norms), np.array([4, 4])
+    assert dynamics._turns(mats, *window)[0] == [None, None]
     monkeypatch.setattr(dynamics, "QP_NEUTRAL_BAND", np.inf)
     monkeypatch.setattr(dynamics, "QP_EXPONENT_MARGIN", -np.inf)
-    loose = dynamics._turns(mats, *window)
+    loose = dynamics._turns(mats, *window)[0]
     assert all(turn is not None for turn in loose)
     (_, first, next_), (_, second, next2) = (turn.exponents for turn in loose)
     assert first == pytest.approx(next_, rel=1e-9) and second == pytest.approx(next2, rel=1e-9)
     assert -QP_EXPONENT_MARGIN < first < 0.0 and abs(first) <= QP_NEUTRAL_BAND < abs(second)
 
 
-@pytest.mark.parametrize("block_steps", [1, 32])
+@pytest.mark.parametrize("block_steps", [1, 5, 32])
 def test_quasi_periodic_stop_alone_and_padded(monkeypatch, block_steps):
     # started 0.08 off a focus like those above, a 13th of a turn apart, a
     # trial leaves it for an attracting circle. It stops at the same step
@@ -721,7 +738,7 @@ def test_replay_retraces_the_kernel_alone_and_padded(monkeypatch):
             assert np.array_equal(alone_norms[j - 1, 0], _step(m, alone[j - 1, 0])[1])
 
 
-@pytest.mark.parametrize("block_steps", [1, 32])
+@pytest.mark.parametrize("block_steps", [1, 5, 32])
 def test_return_detector_sees_every_return(monkeypatch, block_steps):
     # every window the quasi-periodic test looks at in a padded theorem2 batch
     # (n from 3 to 8, d = 2), replayed whole: the window's first return, as
