@@ -36,8 +36,6 @@ COMMANDS = {
               ("slack", "edge_prob", "graph")),
     "jg-rank": ("parametric Jacobian rank checks at fixed points", ("slack",)),
 }
-# the weight symmetry each descent command runs; a config that sets another is an error
-SYMMETRY = {"rank-table": True, "theorem2": False, "audit": True, "jg-rank": True}
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -74,13 +72,6 @@ def main(argv=None) -> int:
         return 0
 
     cfg = _build_config(args)
-    if args.command in SYMMETRY:
-        required = SYMMETRY[args.command]
-        if cfg.symmetric not in (None, required):
-            raise SystemExit(f"{args.command} runs {'' if required else 'non-'}symmetric "
-                             f"weight matrices, but the config sets "
-                             f"\"symmetric\": {json.dumps(cfg.symmetric)}")
-        cfg.symmetric = required
     try:  # a command rejects what it cannot run with a ValueError naming it
         if args.command == "sweep":
             _, summary = cmd_consensus_sweep(cfg)
@@ -95,9 +86,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 
-    slim = {k: v for k, v in summary.items()
-            if k not in ("details", "reports", "counterexamples", "errors",
-                         "relative_equilibria", "quasi_periodic")}
+    slim = {k: v for k, v in summary.items() if not isinstance(v, list)}
     print(json.dumps(slim, indent=2, default=str))
     return 0
 

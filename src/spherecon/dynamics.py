@@ -15,15 +15,13 @@ import numpy as np
 
 from . import loops
 from .state import (Configuration, ConfigurationClass, agent_blocks, as_array,
-                    classify_configuration, relative_rank, tangent_basis)
+                    classify_configuration, column_sums, relative_rank, tangent_basis)
 from .tolerances import (FP_TOL, LIMIT_RANK_TOL, MIN_ROW_NORM, QP_EXCURSION, QP_EXPONENT_MARGIN,
                          QP_NEUTRAL_BAND, QP_RETURN_TOL, QP_STEP_FLOOR, RE_FIT_TOL,
                          RE_ORBIT_MARGIN, RE_STEP_FLOOR, STEP_FILTER_MARGIN)
 from .weights import WeightMatrix, descent_matrix
 
 MAX_ITER = 10 ** 6
-# numpy adds fewer terms than this in one plain loop, and more pairwise
-PAIRWISE_SUM_FROM = 8
 # steps a block takes between two exit decisions: spreads their calls thin, wastes few steps
 BLOCK_STEPS = 32
 # floats of one block's states (256 KB), which stay in cache; a larger working set steps singly
@@ -54,13 +52,14 @@ STATUSES = (FIXED_POINT, RELATIVE_EQUILIBRIUM, QUASI_PERIODIC, AT_MAX_ITER, ZERO
 
 def _step(entries: np.ndarray, rows: np.ndarray):
     """One update on raw rows; returns (new rows, row norms of entries@rows).
-    Both may carry leading batch axes (a stack of trials).
+    Both may carry leading batch axes (a stack of trials). A row's norm adds
+    its squares left to right (`column_sums`), as the kernel's step does.
 
     A vanishing row image is impossible for strictly diagonally dominant
     weight matrices; it is checked here whatever the matrix.
     """
     z = entries @ rows
-    norms = np.linalg.norm(z, axis=-1)
+    norms = np.sqrt(column_sums(z * z))
     if norms.min() <= MIN_ROW_NORM:
         *trial, agent = np.unravel_index(np.argmin(norms), norms.shape)
         raise ZeroDivisionError(
@@ -204,17 +203,17 @@ class _Block:
     allocates nothing. It holds the states 0 .. steps, state 0 the block's
     start, and the row norms of the steps out of states 0 .. steps - 1. A
     step is matmul, square, the sum of the squares' columns, sqrt and a
-    divide per column, each a ufunc writing through the views. Below
-    PAIRWISE_SUM_FROM columns a call per column adds a row's squares in the
-    order `np.linalg.norm` does, without numpy's cost per row. The column
-    views are flat over all rows: numpy runs a one-axis operand in one plain
-    loop, where a divide broadcast over the columns loops once per row."""
+    divide per column, each a ufunc writing through the views. A call per
+    column adds a row's squares left to right, in the order of `_step`'s
+    `column_sums`, without numpy's cost per row. The column views are flat
+    over all rows: numpy runs a one-axis operand in one plain loop, where a
+    divide broadcast over the columns loops once per row."""
 
     def __init__(self, steps: int, count: int, size: int, d: int):
         self.states = np.empty((steps + 1, count, size, d))
         self.norms = np.empty((steps, count, size))
         self.squares = np.empty((count, size, d))
-        self.columns = list(self.squares.reshape(-1, d).T) if 2 <= d < PAIRWISE_SUM_FROM else []
+        self.columns = list(self.squares.reshape(-1, d).T)
         # per step: the state it starts from, the state it makes, that state's columns flat
         # over all trials, and the row norms
         columns = self.states[1:].reshape(steps, -1, d).transpose(0, 2, 1)
@@ -229,12 +228,9 @@ class _Block:
         for prev, z, z_columns, norm in self.views if steps is None else self.views[:steps]:
             matmul(m, prev, z)
             multiply(z, z, squares)
-            if columns:
-                add(columns[0], columns[1], norm)
-                for column in later:
-                    add(norm, column, norm)
-            else:
-                add.reduce(squares.reshape(-1, squares.shape[-1]), -1, None, norm)
+            add(columns[0], columns[1], norm)
+            for column in later:
+                add(norm, column, norm)
             sqrt(norm, norm)
             for column in z_columns:
                 divide(column, norm, column)
@@ -256,18 +252,20 @@ def _replay(m: np.ndarray, rows: np.ndarray, steps: int):
     return states, norms
 
 
-def _turns(m: np.ndarray, states: np.ndarray, norms: np.ndarray, agents: np.ndarray):
+def _turns(m: np.ndarray, states: np.ndarray, norms: np.ndarray, agents: np.ndarray,
+           returns: np.ndarray):
     """The quasi-periodic test of padded d = 2 trials from their (C, n, n)
     matrices, the (T, C, n, 2) states of a window, the (T - 1, C, n) row
-    norms of its steps and their real agent counts, one test per count:
-    per trial its Turn if it passes, else None, and the positions of the
-    trials whose turn the window left undecided (`loops.Loop`). The loop
-    runs from the window's first state to its first return; the shapes
-    (`loops.shapes`) are lifted along it, each step taken modulo 2 pi per
-    angle (`loops.geometry`). A trial passes if (a) over the loop
-    (`loops.exponents`) the rotation's and the circle's exponents lie within
-    QP_NEUTRAL_BAND of 0 and the next is at most -QP_EXPONENT_MARGIN; (b) its
-    shape made a full turn: it came back advanced by a multiple of 2 pi (a
+    norms of its steps, their real agent counts and the state of their
+    shape's first return in the window, as `_Watch`'s detector saw it (T if
+    none), one test per count: per trial its Turn if it passes, else None,
+    and the positions of the trials whose turn the window left undecided
+    (`loops.Loop`). The loop runs from the window's first state to that
+    return; the shapes (`loops.shapes`) are lifted along it, each step taken
+    modulo 2 pi per angle (`loops.geometry`). A trial passes if (a) over the
+    loop (`loops.exponents`) the rotation's and the circle's exponents lie
+    within QP_NEUTRAL_BAND of 0 and the next is at most -QP_EXPONENT_MARGIN;
+    (b) its shape made a full turn: it came back advanced by a multiple of 2 pi (a
     loop around the torus of shapes; the turn ends at the return), or its
     angle about the loop's centroid, in the loop's principal plane, swept
     2 pi monotonically (the turn ends there); and (c) every shape step of the
@@ -282,7 +280,7 @@ def _turns(m: np.ndarray, states: np.ndarray, norms: np.ndarray, agents: np.ndar
     for n in np.unique(agents):
         at = np.flatnonzero(agents == n)
         window = states[:, at, :n] if len(at) < len(agents) else states[..., :n, :]
-        ends, lag, away, turned, undecided[at] = loops.geometry(window)
+        ends, lag, away, turned, undecided[at] = loops.geometry(window, returns[at])
         turned = np.flatnonzero(turned)
         if not len(turned):
             continue
@@ -301,7 +299,8 @@ def _turn_test(m: np.ndarray, rows: np.ndarray, starts: np.ndarray, back: np.nda
     """`_turns` at test step `state` of watched trials, from their padded
     matrices and their rows at their windows' starts, over their real agents.
     Only a trial whose detector saw a return (back >= 0) is replayed, first
-    up to the return, and on to `state` only if its turn is undecided there.
+    up to the return, which `_turns` takes as its loop's end, and on to
+    `state` only if its turn is undecided there.
     Trials of one start share a replay, TURN_STACK at most, in the order of
     their returns."""
     found, groups = [None] * len(rows), {}
@@ -313,12 +312,13 @@ def _turn_test(m: np.ndarray, rows: np.ndarray, starts: np.ndarray, back: np.nda
             part = np.array(members[lo:lo + TURN_STACK])
             reach = int(back[part].max()) - first
             states, norms = _replay(m[part], rows[part], reach)
-            turns, short = _turns(m[part], states, norms, agents[part])
+            returns = back[part] - first
+            turns, short = _turns(m[part], states, norms, agents[part], returns)
             if len(short) and first + reach < state:
                 more, more_norms = _replay(m[part[short]], states[-1, short], state - first - reach)
                 longer, _ = _turns(m[part[short]], np.concatenate([states[:, short], more[1:]]),
                                    np.concatenate([norms[:, short], more_norms]),
-                                   agents[part[short]])
+                                   agents[part[short]], returns[short])
                 for c, turn in zip(short, longer):
                     turns[c] = turn
             for c, turn in zip(part, turns):
@@ -334,8 +334,8 @@ class _Watch:
     steps, one only until its first test. Per window it keeps the rows and
     shape at its start and a detector: whether the shape has left by
     QP_EXCURSION and the first state after that within QP_RETURN_TOL (back,
-    -1 before), found on the distances `_turns` takes, so that it sees the
-    return `_turns` finds, bit for bit."""
+    -1 before): the window's first return, the one rule for it, which
+    `_turns` reads."""
 
     # per open window, sorted by trial and start: its trial and that trial's position in the
     # working set, its start, back, 1 on the angles of real agents (0 on pads), its shape and

@@ -147,6 +147,14 @@ def write_summary_json(path: str, summary: dict):
         json.dump(summary, fh, indent=2, default=str)
 
 
+def _check_symmetry(cfg: ExperimentConfig, command: str, symmetric: bool):
+    """A ValueError, in words the CLI prints, if the config sets a weight
+    symmetry other than the one the command runs."""
+    if cfg.symmetric not in (None, symmetric):
+        raise ValueError(f"{command} runs {'' if symmetric else 'non-'}symmetric weight matrices, "
+                         f"but the config sets \"symmetric\": {json.dumps(cfg.symmetric)}")
+
+
 def _emit(cfg: ExperimentConfig, records: Optional[list], summary: dict):
     """Write summary.json, and records.csv unless records is None, to cfg.out."""
     if cfg.out:
@@ -446,8 +454,7 @@ def cmd_rank_table(cfg: ExperimentConfig):
 
     Only converged trajectories count as limits; a trial that reaches
     max_iter is recorded as non-converged and left out of the table."""
-    if cfg.symmetric is False:
-        raise ValueError("rank-table requires symmetric weight matrices")
+    _check_symmetry(cfg, "rank-table", True)
     if cfg.n is None or cfg.d is None:
         raise ValueError("rank-table requires explicit n and d")
     trials = _plan(cfg, [_Trial(t, cfg.n, cfg.d, True, cfg.graph) for t in range(cfg.trials)])
@@ -508,8 +515,7 @@ def cmd_theorem2_probe(cfg: ExperimentConfig):
     summary lists with its turn lag, return distance and exponents; the rest
     run to max_iter.
     """
-    if cfg.symmetric:
-        raise ValueError("theorem2 probe requires non-symmetric weight matrices")
+    _check_symmetry(cfg, "theorem2", False)
     trials = _theorem2_trials(cfg)
     records, errors, run_fields = _run_trials(cfg, _plan(cfg, trials), descent=True)
     counterexamples = [{
@@ -599,8 +605,7 @@ def collect_descent_fixed_points(cfg: ExperimentConfig, count: int,
     before the first chunk), so it runs few trials past the last hit kept.
     The search descends symmetric weight matrices only: a config that asks
     for non-symmetric ones is a ValueError."""
-    if cfg.symmetric is False:
-        raise ValueError("the descent search needs symmetric weights, not symmetric=False")
+    _check_symmetry(cfg, "the descent search", True)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     out = []

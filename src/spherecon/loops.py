@@ -1,8 +1,9 @@
 """Loops of a trial's shape, the part of its state that the iteration's
 rotation symmetry leaves: at d = 2 its agents' angles relative to agent 1.
-The distances between shapes, the first return of a window of them, the
-geometry of the turn the quasi-periodic test reads (`dynamics._turns`) and
-the Lyapunov exponents along a loop.
+The distances between shapes, the geometry of the turn the quasi-periodic
+test reads (`dynamics._turns`) over a window up to its first return, which
+the kernel's streamed detector (`dynamics._Watch`) finds, and the Lyapunov
+exponents along a loop.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .state import tangent_basis
-from .tolerances import QP_EXCURSION, QP_RETURN_TOL, QP_STEP_FLOOR
+from .state import column_sums, tangent_basis
+from .tolerances import QP_STEP_FLOOR
 
 # steps per piece of a loop's product: a piece's matrices stay within a few hundred KB
 LOOP_PIECE = 64
@@ -37,23 +38,11 @@ def wrap(angles: np.ndarray) -> np.ndarray:
 def squared_distances(shapes: np.ndarray, origins: np.ndarray, real=1.0) -> np.ndarray:
     """Squared distances of (..., k) shapes from origins, modulo 2 pi per
     angle, each offset times real (0 on a pad agent); the squares are summed
-    column by column, so trailing zero columns change no bit."""
+    column by column (`column_sums`), so trailing zero columns change no bit."""
     offsets = wrap(shapes - origins)
     offsets *= real
     offsets *= offsets
-    total = offsets[..., 0].copy()
-    for j in range(1, offsets.shape[-1]):
-        total += offsets[..., j]
-    return total
-
-
-def first_returns(away: np.ndarray) -> np.ndarray:
-    """Per trial of the (T, C) squared distances of a window's shapes from
-    its first: the first state that, after one more than QP_EXCURSION away,
-    lies within QP_RETURN_TOL; T if there is none."""
-    exits, t = away > QP_EXCURSION ** 2, np.arange(len(away))[:, None]
-    back = (away <= QP_RETURN_TOL ** 2) & (t > np.where(exits.any(0), exits.argmax(0), len(away)))
-    return np.where(back.any(0), back.argmax(0), len(away))
+    return column_sums(offsets)
 
 
 def exponents(m: np.ndarray, states: np.ndarray, norms: np.ndarray, ends: np.ndarray,
@@ -98,10 +87,12 @@ def exponents(m: np.ndarray, states: np.ndarray, norms: np.ndarray, ends: np.nda
 
 
 class Loop(NamedTuple):
-    """Per trial of a window (`geometry`): its first return (the last state
-    without one), the end of its turn, the squared return distance, whether
-    it returned with (b) and (c) of `dynamics._turns` holding, and whether
-    the window ends before that is decided, the sweep short of 2 pi."""
+    """Per trial of a window (`geometry`): the end of its loop (its first
+    return, or the window's last state if it has none or its shape did not
+    step off its start), the end of its turn, the squared return distance
+    there, whether it returned with (b) and (c) of `dynamics._turns`
+    holding, and whether the window ends before that is decided, the sweep
+    short of 2 pi."""
 
     ends: np.ndarray
     lag: np.ndarray
@@ -110,18 +101,19 @@ class Loop(NamedTuple):
     undecided: np.ndarray
 
 
-def geometry(states: np.ndarray) -> Loop:
-    """The `Loop` of each trial of a window's (T, C, n, 2) states."""
+def geometry(states: np.ndarray, returns: np.ndarray) -> Loop:
+    """The `Loop` of each trial of a window's (T, C, n, 2) states, given
+    each trial's first return in the window as the return detector of
+    `dynamics._Watch` finds it, T if it has none."""
     angles = shapes(states)
     length, count, k = angles.shape
-    away = squared_distances(angles, angles[0])
-    ends = first_returns(away)
     shift = np.zeros(angles.shape)  # the shape's steps, then the lifted shape less its start
     moves = wrap(np.subtract(angles[1:], angles[:-1], out=shift[1:]))
+    steps = np.sqrt(column_sums(moves * moves))
+    returned = (returns < length) & (steps[0] > QP_STEP_FLOOR)  # a turn starts with a step
+    ends = np.where(returned, returns, length - 1)
+    away = squared_distances(angles[ends, np.arange(count)], angles[0])
     del angles
-    steps = np.sqrt(np.einsum("tck,tck->tc", moves, moves))
-    returned = (ends < length) & (steps[0] > QP_STEP_FLOOR)  # a turn starts with a step
-    ends = np.where(returned, ends, length - 1)
     np.cumsum(moves, axis=0, out=moves)
     winds = np.rint(shift[ends, np.arange(count)] / (2.0 * np.pi)).any(-1)
     t = np.arange(length)[:, None]
@@ -139,5 +131,4 @@ def geometry(states: np.ndarray) -> Loop:
         turning, inside = np.diff(sweep, axis=0), t[:-1] < lag
         swept = ~short & (((turning > 0) | ~inside).all(0) | ((turning < 0) | ~inside).all(0))
     moving = np.where(t[:-1] < lag, steps, np.inf).min(0) > QP_STEP_FLOOR
-    return Loop(ends, lag, away[ends, np.arange(count)], returned & (winds | swept) & moving,
-                ~returned | (~winds & short))
+    return Loop(ends, lag, away, returned & (winds | swept) & moving, ~returned | (~winds & short))

@@ -63,6 +63,16 @@ class Configuration:
         return Configuration(np.asarray(obj["rows"], dtype=float))
 
 
+def column_sums(x: np.ndarray) -> np.ndarray:
+    """A new array of the sums over the last axis, added one column at a
+    time, left to right: numpy's own order below 8 columns, where
+    `np.add.reduce` starts to add in pairs, and one order at any width."""
+    total = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        total += x[..., j]
+    return total
+
+
 def unit_rows(rows) -> np.ndarray:
     """A new array of the rows (along the last axis) each divided by its
     norm. A row whose norm is at most MIN_ROW_NORM, NaN or infinite is

@@ -99,13 +99,16 @@ def test_every_side_is_named_by_its_sources_and_checked_against_the_tree(tmp_pat
                                                                          capsys):
     # a git checkout is named by `git describe` and by the hash of its src/,
     # which a plain copy of the same sources shares; the change side's hash is
-    # checked against the src/ tree beside the tool
+    # checked against the src/ tree beside the tool; each side's line count is
+    # that of its src/**/*.py files, other files left out
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
     tree, checkout, copy, other = (tmp_path / side for side in ("tree", "checkout", "copy",
                                                                 "other"))
     for side in (tree, checkout, copy, other):
         (side / "src" / "pkg").mkdir(parents=True)
         (side / "src" / "pkg" / "a.py").write_text("x = 2\n" if side == other else "x = 1\n")
+    (other / "src" / "pkg" / "b.py").write_text("y = 1\nz = 2\n\n")
+    (other / "src" / "pkg" / "notes.txt").write_text("not\ncounted\n")
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(checkout)]
     for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "a"]):
         subprocess.run(git + args, check=True, capture_output=True)
@@ -124,4 +127,7 @@ def test_every_side_is_named_by_its_sources_and_checked_against_the_tree(tmp_pat
         assert entry["parent_src_sha256"] == bench_pairs.src_sha256(tree)
         assert entry["change_src_sha256"] == bench_pairs.src_sha256(change)
         assert entry["change_matches_tree"] is matches
+        for side, root in (("parent", checkout), ("change", change)):
+            lines = sum(path.read_text().count("\n") for path in (root / "src").rglob("*.py"))
+            assert entry[f"{side}_src_lines"] == lines == (4 if root == other else 1)
         assert ("warning" in capsys.readouterr().err) is not matches

@@ -16,8 +16,8 @@ from spherecon.graph import (DirectedGraph, complete_graph,
 from spherecon.state import (Configuration, agent_blocks, classify_configuration,
                              consensus_configuration, random_configuration, tangent_basis,
                              unit_rows)
-from spherecon.tolerances import (QP_EXPONENT_MARGIN, QP_NEUTRAL_BAND, QP_RETURN_TOL, RE_FIT_TOL,
-                                  RE_ORBIT_MARGIN, RE_STEP_FLOOR, STEP_FILTER_MARGIN)
+from spherecon.tolerances import (QP_EXCURSION, QP_EXPONENT_MARGIN, QP_NEUTRAL_BAND, QP_RETURN_TOL,
+                                  RE_FIT_TOL, RE_ORBIT_MARGIN, RE_STEP_FLOOR, STEP_FILTER_MARGIN)
 from spherecon.weights import (WeightMatrix, descent_matrix,
                                left_scale_normalize, sample_sdd)
 
@@ -214,6 +214,27 @@ def test_iterate_keeps_the_steps_bits():
         assert np.array_equal(iterate(a, c).rows, _step(a.entries, c.rows)[0])
 
 
+@pytest.mark.parametrize("d", [2, 5, 7, 8, 9, 12])
+def test_every_step_adds_a_rows_squares_left_to_right(d):
+    # one row-norm rule at every d, below numpy's pairwise width (8 columns)
+    # and above it: the one-step map, `iterate` and the kernel's first step
+    # equal a sum of z_j^2 over j = 0, 1, ... in order, to the last bit
+    n, count = 10, 120
+    mats = np.stack([sample_sdd(complete_graph(n), 0.1, bool(t % 2), seed=9900 + t).entries
+                     for t in range(count)])
+    starts = np.stack([random_configuration(n, d, seed=10_000 + t).rows for t in range(count)])
+    z = mats @ starts
+    total = np.zeros(z.shape[:-1])
+    for j in range(d):
+        total += z[..., j] ** 2
+    norms = np.sqrt(total)
+    rows = z / norms[..., None]
+    assert np.array_equal(_step(mats, starts)[1], norms)
+    assert all(np.array_equal(iterate(m, Configuration._unchecked(x.copy())).rows, r)
+               for m, x, r in zip(mats, starts, rows))
+    assert np.array_equal(run_batch(mats, starts, max_iter=1).rows, rows)
+
+
 def _per_trial_run(entries, rows, fp_tol, max_iter):
     """The per-trial step loop the lockstep kernel replaced, kept as its
     reference: (final rows, iterations, residual, potential history). The
@@ -276,11 +297,10 @@ def test_lockstep_matches_per_trial_loop():
 
 @pytest.mark.parametrize("padded", [False, True])
 def test_lockstep_matches_per_trial_loop_across_the_pairwise_width(padded):
-    # the kernel adds each row's squares column by column at d = 6 and 7 and
-    # takes numpy's pairwise reduction at d = 8 and 9; the reference loop's
-    # `_step` takes np.linalg.norm at every d. Mixed n, run as one call per
-    # (n, d) or as one padded call per d
-    assert 7 < dynamics.PAIRWISE_SUM_FROM <= 8
+    # the kernel and the reference loop's `_step` add each row's squares
+    # column by column at every d: at d = 6 and 7, below the width from which
+    # numpy's own reduction adds in pairs, and at d = 8 and 9 above it. Mixed
+    # n, run as one call per (n, d) or as one padded call per d
     rng = np.random.default_rng(43)
     by_d = {}
     for case in range(80):
@@ -650,6 +670,17 @@ def _spiral(b, c, amplitude):
     return m, mu[j], np.column_stack([np.cos(angles), np.sin(angles)])
 
 
+def _first_returns(away):
+    """Per trial of the (T, C) squared distances of a window's shapes from
+    its first: the first state that, after one more than QP_EXCURSION away,
+    lies within QP_RETURN_TOL; T if there is none. The whole-window rule the
+    kernel's streamed detector (`dynamics._Watch`) replaced, kept as its
+    reference."""
+    exits, t = away > QP_EXCURSION ** 2, np.arange(len(away))[:, None]
+    back = (away <= QP_RETURN_TOL ** 2) & (t > np.where(exits.any(0), exits.argmax(0), len(away)))
+    return np.where(back.any(0), back.argmax(0), len(away))
+
+
 def test_spiral_onto_a_focus_never_stops_as_quasi_periodic(monkeypatch):
     # two constructed relative equilibria whose complex pair has modulus
     # 1 - 2e-4 and 1 - 5e-4: a start 0.03 off spirals back, sweeping a full
@@ -670,7 +701,9 @@ def test_spiral_onto_a_focus_never_stops_as_quasi_periodic(monkeypatch):
         rows, step_norms = _step(mats, states[-1])
         states.append(rows)
         norms.append(step_norms)
-    window = np.array(states), np.array(norms), np.array([4, 4])
+    shapes = loops.shapes(np.array(states))
+    window = (np.array(states), np.array(norms), np.array([4, 4]),
+              _first_returns(loops.squared_distances(shapes, shapes[0])))
     assert dynamics._turns(mats, *window)[0] == [None, None]
     monkeypatch.setattr(dynamics, "QP_NEUTRAL_BAND", np.inf)
     monkeypatch.setattr(dynamics, "QP_EXPONENT_MARGIN", -np.inf)
@@ -762,7 +795,7 @@ def test_return_detector_sees_every_return(monkeypatch, block_steps):
     for m, rows, first, back, state, n in windows:
         states, _ = dynamics._replay(m[None], rows[None], state - first)
         shapes = loops.shapes(states[:, :, :n])
-        end = loops.first_returns(loops.squared_distances(shapes, shapes[0]))[0]
+        end = _first_returns(loops.squared_distances(shapes, shapes[0]))[0]
         assert back == (first + end if end < len(shapes) else -1)
         returned += end < len(shapes)
     assert len(windows) >= 10 and 0 < returned < len(windows)

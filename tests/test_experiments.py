@@ -427,7 +427,7 @@ def test_audit_counts_only_converged_escapes(monkeypatch):
 @pytest.mark.parametrize("command", [cmd_stability_audit, cmd_jg_rank])
 def test_descent_commands_reject_non_symmetric_weights(command):
     cfg = ExperimentConfig(seed=1, n=4, d=3, symmetric=False)
-    with pytest.raises(ValueError, match="needs symmetric weights"):
+    with pytest.raises(ValueError, match="runs symmetric weight matrices"):
         command(cfg, count=2)
 
 

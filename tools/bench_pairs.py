@@ -21,9 +21,11 @@ change and its runs at other seeds.
 
 Each side is named by its `git describe` and, always, by a content hash of
 its src/ tree, which a copy of a commit (`git archive`) shares with the
-commit's checkout. change_matches_tree says whether the change side's hash
-is that of the src/ tree beside this tool when the file was written, the
-tree a BENCH file is committed with; the tool warns when it is not.
+commit's checkout; beside the hash is the line count of its src/**/*.py, so
+that the file records a change's size as it records its speed.
+change_matches_tree says whether the change side's hash is that of the src/
+tree beside this tool when the file was written, the tree a BENCH file is
+committed with; the tool warns when it is not.
 """
 
 from __future__ import annotations
@@ -139,6 +141,11 @@ def src_sha256(checkout: Path) -> str:
     return f"src-sha256:{digest.hexdigest()[:12]}"
 
 
+def src_lines(checkout: Path) -> int:
+    """The lines of the side's src/**/*.py files, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -173,8 +180,10 @@ def main(argv=None) -> int:
         result["workloads"][key] = {
             "parent_revision": git_revision(args.parent),
             "parent_src_sha256": src_sha256(args.parent),
+            "parent_src_lines": src_lines(args.parent),
             "change_revision": git_revision(args.change),
             "change_src_sha256": change_hash,
+            "change_src_lines": src_lines(args.change),
             "change_matches_tree": matches,
             "seconds": args.seconds,
             "seed": args.seed,
