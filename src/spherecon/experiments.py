@@ -190,6 +190,7 @@ class _Trial:
     final: Optional[Configuration] = None
     iters: int = 0
     residual: float = float("nan")
+    radius: float = float("nan")
     min_potential_step: Optional[float] = None
     status: Optional[str] = None
     rotation: Optional[dynamics.Rotation] = None
@@ -281,7 +282,10 @@ def _run_group(cfg: ExperimentConfig, members: list, descent: bool):
     the largest n (dynamics.pad_agents), with the weight matrix itself or
     (descent) its descent matrix, and store each outcome on its trial, pad
     rows stripped and the rows kept as the kernel left them. Without descent,
-    symmetric trials keep their least potential step."""
+    symmetric trials keep their least potential step, and each trial that
+    reached a fixed point its spectral radius there, taken on the padded
+    stack (`stability.spectral_radius` with agents), SPECTRAL_STACK trials
+    per call."""
     if descent:
         mats = [descent_matrix(tr.weights, cfg.slack).entries for tr in members]
     else:
@@ -303,6 +307,13 @@ def _run_group(cfg: ExperimentConfig, members: list, descent: bool):
         trial.final = Configuration._unchecked(rows)
         if not descent and trial.symmetric and out.min_potential_step[pos] < np.inf:
             trial.min_potential_step = float(out.min_potential_step[pos])
+    if not descent:
+        fixed = np.flatnonzero(out.status == dynamics.FIXED_POINT)
+        for k in range(0, fixed.size, SPECTRAL_STACK):
+            part = fixed[k:k + SPECTRAL_STACK]
+            rho = stability.spectral_radius(entries[part], out.rows[part], agents[part])
+            for pos, r in zip(part, rho):
+                members[pos].radius = float(r)
 
 
 def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
@@ -321,7 +332,6 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
             groups.setdefault(trial.d, []).append(trial)
     for members in groups.values():
         _run_group(cfg, members, descent)
-    radii = {} if descent else _spectral_radii(trials)
     graph_of = {}
     for part in _stacks([tr for tr in trials if tr.graph is not None]):
         graph_of.update(zip((tr.t for tr in part),
@@ -342,7 +352,7 @@ def _run_trials(cfg: ExperimentConfig, trials: list, descent: bool):
             values = (dynamics.fixed_point_residual(trial.weights, trial.final),
                       trial.residual, nan)
         else:
-            values = (trial.residual, nan, radii.get(trial.t, nan))
+            values = (trial.residual, nan, trial.radius)
         records.append(TrialRecord(trial.t, tseed, trial.n, trial.d, *hashes, kind,
                                    cls.rank, trial.iters, *values))
     ran = [tr for tr in trials if tr.status is not None]
@@ -365,17 +375,6 @@ def _stacks(trials: list):
     for members in shapes.values():
         for k in range(0, len(members), SPECTRAL_STACK):
             yield members[k:k + SPECTRAL_STACK]
-
-
-def _spectral_radii(trials: list) -> dict:
-    """The spectral radius at each fixed-point limit, by trial index: one
-    stacked `stability.spectral_radius` call per stack of `_stacks`."""
-    radii = {}
-    for part in _stacks([tr for tr in trials if tr.status == dynamics.FIXED_POINT]):
-        rho = stability.spectral_radius(np.stack([tr.weights.entries for tr in part]),
-                                        np.stack([tr.final.rows for tr in part]))
-        radii.update((tr.t, float(r)) for tr, r in zip(part, rho))
-    return radii
 
 
 def _iteration_histogram(iters: list, max_iter: int) -> dict:

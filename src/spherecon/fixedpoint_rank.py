@@ -2,8 +2,11 @@
 assembly with respect to (A, D, x), and the rank checks behind the
 measure-zero statements for weight matrices. A non-symmetric A-block comes as
 a factor with its Gram matrix, not as its columns: all computed from it (rank,
-singular values, left null residuals) depends only on J J^T. The duplication
-matrix is kept as the dense reference of the symmetric A-block.
+singular values, left null residuals) depends only on J J^T. The symmetric
+A-block is assembled densely on the n(n+1)/2 vech(A) coordinates, with the
+duplication matrix as its reference; its rank check instead takes singular
+values in orthonormal coordinates of Sym(n) (vech with off-diagonal
+coordinates scaled by sqrt 2), from a factor of nm - m(m-1)/2 columns.
 
 Conventions: the residual and its Jacobian act on agent-major vectors
 (row-major flattening of the state matrix). D here stores the row norms of
@@ -141,13 +144,7 @@ def assemble_Jg(sys: FixedPointSystem, symmetric: bool,
     """
     n, m, x = sys.n, sys.m, sys.x
     if symmetric:
-        # column (lo, hi) of vech order holds x_hi in row block lo and x_lo
-        # in row block hi (one x_lo when lo == hi)
-        lo, hi = np.triu_indices(n)
-        a_part = np.zeros((n, m, lo.size))
-        a_part[lo, :, np.arange(lo.size)] = x[hi]
-        a_part[hi, :, np.arange(lo.size)] = x[lo]
-        a_part = a_part.reshape(n * m, -1)
+        a_part = _vech_block(x)
     else:
         # R of X, or one batched QR of each agent's zero-padded neighbour rows
         rows = x if graph is None else structure_matrix(graph)[:, :, None] * x
@@ -157,6 +154,39 @@ def assemble_Jg(sys: FixedPointSystem, symmetric: bool,
     x_full = agent_blocks(sys.a - np.diag(sys.dvec), tangent_projectors(x))
     x_part = x_full[:, m:]  # drop the pinned first agent's directions
     return JgParts(a_part, d_part, x_part)
+
+
+def _vech_block(x: np.ndarray) -> np.ndarray:
+    """The n m x n(n+1)/2 matrix of S -> S X on vech(S), agent-major: column
+    (lo, hi) of vech order holds x_hi in row block lo and x_lo in row block
+    hi (one x_lo when lo == hi)."""
+    n, m = x.shape
+    lo, hi = np.triu_indices(n)
+    block = np.zeros((n, m, lo.size))
+    block[lo, :, np.arange(lo.size)] = x[hi]
+    block[hi, :, np.arange(lo.size)] = x[lo]
+    return block.reshape(n * m, -1)
+
+
+def _symmetric_factor(x: np.ndarray) -> np.ndarray:
+    """A factor F of the symmetric A-block in orthonormal coordinates of
+    Sym(n) (vech with each off-diagonal coordinate scaled by sqrt 2), with
+    nm - m(m-1)/2 columns in place of n(n+1)/2: F F^T is the Gram matrix of
+    the vech A-block with its off-diagonal columns scaled by 1/sqrt 2.
+
+    With the complete QR X = Q [R1; 0] and T = Q^T S Q, S X = Q [T11 R1;
+    T21 R1], and S -> T is an isometry of Sym(n). So F = (Q ot I_m)
+    blockdiag(K11, I_{n-m} ot R1^T / sqrt 2), with K11 the map T11 -> T11 R1
+    on orthonormal coordinates of Sym(m); T22 leaves S X alone."""
+    n, m = x.shape
+    q, r = np.linalg.qr(x, mode="complete")
+    r1 = r[:m]
+    scale = np.full(m * (m + 1) // 2, np.sqrt(0.5))
+    scale[np.arange(m) * (2 * m - np.arange(m) + 1) // 2] = 1.0  # vech's diagonal columns
+    k11 = _vech_block(r1) * scale
+    top = q[:, :m] @ k11.reshape(m, -1)  # (Q1 ot I_m) K11, agent-major
+    rest = np.multiply.outer(q[:, m:], r1.T * np.sqrt(0.5)).swapaxes(1, 2)  # Q2 ot R1^T/sqrt 2
+    return np.hstack([top.reshape(n * m, -1), rest.reshape(n * m, -1)])
 
 
 def _singular_values(mat: np.ndarray) -> np.ndarray:
@@ -188,24 +218,38 @@ def skew_null_vectors(sys: FixedPointSystem) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RankDeficiencyReport:
+    """Rank of the symmetric-parametrization Jacobian against its bound. The
+    singular values are those of [F | D-block | x-block], F the A-block's
+    factor in orthonormal coordinates of Sym(n) (`_symmetric_factor`), so
+    min_singular_value is measured there, not in vech coordinates; the rank
+    is the same in both."""
+
     n: int
     m: int
     rank: int
     bound: int
     satisfied: bool
     min_singular_value: float
-    null_residual: float  # max |v^T Jg| over the skew null vectors v
+    null_residual: float  # max |v^T Jg| over the skew null vectors v of the vech Jg
 
 
 def symmetric_rank_deficiency_check(sys: FixedPointSystem) -> RankDeficiencyReport:
     """Rank of the symmetric-parametrization Jacobian against the bound
-    nm - m(m-1)/2 (complete graph), and the skew null vectors' residual."""
-    jg = assemble_Jg(sys, symmetric=True).full
-    s = _singular_values(jg)
+    nm - m(m-1)/2 (complete graph), and the skew null vectors' residual.
+
+    The rank is taken from the compact factor of the A-block beside the D-
+    and x-blocks, nm x (nm - m(m-1)/2 + n + (n-1)m), not from the n(n+1)/2
+    vech columns. The vech metric weighs diagonal and off-diagonal entries
+    differently and is not invariant under S -> Q^T S Q, so no factor of this
+    width has the vech Gram matrix; the two parametrizations differ by an
+    invertible diagonal scaling, which keeps the rank and the left null space.
+    The null residual is taken on the dense vech assembly."""
+    parts = assemble_Jg(sys, symmetric=True)
+    s = _singular_values(np.hstack([_symmetric_factor(sys.x), parts.d_part, parts.x_part]))
     rank = relative_rank(s)
     bound = sys.n * sys.m - sys.m * (sys.m - 1) // 2
     return RankDeficiencyReport(
         n=sys.n, m=sys.m, rank=rank, bound=bound,
         satisfied=rank <= bound, min_singular_value=float(s[-1]),
-        null_residual=float(np.abs(skew_null_vectors(sys) @ jg).max(initial=0.0)),
+        null_residual=float(np.abs(skew_null_vectors(sys) @ parts.full).max(initial=0.0)),
     )

@@ -91,11 +91,23 @@ def differential_report(m, c: Configuration,
     )
 
 
-def spectral_radius(m, c):
+def spectral_radius(m, c, agents=None):
     """Largest eigenvalue modulus of the reduced matrix at c. For a stack of
     trials of one shape, as `reduced_matrix` takes it, an array of one radius
-    per trial from one eigvals call."""
-    radii = np.abs(np.linalg.eigvals(reduced_matrix(m, c))).max(axis=-1)
+    per trial from one eigvals call.
+
+    agents[t] (a stack padded as `dynamics.pad_agents` pads it) counts trial
+    t's real agents: the pad agents' rows and columns of its reduced matrix
+    are zeroed, which adds zero eigenvalues only. LAPACK's balancing isolates
+    trailing zero rows and columns without moving the real block, so each
+    radius is that of the trial alone bit for bit while the padded order
+    n (d - 1) stays below LAPACK's small-matrix crossover (dhseqr's NMIN, 75
+    in reference LAPACK); above it, to round-off."""
+    red = reduced_matrix(m, c)
+    if agents is not None:
+        real = np.arange(red.shape[-1]) < np.asarray(agents)[:, None] * (as_array(c).shape[-1] - 1)
+        red = np.where(real[:, :, None] & real[:, None, :], red, 0.0)
+    radii = np.abs(np.linalg.eigvals(red)).max(axis=-1)
     return float(radii) if radii.ndim == 0 else radii
 
 

@@ -160,23 +160,25 @@ def test_jg_a_block_finite_difference():
 
 
 def test_symmetric_rank_deficiency_with_null_vectors():
-    got = 0
-    for seed in range(40):
-        out = _descent_system(4, 3, seed)
-        if out is None:
-            continue
-        _, sys = out
-        if sys.m < 2:
-            continue
+    """The symmetric Jacobian's rank equals its bound nm - m(m-1)/2, not only
+    stays below it, at descent-found fixed points and at circulant n-gons
+    (the linearize benchmark's points: n = 16 and 64, ring and complete,
+    d = 2 and 3), and the skew null vectors annihilate it."""
+    descent = [out[1] for out in map(lambda seed: _descent_system(4, 3, seed), range(40))
+               if out is not None and out[1].m >= 2]
+    assert len(descent) >= 3
+    rng = np.random.default_rng(40)
+    ngons = [_circulant_ngon_system(rng, n, d, ring)
+             for n in (16, 64) for ring in (False, True) for d in (2, 3)]
+    for sys in descent + ngons:
         rep = symmetric_rank_deficiency_check(sys)
-        assert rep.satisfied
         assert rep.bound == sys.n * sys.m - sys.m * (sys.m - 1) // 2
+        assert rep.satisfied and rep.rank == rep.bound, (sys.n, sys.m, rep.rank)
         null = skew_null_vectors(sys)
         assert null.shape[0] == sys.m * (sys.m - 1) // 2
         jg = assemble_Jg(sys, symmetric=True).full
         assert np.abs(null @ jg).max() < 1e-8
-        got += 1
-    assert got >= 3
+        assert rep.null_residual == np.abs(null @ jg).max()
 
 
 def test_skew_null_vectors_annihilate_parts_separately():
@@ -253,6 +255,42 @@ def test_symmetric_a_block_equals_duplication_product():
             x_ref = (np.kron(sys.a - np.diag(sys.dvec), np.eye(m))
                      @ block_diagonal_matrix(tangent_projectors(sys.x)))[:, m:]
             assert np.array_equal(parts.x_part, x_ref)
+
+
+def test_symmetric_factor_matches_scaled_duplication_product(monkeypatch):
+    """The compact factor of the symmetric A-block has the Gram matrix of the
+    duplication product with its off-diagonal columns scaled by 1/sqrt 2
+    (orthonormal coordinates of Sym(n)), and the rank check takes the
+    singular values of [factor | D-block | x-block], nm - m(m-1)/2 + n +
+    (n-1)m columns wide, equal to those of the scaled dense Jacobian."""
+    taken = []
+
+    def recording(mat):
+        taken.append((mat.shape, singular_values(mat)))
+        return taken[-1][1]
+
+    singular_values = fixedpoint_rank._singular_values
+    monkeypatch.setattr(fixedpoint_rank, "_singular_values", recording)
+    rng = np.random.default_rng(38)
+    for n in [*range(1, 10), 64]:
+        for m in sorted({1, min(n, 2), min(n, 3)}):
+            sys = _random_system(rng, n, m)
+            width = n * m - m * (m - 1) // 2
+            factor = fixedpoint_rank._symmetric_factor(sys.x)
+            assert factor.shape == (n * m, width)
+            lo, hi = np.triu_indices(n)
+            ref = (np.kron(np.eye(n), sys.x.T) @ duplication_matrix(n)
+                   * np.where(lo == hi, 1.0, np.sqrt(0.5)))
+            gram = ref @ ref.T
+            assert np.abs(factor @ factor.T - gram).max() <= 1e-13 * np.abs(gram).max(), (n, m)
+            taken.clear()
+            rep = symmetric_rank_deficiency_check(sys)
+            assert [shape for shape, _ in taken] == [(n * m, width + n + (n - 1) * m)]
+            parts = assemble_Jg(sys, symmetric=True)
+            dense = np.linalg.svd(np.hstack([ref, parts.d_part, parts.x_part]), compute_uv=False)
+            s = taken[0][1]
+            assert np.abs(s - dense[:s.size]).max() <= 1e-13 * dense[0], (n, m)
+            assert rep.min_singular_value == s[-1]
 
 
 def test_jg_d_block_finite_difference():

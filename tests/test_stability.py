@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spherecon.dynamics import find_nonconsensus_fixed_point, iterate, run
+from spherecon.dynamics import find_nonconsensus_fixed_point, iterate, pad_agents, run
 from spherecon.graph import complete_graph, random_symmetric_connected, ring_graph
 from spherecon.state import (Configuration, consensus_configuration,
                              random_configuration, tangent_basis)
@@ -316,6 +316,27 @@ def test_stacked_spectral_radii_are_the_per_trial_ones_bit_for_bit():
             assert np.array_equal(reduced[t], reduced_matrix(mats[t], c))
             assert np.array_equal(bases[t], tangent_basis(c).blocks)
             assert dets[t] == determinant_nonzero_check(mats[t], c).det
+    # a stack of mixed n padded as pad_agents pads it: with the pad agents'
+    # rows and columns zeroed, each radius is the trial's own, bit for bit
+    # below LAPACK's small-matrix crossover (padded order < 75), to round-off
+    # above it. Half the rows are at consensus, whose radius is 1 to
+    # round-off, often just below the pad blocks' exact 1.
+    for d, sizes in [(2, range(2, 9)), (3, range(2, 9)), (5, range(3, 9)), (4, range(20, 31))]:
+        mats, rows = [], []
+        for t in range(60):
+            n = int(rng.choice(sizes))
+            g = random_symmetric_connected(n, 0.5, 7200 + t)
+            mats.append(sample_sdd(g, 0.1, bool(t % 2), seed=7300 + t).entries)
+            xbar = rng.standard_normal(d)
+            rows.append(consensus_configuration(n, xbar / np.linalg.norm(xbar)).rows if t % 2
+                        else random_configuration(n, d, seed=int(rng.integers(2 ** 32))).rows)
+        entries, stacked, agents = pad_agents(mats, rows)
+        radii = spectral_radius(entries, stacked, agents)
+        alone = np.array([spectral_radius(a, r) for a, r in zip(mats, rows)])
+        if stacked.shape[1] * (d - 1) < 75:
+            assert radii.tobytes() == alone.tobytes(), (d, sizes)
+        else:
+            assert np.allclose(radii, alone, rtol=1e-12, atol=0.0), (d, sizes)
 
 
 def test_sqrt2_intermediate_bound_via_normalization():

@@ -34,6 +34,8 @@ COMMANDS = {
                    "--trials", "2000", "--seed", "12345"],
     "audit": ["audit", "--n", "4", "--d", "3", "--count", "20", "--seed", "1"],
     "jg-rank": ["jg-rank", "--n", "4", "--d", "3", "--count", "20", "--seed", "1"],
+    # points of rank m = 3 with n - m = 5 agents past the first m, where n = 4 has at most one
+    "jg-rank@8": ["jg-rank", "--n", "8", "--d", "3", "--count", "20", "--seed", "2"],
     "pentagon": ["pentagon"],
 }
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
