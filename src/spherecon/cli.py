@@ -23,18 +23,23 @@ FLAGS = {"config": {"help": "JSON config file; flags override its fields"},
          "graph": {"choices": GRAPH_MODELS},
          "symmetric": {"action": "store_true", "default": None},
          "out": {"help": "output directory for records.csv / summary.json"}}
-# per subcommand: its help and the flags it reads beyond config, seed, n, d,
-# margin and out
+# per subcommand: its help, the flags it reads beyond config, seed, n, d,
+# margin and out, and its run, which returns the summary
 COMMANDS = {
     "sweep": ("random-trial consensus sweep of the plain iteration",
-              ("trials", "edge_prob", "graph", "symmetric")),
+              ("trials", "edge_prob", "graph", "symmetric"),
+              lambda cfg, args: cmd_consensus_sweep(cfg)[1]),
     "rank-table": ("rank distribution of descent-mode limits (symmetric)",
-                   ("trials", "slack", "edge_prob", "graph")),
+                   ("trials", "slack", "edge_prob", "graph"),
+                   lambda cfg, args: cmd_rank_table(cfg)[1]),
     "theorem2": ("non-symmetric descent probe: limits stay rank one",
-                 ("trials", "slack", "edge_prob", "graph")),
+                 ("trials", "slack", "edge_prob", "graph"),
+                 lambda cfg, args: cmd_theorem2_probe(cfg)[1]),
     "audit": ("instability certificates at d>=3 fixed points",
-              ("slack", "edge_prob", "graph")),
-    "jg-rank": ("parametric Jacobian rank checks at fixed points", ("slack",)),
+              ("slack", "edge_prob", "graph"),
+              lambda cfg, args: cmd_stability_audit(cfg, count=args.count)),
+    "jg-rank": ("parametric Jacobian rank checks at fixed points", ("slack",),
+                lambda cfg, args: cmd_jg_rank(cfg, count=args.count)),
 }
 
 
@@ -55,7 +60,7 @@ def main(argv=None) -> int:
                     "reproducible outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, (help_text, options) in COMMANDS.items():
+    for name, (help_text, options, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in ("config", "seed", "n", "d", "margin", *options, "out"):
             p.add_argument("--" + flag.replace("_", "-"), dest=flag, **FLAGS[flag])
@@ -73,16 +78,7 @@ def main(argv=None) -> int:
 
     cfg = _build_config(args)
     try:  # a command rejects what it cannot run with a ValueError naming it
-        if args.command == "sweep":
-            _, summary = cmd_consensus_sweep(cfg)
-        elif args.command == "rank-table":
-            _, summary = cmd_rank_table(cfg)
-        elif args.command == "theorem2":
-            _, summary = cmd_theorem2_probe(cfg)
-        elif args.command == "audit":
-            summary = cmd_stability_audit(cfg, count=args.count)
-        else:
-            summary = cmd_jg_rank(cfg, count=args.count)
+        summary = COMMANDS[args.command][2](cfg, args)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 

@@ -10,11 +10,13 @@ and each command also emits a summary dict (JSON on disk).
 
 The trajectory commands share one pipeline: plan every trial, group the
 trials by d, run each group as one lockstep call with the agents padded to
-its largest n, then strip the pad rows and classify each limit. Planning is
-one batched pass: `seeding` hashes every key of the batch at once into the
-record seeds and the generators' state words, each trial draws on its own
-generators in the one-trial samplers' order, and the graphs, weight matrices
-and starts of all trials of one size are assembled as stacks.
+its largest n, then strip the pad rows and classify each limit. The audit's
+perturbed escape trials, built from the points its descent search found,
+run through the same pipeline unplanned. Planning is one batched pass:
+`seeding` hashes every key of the batch at once into the record seeds and
+the generators' state words, each trial draws on its own generators in the
+one-trial samplers' order, and the graphs, weight matrices and starts of all
+trials of one size are assembled as stacks.
 """
 
 from __future__ import annotations
@@ -126,10 +128,6 @@ def graph_hashes(adjacency: np.ndarray) -> list:
             for edges in adjacency.reshape(count, -1)]
 
 
-def graph_hash(g: DirectedGraph) -> str:
-    return graph_hashes(g.adjacency[None])[0]
-
-
 def matrix_hash(a: np.ndarray) -> str:
     return _short_hash(np.ascontiguousarray(a).tobytes())
 
@@ -155,13 +153,14 @@ def _check_symmetry(cfg: ExperimentConfig, command: str, symmetric: bool):
                          f"but the config sets \"symmetric\": {json.dumps(cfg.symmetric)}")
 
 
-def _emit(cfg: ExperimentConfig, records: Optional[list], summary: dict):
-    """Write summary.json, and records.csv unless records is None, to cfg.out."""
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
+def _emit(out: Optional[str], records: Optional[list], summary: dict):
+    """Write summary.json, and records.csv unless records is None, to the
+    directory out (nothing if out is None)."""
+    if out:
+        os.makedirs(out, exist_ok=True)
         if records is not None:
-            write_records_csv(os.path.join(cfg.out, "records.csv"), records)
-        write_summary_json(os.path.join(cfg.out, "summary.json"), summary)
+            write_records_csv(os.path.join(out, "records.csv"), records)
+        write_summary_json(os.path.join(out, "summary.json"), summary)
 
 
 # --------------------------------------------------------------------------
@@ -439,7 +438,7 @@ def cmd_consensus_sweep(cfg: ExperimentConfig):
                                     for tr in trials),
         **run_fields,
     }
-    _emit(cfg, records, summary)
+    _emit(cfg.out, records, summary)
     return records, summary
 
 
@@ -478,7 +477,7 @@ def cmd_rank_table(cfg: ExperimentConfig):
         "slack": cfg.slack,
         **run_fields,
     }
-    _emit(cfg, records, summary)
+    _emit(cfg.out, records, summary)
     return records, summary
 
 
@@ -536,7 +535,7 @@ def cmd_theorem2_probe(cfg: ExperimentConfig):
         "quasi_periodic": [{"trial": tr.t, **tr.turn._asdict()}
                            for tr in trials if tr.turn is not None],
     }
-    _emit(cfg, records, summary)
+    _emit(cfg.out, records, summary)
     return records, summary
 
 
@@ -574,9 +573,7 @@ def cmd_pentagon_demo(out: Optional[str] = None) -> dict:
         "expected_neighbor_dot": float(np.cos(2.0 * np.pi / 5.0)),
         "neutral": bool(abs(rho - 1.0) <= NEUTRAL_TOL),
     }
-    if out:
-        os.makedirs(out, exist_ok=True)
-        write_summary_json(os.path.join(out, "summary.json"), report)
+    _emit(out, None, report)
     return report
 
 
@@ -640,14 +637,16 @@ def cmd_stability_audit(cfg: ExperimentConfig, count: int = 100,
     """Certify instability of descent-found non-consensus fixed points for
     d >= 3, check the collapsed-trace identity at each, run the perturbation
     escape test, and report the determinant floor for matrices satisfying the
-    sqrt(2) row condition."""
+    sqrt(2) row condition. The perturbed trials, one per point on its weight
+    matrix, run through the trial pipeline (`_run_trials`, plain iteration);
+    an escape is a record classed consensus, so a trial that stops short of
+    a fixed point or hits a zero-norm row image never counts as one."""
     if cfg.d is None or cfg.d < 3:
         raise ValueError("stability audit requires d >= 3")
     if cfg.n is None:
         raise ValueError("stability audit requires explicit n")
     points = collect_descent_fixed_points(cfg, count, require_rank_ge=2)
-    details = []
-    perturbed = []
+    details, escape_trials = [], []
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xE5C))
     for a, c, t in points:
         cert = stability.instability_certificate(a, c)
@@ -655,19 +654,15 @@ def cmd_stability_audit(cfg: ExperimentConfig, count: int = 100,
         # perturb along the tangent space, to resume the plain iteration
         noise = rng.standard_normal(c.n * (c.d - 1))
         noise *= AUDIT_PERTURBATION / np.linalg.norm(noise)
-        perturbed.append(Configuration(
-            (c.vector + tangent_basis(c).block_diagonal() @ noise).reshape(c.n, c.d)).rows)
+        rows = (c.vector + tangent_basis(c).block_diagonal() @ noise).reshape(c.n, c.d)
+        escape_trials.append(_Trial(t, c.n, c.d, True, cfg.graph, graph=a.graph, weights=a,
+                                    start=Configuration(rows).rows))
         details.append({"trial": t, "label": cert.label,
                         "spectral_radius": cert.spectral_radius,
                         "certificate_eigenvalue": cert.certificate_eigenvalue,
                         "trace_match": trace.match})
-    escapes = 0
-    if points:  # an escape is a perturbed trial that converges to consensus
-        out = dynamics.run_batch(np.stack([a.entries for a, _, _ in points]),
-                                 np.stack(perturbed), max_iter=cfg.max_iter)
-        escapes = sum(classify_configuration(Configuration._unchecked(rows)).is_consensus
-                      for rows, status in zip(out.rows, out.status)
-                      if status == dynamics.FIXED_POINT)
+    records, _, _ = _run_trials(cfg, escape_trials, descent=False)
+    escapes = sum(r.klass == "consensus" for r in records)
     # determinant floor for sqrt(2)-condition matrices, one det call per stack of `_stacks`
     draws = _plan(replace(cfg, margin=0.45), [_Trial(k, cfg.n, cfg.d, True, cfg.graph)
                                               for k in range(det_trials)], streams=(11, 12, 13))
@@ -691,7 +686,7 @@ def cmd_stability_audit(cfg: ExperimentConfig, count: int = 100,
         "min_abs_det_sqrt2": min_abs_det,
         "details": details,
     }
-    _emit(cfg, None, summary)
+    _emit(cfg.out, None, summary)
     return summary
 
 
@@ -730,5 +725,5 @@ def cmd_jg_rank(cfg: ExperimentConfig, count: int = 50):
         "max_null_residual": max((e.get("null_residual", 0.0) for e in reports), default=0.0),
         "reports": reports,
     }
-    _emit(cfg, None, summary)
+    _emit(cfg.out, None, summary)
     return summary

@@ -67,15 +67,12 @@ class DifferentialReport:
     det: float
 
 
-def differential_report(m, c: Configuration,
-                        basis_x: Optional[TangentBasis] = None,
-                        basis_y: Optional[TangentBasis] = None) -> DifferentialReport:
+def differential_report(m, c: Configuration) -> DifferentialReport:
     """Compute the projected Jacobian, the reduced matrix, its spectrum and
     determinant, all from one iteration step, whose image rows give the
-    projectors and, unless basis_y is given, the basis at y as they are."""
+    projectors and the basis at y as they are."""
     da, y_rows = _scaled_entries(m, c)
-    bx = basis_x if basis_x is not None else tangent_basis(c)
-    by = basis_y if basis_y is not None else tangent_basis(y_rows)
+    bx, by = tangent_basis(c), tangent_basis(y_rows)
     # projected_jacobian and reduced_matrix, sharing one iteration step
     jac = agent_blocks(da, tangent_projectors(c.rows), tangent_projectors(y_rows))
     red = agent_blocks(da, bx.blocks, np.swapaxes(by.blocks, -1, -2))

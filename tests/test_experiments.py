@@ -238,14 +238,14 @@ def test_rank_table_limits_at_three_agents_follow_the_triangle_rule():
 def test_sweep_reports_twisted_circle_limit_by_d():
     # on the circle a bare 6-cycle has a stable twisted fixed point; trial 23
     # of this seed converges to it, outside the paper's d >= 3 consensus result
-    from spherecon.experiments import graph_hash
+    from spherecon.experiments import graph_hashes
     from spherecon.graph import random_symmetric_connected
     records, summary = cmd_consensus_sweep(ExperimentConfig(seed=230000714, trials=24))
     rec = records[23]
     assert (rec.n, rec.d, rec.klass, rec.rank) == (6, 2, "higher-rank", 2)
     assert rec.spec_radius == pytest.approx(1.0, abs=1e-9)
     cycle = random_symmetric_connected(6, 0.5, derive_seed(230000714, 23, 1))
-    assert cycle.adjacency.sum() == 12 and graph_hash(cycle) == rec.graph_hash
+    assert cycle.adjacency.sum() == 12 and graph_hashes(cycle.adjacency[None])[0] == rec.graph_hash
     assert summary["nonconsensus_trials"] == 1
     assert summary["nonconsensus_by_d"]["2"] == 1
     assert sum(summary["nonconsensus_by_d"].values()) == 1
@@ -409,10 +409,11 @@ def test_audit_counts_only_converged_escapes(monkeypatch):
     from spherecon.state import Configuration, classify_configuration
     real, escape_runs = dynamics.run_batch, []
 
-    def short_escapes(entries, rows, *args, agents=None, **kwargs):
-        if agents is not None:  # the descent search
-            return real(entries, rows, *args, agents=agents, **kwargs)
-        escape_runs.append(real(entries, rows, *args, **{**kwargs, "max_iter": 50}))
+    def short_escapes(entries, rows, *args, potential=False, **kwargs):
+        if not potential:  # the descent search
+            return real(entries, rows, *args, **kwargs)
+        escape_runs.append(real(entries, rows, *args, potential=True,
+                                **{**kwargs, "max_iter": 50}))
         return escape_runs[-1]
 
     monkeypatch.setattr(dynamics, "run_batch", short_escapes)
@@ -422,6 +423,24 @@ def test_audit_counts_only_converged_escapes(monkeypatch):
     assert all(classify_configuration(Configuration._unchecked(rows)).is_consensus
                for rows in out.rows)
     assert summary["escapes_to_consensus"] == int((out.status == "fixed-point").sum()) == 11
+
+
+def test_every_trajectory_runs_through_the_trial_pipeline(monkeypatch):
+    # the five trajectory commands, the audit's escape run included, reach the
+    # lockstep kernel only from the pipeline's one call site
+    real, callers = dynamics.run_batch, set()
+
+    def spy(*args, **kwargs):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "run_batch", spy)
+    cmd_consensus_sweep(ExperimentConfig(seed=1, trials=20))
+    cmd_rank_table(ExperimentConfig(seed=1, trials=20, n=3, d=2))
+    cmd_theorem2_probe(ExperimentConfig(seed=1, trials=20, max_iter=3000))
+    cmd_stability_audit(ExperimentConfig(seed=1, n=4, d=3), count=3, det_trials=5)
+    cmd_jg_rank(ExperimentConfig(seed=1, n=4, d=3), count=3)
+    assert callers == {"_run_group"}
 
 
 @pytest.mark.parametrize("command", [cmd_stability_audit, cmd_jg_rank])
@@ -497,7 +516,7 @@ def test_descent_search_matches_per_trial_search():
 
 
 def test_zero_norm_trial_keeps_its_hashes_and_names_the_agent():
-    from spherecon.experiments import _run_trials, _Trial, graph_hash, matrix_hash
+    from spherecon.experiments import _run_trials, _Trial, graph_hashes, matrix_hash
     from spherecon.graph import complete_graph
     from spherecon.weights import WeightMatrix, sample_sdd
     g = complete_graph(2)
@@ -512,8 +531,8 @@ def test_zero_norm_trial_keeps_its_hashes_and_names_the_agent():
     assert errors == [{"trial": 1, "error": "agent 1: combined state has near-zero "
                                             "norm, projection undefined"}]
     assert records[1].klass == "error" and trials[1].min_potential_step is None
-    assert (records[1].graph_hash, records[1].matrix_hash) == (graph_hash(g),
-                                                               matrix_hash(ones.entries))
+    assert (records[1].graph_hash, records[1].matrix_hash) == (
+        graph_hashes(g.adjacency[None])[0], matrix_hash(ones.entries))
 
 
 def _run_cli(*args):

@@ -33,6 +33,8 @@ COMMANDS = {
     "rank-table": ["rank-table", "--n", "6", "--d", "2", "--graph", "er", "--edge-prob", "0.57",
                    "--trials", "2000", "--seed", "12345"],
     "audit": ["audit", "--n", "4", "--d", "3", "--count", "20", "--seed", "1"],
+    # the audit's escape trials at a second (n, d)
+    "audit@4": ["audit", "--n", "5", "--d", "4", "--count", "50", "--seed", "7"],
     "jg-rank": ["jg-rank", "--n", "4", "--d", "3", "--count", "20", "--seed", "1"],
     # points of rank m = 3 with n - m = 5 agents past the first m, where n = 4 has at most one
     "jg-rank@8": ["jg-rank", "--n", "8", "--d", "3", "--count", "20", "--seed", "2"],
