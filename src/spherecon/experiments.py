@@ -39,7 +39,7 @@ from .graph import (DirectedGraph, adjacency_matrix, backbone_graphs, complete_g
                     random_connected_er, ring_graph)
 from .seeding import derive_seed, derive_seeds, generator, generator_words
 from .state import Configuration, classify_configuration, start_rows, tangent_basis
-from .tolerances import A_RESIDUAL_TOL, AUDIT_PERTURBATION, LIMIT_RANK_TOL, NEUTRAL_TOL
+from .tolerances import A_RESIDUAL_TOL, AUDIT_PERTURBATION, LIMIT_RANK_TOL
 from .weights import WeightMatrix, descent_matrix, sdd_entries
 
 GRAPH_MODELS = ("random", "complete", "ring", "er")
@@ -558,20 +558,20 @@ def cmd_pentagon_demo(out: Optional[str] = None) -> dict:
     """Verify the regular pentagon is a neutral, rank-two fixed point."""
     a = pentagon_weight_matrix()
     c = pentagon_configuration()
-    residual = dynamics.fixed_point_residual(a, c)
+    lin = stability._Linearization(a, c)
     cls = classify_configuration(c)
-    rho = stability.spectral_radius(a, c)
+    rho = lin.spectral_radius()
     gram = c.rows @ c.rows.T
     neighbor_dots = [float(gram[i, (i + 1) % 5]) for i in range(5)]
     report = {
         "experiment": "pentagon",
-        "residual": residual,
+        "residual": lin.residual(),
         "classification": cls.kind,
         "rank": cls.rank,
         "spectral_radius": rho,
         "neighbor_dots": neighbor_dots,
         "expected_neighbor_dot": float(np.cos(2.0 * np.pi / 5.0)),
-        "neutral": bool(abs(rho - 1.0) <= NEUTRAL_TOL),
+        "neutral": stability._neutral(rho),
     }
     _emit(out, None, report)
     return report

@@ -1,6 +1,7 @@
-"""Differential of the iteration map: projected Jacobian, its reduced
-representation in orthonormal tangent bases, spectra, determinants, and
-fixed-point stability classification.
+"""Differential of the iteration map, one linearization per point: the
+projected Jacobian, the reduced matrix in orthonormal tangent bases, spectra,
+determinants, certificates and fixed-point stability classification, each read
+from one iteration step at the point.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _step, fixed_point_residual
+from .dynamics import _step
 from .state import (Configuration, TangentBasis, agent_blocks, as_array,
                     classify_configuration, relative_rank, tangent_basis,
                     tangent_projectors)
@@ -19,13 +20,45 @@ from .tolerances import (A_RESIDUAL_TOL, CERTIFICATE_FP_TOL, CLASS_TOL, NEUTRAL_
 from .weights import WeightMatrix, satisfies_sqrt2_condition
 
 
-def _scaled_entries(m, c):
-    """Returns (D(MX) M, new rows): the row-normalized coefficient matrix of
-    the linearization, and the image configuration rows; m and c may carry
-    leading batch axes."""
-    entries = as_array(m)
-    y_rows, norms = _step(entries, as_array(c))
-    return entries / norms[..., None], y_rows
+class _Linearization:
+    """One iteration step at rows x, or at a stack of rows with a stack of
+    matrices: x, the image rows y as the step returns them, the row norms of
+    M X and D(MX) M. The rest is built when asked for."""
+
+    def __init__(self, m, c):
+        entries, self.x = as_array(m), as_array(c)
+        self.y, self.norms = _step(entries, self.x)
+        self.scaled = entries / self.norms[..., None]
+
+    def residual(self) -> float:
+        return float(np.linalg.norm(self.y - self.x))
+
+    def jacobian(self) -> np.ndarray:
+        return agent_blocks(self.scaled, tangent_projectors(self.x), tangent_projectors(self.y))
+
+    def reduced(self, basis_x=None, basis_y=None) -> np.ndarray:
+        bx = basis_x if basis_x is not None else tangent_basis(self.x)
+        by = basis_y if basis_y is not None else tangent_basis(self.y)
+        return agent_blocks(self.scaled, bx.blocks, np.swapaxes(by.blocks, -1, -2))
+
+    def spectral_radius(self, agents=None):
+        red = self.reduced()
+        if agents is not None:
+            real = np.arange(red.shape[-1]) < np.asarray(agents)[:, None] * (self.x.shape[-1] - 1)
+            red = np.where(real[:, :, None] & real[:, None, :], red, 0.0)
+        radii = np.abs(np.linalg.eigvals(red)).max(axis=-1)
+        return float(radii) if radii.ndim == 0 else radii
+
+
+def _shifted(entries, rows, shift) -> np.ndarray:
+    """P_x ((A - diag(shift)) ot I_d) P_x: block (i, j) is (a_ij - shift_i delta_ij) P_i P_j."""
+    p = tangent_projectors(rows)
+    return agent_blocks(entries - np.diag(shift), p, p)
+
+
+def _neutral(rho: float) -> bool:
+    """Is the spectral radius 1, to NEUTRAL_TOL?"""
+    return bool(abs(rho - 1.0) <= NEUTRAL_TOL)
 
 
 def projected_jacobian(m, c: Configuration) -> np.ndarray:
@@ -33,8 +66,7 @@ def projected_jacobian(m, c: Configuration) -> np.ndarray:
 
     Block (i,j) is m_ij * P_{y_i} P_{x_j} / ||row i of M X||.
     """
-    da, y_rows = _scaled_entries(m, c)
-    return agent_blocks(da, tangent_projectors(c.rows), tangent_projectors(y_rows))
+    return _Linearization(m, c).jacobian()
 
 
 def reduced_matrix(m, c, basis_x: Optional[TangentBasis] = None,
@@ -48,10 +80,7 @@ def reduced_matrix(m, c, basis_x: Optional[TangentBasis] = None,
     is taken on the image rows as the iteration step computes them, which are
     unit rows already.
     """
-    da, y_rows = _scaled_entries(m, c)
-    bx = basis_x if basis_x is not None else tangent_basis(c)
-    by = basis_y if basis_y is not None else tangent_basis(y_rows)
-    return agent_blocks(da, bx.blocks, np.swapaxes(by.blocks, -1, -2))
+    return _Linearization(m, c).reduced(basis_x, basis_y)
 
 
 @dataclass(frozen=True)
@@ -69,21 +98,18 @@ class DifferentialReport:
 
 def differential_report(m, c: Configuration) -> DifferentialReport:
     """Compute the projected Jacobian, the reduced matrix, its spectrum and
-    determinant, all from one iteration step, whose image rows give the
-    projectors and the basis at y as they are."""
-    da, y_rows = _scaled_entries(m, c)
-    bx, by = tangent_basis(c), tangent_basis(y_rows)
-    # projected_jacobian and reduced_matrix, sharing one iteration step
-    jac = agent_blocks(da, tangent_projectors(c.rows), tangent_projectors(y_rows))
-    red = agent_blocks(da, bx.blocks, np.swapaxes(by.blocks, -1, -2))
+    determinant, all from one iteration step."""
+    lin = _Linearization(m, c)
+    bx, by = tangent_basis(lin.x), tangent_basis(lin.y)
+    red = lin.reduced(bx, by)
     eig = np.linalg.eigvals(red)
     return DifferentialReport(
-        jacobian=jac,
+        jacobian=lin.jacobian(),
         reduced=red,
         basis_x=bx,
         basis_y=by,
         eigenvalues=eig,
-        spectral_radius=float(np.abs(eig).max()) if eig.size else 0.0,
+        spectral_radius=float(np.abs(eig).max()),
         det=float(np.linalg.det(red)),
     )
 
@@ -100,12 +126,7 @@ def spectral_radius(m, c, agents=None):
     radius is that of the trial alone bit for bit while the padded order
     n (d - 1) stays below LAPACK's small-matrix crossover (dhseqr's NMIN, 75
     in reference LAPACK); above it, to round-off."""
-    red = reduced_matrix(m, c)
-    if agents is not None:
-        real = np.arange(red.shape[-1]) < np.asarray(agents)[:, None] * (as_array(c).shape[-1] - 1)
-        red = np.where(real[:, :, None] & real[:, None, :], red, 0.0)
-    radii = np.abs(np.linalg.eigvals(red)).max(axis=-1)
-    return float(radii) if radii.ndim == 0 else radii
+    return _Linearization(m, c).spectral_radius(agents)
 
 
 @dataclass(frozen=True)
@@ -120,7 +141,7 @@ def determinant_nonzero_check(a: WeightMatrix, c: Configuration) -> DeterminantC
     """det of the reduced matrix, which cannot vanish when each diagonal entry
     exceeds sqrt(2) times the rest of its row. The bound checked is full
     numerical rank, sigma_min > RANK_TOL * sigma_max, whatever n."""
-    red = reduced_matrix(a, c)
+    red = _Linearization(a, c).reduced()
     det = float(np.linalg.det(red))
     scale = float(np.prod(np.linalg.norm(red, axis=1)))
     s = np.linalg.svd(red, compute_uv=False)
@@ -129,14 +150,13 @@ def determinant_nonzero_check(a: WeightMatrix, c: Configuration) -> DeterminantC
 
 
 def certificate_matrix(a: WeightMatrix, c: Configuration) -> np.ndarray:
-    """Symmetric matrix P_x ((A - diag(row norms of AX)) ot I_d) P_x.
+    """P_x ((A - diag(row norms of AX)) ot I_d) P_x, symmetric when A is.
 
-    At a fixed point, a positive eigenvalue of this matrix certifies that the
-    differential has an eigenvalue strictly beyond the unit circle.
+    At a fixed point with symmetric A, a positive eigenvalue of this matrix
+    certifies that the differential has an eigenvalue strictly beyond the
+    unit circle.
     """
-    _, norms = _step(a.entries, c.rows)
-    p = tangent_projectors(c.rows)
-    return agent_blocks(a.entries - np.diag(norms), p, p)
+    return _shifted(a.entries, c.rows, _Linearization(a, c).norms)
 
 
 @dataclass(frozen=True)
@@ -158,18 +178,18 @@ def instability_certificate(a: WeightMatrix, c: Configuration,
     reports the spectral radius alone. Spectral radii within
     CLASS_TOL of 1 on non-consensus points are reported neutral, never stable.
     """
-    res = fixed_point_residual(a, c)
+    lin = _Linearization(a, c)
+    res = lin.residual()
     if res > fp_tol:
         raise ValueError(f"not a fixed point: residual {res:.3e} > {fp_tol:.1e}")
-    rho = spectral_radius(a, c)
+    rho = lin.spectral_radius()
     cls = classify_configuration(c)
     if cls.is_consensus:
         return StabilityClassification("consensus-neutral", rho)
 
     lam_h = None
     if a.is_symmetric():
-        h = certificate_matrix(a, c)
-        lam_h = float(np.linalg.eigvalsh(h).max())
+        lam_h = float(np.linalg.eigvalsh(_shifted(a.entries, c.rows, lin.norms)).max())
     if rho > 1.0 + CLASS_TOL:
         return StabilityClassification("unstable-certified", rho, lam_h)
     if rho >= 1.0 - CLASS_TOL:
@@ -199,10 +219,8 @@ def trace_formula_check(a: WeightMatrix, c: Configuration) -> TraceCheck:
         raise ValueError("trace formula requires a symmetric weight matrix")
     entries = a.entries
     n, d = c.n, c.d
-    z = entries @ c.rows
-    aligned = np.einsum("ij,ij->i", c.rows, z)
-    p = tangent_projectors(c.rows)
-    h = agent_blocks(entries - np.diag(aligned), p, p)
+    aligned = np.einsum("ij,ij->i", c.rows, entries @ c.rows)
+    h = _shifted(entries, c.rows, aligned)
     lhs = float(np.trace(h.reshape(n, d, n, d).sum(axis=(0, 2))))
 
     gram = c.rows @ c.rows.T
@@ -217,10 +235,11 @@ def positive_dot_neutrality_check(a: WeightMatrix, c: Configuration) -> Optional
     preconditions do not apply."""
     if c.d != 2:
         return None
-    if fixed_point_residual(a, c) > A_RESIDUAL_TOL:
+    lin = _Linearization(a, c)
+    if lin.residual() > A_RESIDUAL_TOL:
         return None
     gram = c.rows @ c.rows.T
     mask = (a.entries > 0) & ~np.eye(c.n, dtype=bool)
     if np.any(gram[mask] <= 0):
         return None
-    return bool(abs(spectral_radius(a, c) - 1.0) <= NEUTRAL_TOL)
+    return _neutral(lin.spectral_radius())

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from spherecon import dynamics, stability
 from spherecon.dynamics import find_nonconsensus_fixed_point, iterate, pad_agents, run
+from spherecon.experiments import cmd_pentagon_demo
 from spherecon.graph import complete_graph, random_symmetric_connected, ring_graph
 from spherecon.state import (Configuration, consensus_configuration,
                              random_configuration, tangent_basis)
@@ -291,7 +293,34 @@ def test_spectral_radius_matches_report():
     a = sample_sdd(complete_graph(3), margin=0.3, symmetric=True, seed=21)
     c = random_configuration(3, 4, seed=22)
     rep = differential_report(a, c)
-    assert spectral_radius(a, c) == pytest.approx(rep.spectral_radius, rel=1e-12)
+    assert spectral_radius(a, c) == rep.spectral_radius
+    # c is no fixed point, so the certificate is asked for at any residual
+    assert instability_certificate(a, c, fp_tol=np.inf).spectral_radius == rep.spectral_radius
+    assert determinant_nonzero_check(a, c).det == rep.det
+
+
+def test_each_check_takes_one_step_per_point(monkeypatch):
+    # one linearization per point: the residual, the reduced matrix, its
+    # spectrum and the certificate are all read from one iteration step,
+    # whether the step is taken in stability or through dynamics
+    steps, step = [], dynamics._step
+
+    def spy(entries, rows):
+        steps.append(rows.shape)
+        return step(entries, rows)
+
+    monkeypatch.setattr(dynamics, "_step", spy)
+    monkeypatch.setattr(stability, "_step", spy)
+    a, c = pentagon_matrix(), pentagon()
+    for check in (instability_certificate, positive_dot_neutrality_check,
+                  determinant_nonzero_check, differential_report, certificate_matrix,
+                  spectral_radius, reduced_matrix, projected_jacobian):
+        steps.clear()
+        check(a, c)
+        assert steps == [(5, 2)], check.__name__
+    steps.clear()
+    assert cmd_pentagon_demo()["neutral"]
+    assert steps == [(5, 2)]
 
 
 def test_stacked_spectral_radii_are_the_per_trial_ones_bit_for_bit():
