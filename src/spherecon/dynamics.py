@@ -16,9 +16,9 @@ import numpy as np
 from . import loops
 from .state import (Configuration, ConfigurationClass, agent_blocks, as_array,
                     classify_configuration, column_sums, relative_rank, tangent_basis)
-from .tolerances import (FP_TOL, LIMIT_RANK_TOL, MIN_ROW_NORM, QP_EXCURSION, QP_EXPONENT_MARGIN,
-                         QP_NEUTRAL_BAND, QP_RETURN_TOL, QP_STEP_FLOOR, RE_FIT_TOL,
-                         RE_ORBIT_MARGIN, RE_STEP_FLOOR, STEP_FILTER_MARGIN)
+from .tolerances import (FP_TOL, LIMIT_RANK_TOL, MIN_ROW_NORM, QP_EXCURSION, QP_RETURN_TOL,
+                         QP_STEP_FLOOR, RE_FIT_TOL, RE_ORBIT_MARGIN, RE_STEP_FLOOR,
+                         STEP_FILTER_MARGIN)
 from .weights import WeightMatrix, descent_matrix
 
 MAX_ITER = 10 ** 6
@@ -103,20 +103,6 @@ class Rotation(NamedTuple):
     off_orbit_modulus: float
 
 
-class Turn(NamedTuple):
-    """A full turn of a trial's shape on an attracting circle: the steps
-    the turn took from the start of its window, the distance of the shape's
-    first return to where it started, and the three largest Lyapunov
-    exponents over that loop (the rotation's, the circle's, the next). The
-    third is resolved only down to about log(eps) / L over a loop of L steps:
-    at L = 478, two products equal up to round-off gave -0.0696 and -0.0728,
-    and log(eps) / 478 = -0.0754, so its digits there are no measurement."""
-
-    lag: int
-    return_distance: float
-    exponents: tuple
-
-
 @dataclass(frozen=True)
 class BatchResult:
     """Per-trial outcome of a lockstep run; iterating it yields (rows, iters,
@@ -124,7 +110,7 @@ class BatchResult:
     RELATIVE_EQUILIBRIUM, QUASI_PERIODIC, AT_MAX_ITER or ZERO_NORM; the
     residual of a ZERO_NORM trial is inf. rotations maps each trial that
     stopped at a relative equilibrium to its Rotation, and turns each
-    quasi-periodic one to its Turn.
+    quasi-periodic one to its `loops.Turn`.
     min_potential_step, with potential tracking, holds each trial's smallest
     change of its potential tr(X^T M X) over a step it took up to the rows
     it keeps, inf if it took none."""
@@ -252,73 +238,32 @@ def _replay(m: np.ndarray, rows: np.ndarray, steps: int):
     return states, norms
 
 
-def _turns(m: np.ndarray, states: np.ndarray, norms: np.ndarray, agents: np.ndarray,
-           returns: np.ndarray):
-    """The quasi-periodic test of padded d = 2 trials from their (C, n, n)
-    matrices, the (T, C, n, 2) states of a window, the (T - 1, C, n) row
-    norms of its steps, their real agent counts and the state of their
-    shape's first return in the window, as `_Watch`'s detector saw it (T if
-    none), one test per count: per trial its Turn if it passes, else None,
-    and the positions of the trials whose turn the window left undecided
-    (`loops.Loop`). The loop runs from the window's first state to that
-    return; the shapes (`loops.shapes`) are lifted along it, each step taken
-    modulo 2 pi per angle (`loops.geometry`). A trial passes if (a) over the
-    loop (`loops.exponents`) the rotation's and the circle's exponents lie
-    within QP_NEUTRAL_BAND of 0 and the next is at most -QP_EXPONENT_MARGIN;
-    (b) its shape made a full turn: it came back advanced by a multiple of 2 pi (a
-    loop around the torus of shapes; the turn ends at the return), or its
-    angle about the loop's centroid, in the loop's principal plane, swept
-    2 pi monotonically (the turn ends there); and (c) every shape step of the
-    turn exceeds QP_STEP_FLOOR. The orbit has then settled on a normally
-    attracting circle of shapes, on which the map is a circle homeomorphism,
-    and went once around, so the circle holds no fixed point and the trial
-    never converges. A spiral onto a focus sweeps turns too, but its circle
-    and next exponents are equal, which QP_NEUTRAL_BAND < QP_EXPONENT_MARGIN
-    never passes. A Turn reads no state past its turn's end: any longer
-    window gives it too."""
-    found, undecided = [None] * len(agents), np.zeros(len(agents), dtype=bool)
-    for n in np.unique(agents):
-        at = np.flatnonzero(agents == n)
-        window = states[:, at, :n] if len(at) < len(agents) else states[..., :n, :]
-        ends, lag, away, turned, undecided[at] = loops.geometry(window, returns[at])
-        turned = np.flatnonzero(turned)
-        if not len(turned):
-            continue
-        exponents = np.pad(loops.exponents(m[at[turned], :n, :n], window, norms[:, at, :n],
-                                           ends[turned], turned),
-                           ((0, 0), (0, 1)), constant_values=-np.inf)
-        for c, (first, second, third) in zip(turned, exponents[:, :3]):
-            if max(abs(first), abs(second)) <= QP_NEUTRAL_BAND and third <= -QP_EXPONENT_MARGIN:
-                found[at[c]] = Turn(int(lag[c]), float(np.sqrt(away[c])),
-                                    (float(first), float(second), float(third)))
-    return found, np.flatnonzero(undecided)
-
-
 def _turn_test(m: np.ndarray, rows: np.ndarray, starts: np.ndarray, back: np.ndarray,
                state: int, agents: np.ndarray) -> list:
-    """`_turns` at test step `state` of watched trials, from their padded
-    matrices and their rows at their windows' starts, over their real agents.
-    Only a trial whose detector saw a return (back >= 0) is replayed, first
-    up to the return, which `_turns` takes as its loop's end, and on to
-    `state` only if its turn is undecided there.
-    Trials of one start share a replay, TURN_STACK at most, in the order of
-    their returns."""
+    """`loops.turns` at test step `state` of watched trials, from their
+    padded matrices, their rows at their windows' starts and their real
+    agent counts. Only a trial whose detector saw a return (back >= 0) is
+    replayed, on its real agents alone (`run_batch` steps them to the same
+    bits padded or alone), first up to the return, which `loops.turns` takes
+    as its loop's end, and on to `state` only if its turn is undecided there.
+    Trials of one start and agent count share a replay, TURN_STACK at most,
+    in the order of their returns."""
     found, groups = [None] * len(rows), {}
     returned = np.flatnonzero(back >= 0)
     for c in returned[np.argsort(back[returned], kind="stable")]:
-        groups.setdefault(int(starts[c]), []).append(c)
-    for first, members in groups.items():
+        groups.setdefault((int(starts[c]), int(agents[c])), []).append(c)
+    for (first, n), members in groups.items():
         for lo in range(0, len(members), TURN_STACK):
             part = np.array(members[lo:lo + TURN_STACK])
-            reach = int(back[part].max()) - first
-            states, norms = _replay(m[part], rows[part], reach)
+            mats, reach = m[part, :n, :n], int(back[part].max()) - first
+            states, norms = _replay(mats, rows[part, :n], reach)
             returns = back[part] - first
-            turns, short = _turns(m[part], states, norms, agents[part], returns)
+            turns, short = loops.turns(mats, states, norms, returns)
             if len(short) and first + reach < state:
-                more, more_norms = _replay(m[part[short]], states[-1, short], state - first - reach)
-                longer, _ = _turns(m[part[short]], np.concatenate([states[:, short], more[1:]]),
-                                   np.concatenate([norms[:, short], more_norms]),
-                                   agents[part[short]], returns[short])
+                more, more_norms = _replay(mats[short], states[-1, short], state - first - reach)
+                longer, _ = loops.turns(mats[short], np.concatenate([states[:, short], more[1:]]),
+                                        np.concatenate([norms[:, short], more_norms]),
+                                        returns[short])
                 for c, turn in zip(short, longer):
                     turns[c] = turn
             for c, turn in zip(part, turns):
@@ -331,23 +276,22 @@ class _Watch:
     trials with a non-symmetric matrix (the others have no chances) that the
     RE test rejected at a test step where their shape stepped above
     QP_STEP_FLOOR. One has a window open from each of the last two test
-    steps, one only until its first test. Per window it keeps the rows and
-    shape at its start and a detector: whether the shape has left by
+    steps, one only until its first test. Per window it keeps the rows at
+    its start and a detector, which measures the shape's distance from
+    theirs over the trial's real agents: whether the shape has left by
     QP_EXCURSION and the first state after that within QP_RETURN_TOL (back,
     -1 before): the window's first return, the one rule for it, which
-    `_turns` reads."""
+    `loops.turns` reads."""
 
     # per open window, sorted by trial and start: its trial and that trial's position in the
-    # working set, its start, back, 1 on the angles of real agents (0 on pads), its shape and
-    # rows at its start, and whether its shape has left
-    FIELDS = ("trial", "seen", "start", "back", "real", "origin", "rows", "left")
+    # working set, its start, back, its rows at its start, and whether its shape has left
+    FIELDS = ("trial", "seen", "start", "back", "rows", "left")
 
     def __init__(self, entries: np.ndarray, agents: np.ndarray, d: int):
         size, self.agents = entries.shape[1], agents
         self.chances = np.where((entries != np.swapaxes(entries, 1, 2)).any(axis=(1, 2)) & (d == 2),
                                 TURN_TESTS, 0)  # the quasi-periodic tests each trial has left
         self.trial = self.seen = self.start = self.back = np.zeros(0, dtype=int)
-        self.real = self.origin = np.zeros((0, size - 1))
         self.rows, self.left = np.zeros((0, size, d)), np.zeros(0, dtype=bool)
 
     def follow(self, states: np.ndarray, first: int):
@@ -357,7 +301,9 @@ class _Watch:
         detectors that saw every state up to it and none past it."""
         if not (self.back < 0).any():
             return
-        away = loops.squared_distances(loops.shapes(states[:, self.seen]), self.origin, self.real)
+        origins = loops.shapes(self.rows)
+        real = np.arange(origins.shape[1]) < self.agents[self.trial, None] - 1
+        away = loops.squared_distances(loops.shapes(states[:, self.seen]), origins, real)
         close = away <= QP_RETURN_TOL ** 2
         if not self.left.all():  # the windows that have been out, up to each state
             gone = np.logical_or.accumulate(away > QP_EXCURSION ** 2, axis=0) | self.left
@@ -389,13 +335,13 @@ class _Watch:
         stopped = np.zeros(len(pos), dtype=bool)
         stopped[ready] = [turn is not None for turn in found]
         self.chances[trials[ready]] -= 1
-        real = (np.arange(self.real.shape[1]) < self.agents[trials, None] - 1).astype(float)
+        real = np.arange(after.shape[1] - 1) < self.agents[trials, None] - 1
         moving = loops.squared_distances(loops.shapes(after[pos]), loops.shapes(before[pos]), real)
         going = ~stopped & (self.chances[trials] > 0) & (old | (moving > QP_STEP_FLOOR ** 2))
         kept = np.isin(self.trial, trials[going]) & (self.start > state - TURN_WINDOW)
         here = before[pos[going]]
         opened = (trials[going], pos[going], np.full(len(here), state), np.full(len(here), -1),
-                  real[going], loops.shapes(here), here, np.zeros(len(here), dtype=bool))
+                  here, np.zeros(len(here), dtype=bool))
         order = np.argsort(np.concatenate([self.trial[kept], trials[going]]), kind="stable")
         for name, new in zip(self.FIELDS, opened):
             setattr(self, name, np.concatenate([getattr(self, name)[kept], new])[order])
@@ -418,11 +364,12 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
     the one loop over iteration steps, for a (T, n, n) stack of iteration
     matrices and a (T, n, d) stack of start rows, of which trial t's first
     agents[t] are real (all n without agents). Trials with fewer agents share
-    the call as `pad_agents` stacks them; trial t's results, its leading
-    agents[t] final rows included, equal those of a call on its own unpadded
-    stack, and those of `run` on it, bit for bit. The final rows are the
-    kernel's own states, never normalized again. A trial whose row image
-    vanishes ends with status ZERO_NORM and residual inf instead of raising.
+    the call as `pad_agents` stacks them; trial t's states on its leading
+    agents[t] are those of a call on its own unpadded stack at every step,
+    and its results those of that call and of `run` on it, bit for bit. The
+    final rows are the kernel's own states, never normalized again. A trial
+    whose row image vanishes ends with status ZERO_NORM and residual inf
+    instead of raising.
 
     Active trials form a compact working set (matrices and rows) that takes
     blocks of steps, one `_Block` per working-set shape: a block from state k
@@ -440,10 +387,10 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
     step short of max_iter, for the trials whose step there exceeds
     RE_STEP_FLOOR and that pass `_rotations` on the block's states 0 and 1;
     QUASI_PERIODIC there, for the watched trials (below) that the RE test
-    rejected and that pass `_turns`; AT_MAX_ITER at step max_iter, for every
-    trial still running there. A trial leaving at step k keeps its state k,
-    the count k and, as its residual, the exact norm of its step k; a
-    zero-norm trial keeps the rows it failed at, the count of the steps it
+    rejected and that pass `loops.turns`; AT_MAX_ITER at step max_iter, for
+    every trial still running there. A trial leaving at step k keeps its
+    state k, the count k and, as its residual, the exact norm of its step k;
+    a zero-norm trial keeps the rows it failed at, the count of the steps it
     completed and residual inf. Steps past a trial's exit inside the block
     are discarded. The working set is re-gathered only after a block in
     which a trial left, and a trial's iteration count, residual, final rows
@@ -462,10 +409,10 @@ def run_batch(entries: np.ndarray, rows: np.ndarray, fp_tol: float = FP_TOL,
     watched (`_Watch`): it keeps its rows at the start of its windows and a
     return detector for each, fed each block's states after its test. At
     each later test step its window from max(k, test step - TURN_WINDOW) is
-    tested: replayed from its rows if it returned (`_turn_test`). It is
-    watched on while it runs and has tests left of its TURN_TESTS; its Turn
-    is kept in BatchResult.turns. Symmetric trials, whose potential is
-    monotone, and d >= 3 are never tested.
+    tested: replayed from its rows on its real agents if it returned
+    (`_turn_test`). It is watched on while it runs and has tests left of its
+    TURN_TESTS; its Turn is kept in BatchResult.turns. Symmetric trials,
+    whose potential is monotone, and d >= 3 are never tested.
 
     A step's size is screened by the squared norm of the whole padded step,
     one einsum over the block. Trailing pad zeros can change the final bit of

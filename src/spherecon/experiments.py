@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import dynamics, stability
+from . import dynamics, loops, stability
 from .fixedpoint_rank import (assemble_Jg, build_fixed_point_system, matrix_rank,
                               symmetric_rank_deficiency_check)
 from .graph import (DirectedGraph, adjacency_matrix, backbone_graphs, complete_graph,
@@ -193,7 +193,7 @@ class _Trial:
     min_potential_step: Optional[float] = None
     status: Optional[str] = None
     rotation: Optional[dynamics.Rotation] = None
-    turn: Optional[dynamics.Turn] = None
+    turn: Optional[loops.Turn] = None
 
 
 def _plan(cfg: ExperimentConfig, trials: list, streams=(1, 2, 3)) -> list:

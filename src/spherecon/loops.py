@@ -1,9 +1,9 @@
 """Loops of a trial's shape, the part of its state that the iteration's
 rotation symmetry leaves: at d = 2 its agents' angles relative to agent 1.
-The distances between shapes, the geometry of the turn the quasi-periodic
-test reads (`dynamics._turns`) over a window up to its first return, which
-the kernel's streamed detector (`dynamics._Watch`) finds, and the Lyapunov
-exponents along a loop.
+The distances between shapes, the Lyapunov exponents along a loop, and the
+quasi-periodic test (`turns`), the one rule for a full turn on an attracting
+circle, over a window up to its first return, which the kernel's streamed
+detector (`dynamics._Watch`) finds.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .state import column_sums, tangent_basis
-from .tolerances import QP_STEP_FLOOR
+from .tolerances import QP_EXPONENT_MARGIN, QP_NEUTRAL_BAND, QP_STEP_FLOOR
 
 # steps per piece of a loop's product: a piece's matrices stay within a few hundred KB
 LOOP_PIECE = 64
@@ -86,25 +86,44 @@ def exponents(m: np.ndarray, states: np.ndarray, norms: np.ndarray, ends: np.nda
     return -np.sort(-np.log(np.abs(np.linalg.eigvals(product))), axis=-1) / ends[:, None]
 
 
-class Loop(NamedTuple):
-    """Per trial of a window (`geometry`): the end of its loop (its first
-    return, or the window's last state if it has none or its shape did not
-    step off its start), the end of its turn, the squared return distance
-    there, whether it returned with (b) and (c) of `dynamics._turns`
-    holding, and whether the window ends before that is decided, the sweep
-    short of 2 pi."""
+class Turn(NamedTuple):
+    """A full turn of a trial's shape on an attracting circle: the steps
+    the turn took from the start of its window, the distance of the shape's
+    first return to where it started, and the three largest Lyapunov
+    exponents over that loop (the rotation's, the circle's, the next). The
+    third is resolved only down to about log(eps) / L over a loop of L steps:
+    at L = 478, two products equal up to round-off gave -0.0696 and -0.0728,
+    and log(eps) / 478 = -0.0754, so its digits there are no measurement."""
 
-    ends: np.ndarray
-    lag: np.ndarray
-    away: np.ndarray
-    turned: np.ndarray
-    undecided: np.ndarray
+    lag: int
+    return_distance: float
+    exponents: tuple
 
 
-def geometry(states: np.ndarray, returns: np.ndarray) -> Loop:
-    """The `Loop` of each trial of a window's (T, C, n, 2) states, given
-    each trial's first return in the window as the return detector of
-    `dynamics._Watch` finds it, T if it has none."""
+def turns(m: np.ndarray, states: np.ndarray, norms: np.ndarray, returns: np.ndarray):
+    """The quasi-periodic test of d = 2 trials of one agent count from their
+    (C, n, n) matrices, the (T, C, n, 2) states of a window, the (T - 1, C, n)
+    row norms of its steps and the state of their shape's first return in
+    the window, as the return detector of `dynamics._Watch` saw it (T if
+    none): per trial its Turn if it passes, else None, and the positions of
+    the trials whose turn the window left undecided (no return, or a sweep
+    short of 2 pi). The loop runs from the window's first state to that
+    return, or to the window's last state if there is none or the shape did
+    not step off its start; the shapes are lifted along it, each step taken
+    modulo 2 pi per angle. A trial passes if (a) over the loop (`exponents`)
+    the rotation's and the circle's exponents lie within QP_NEUTRAL_BAND of
+    0 and the next is at most -QP_EXPONENT_MARGIN; (b) its shape made a full
+    turn: it came back advanced by a multiple of 2 pi (a loop around the
+    torus of shapes; the turn ends at the return), or its angle about the
+    loop's centroid, in the loop's principal plane, swept 2 pi monotonically
+    (the turn ends there); and (c) every shape step of the turn exceeds
+    QP_STEP_FLOOR. The orbit has then settled on a normally attracting
+    circle of shapes, on which the map is a circle homeomorphism, and went
+    once around, so the circle holds no fixed point and the trial never
+    converges. A spiral onto a focus sweeps turns too, but its circle and
+    next exponents are equal, which QP_NEUTRAL_BAND < QP_EXPONENT_MARGIN
+    never passes. A Turn reads no state past its turn's end: any longer
+    window gives it too."""
     angles = shapes(states)
     length, count, k = angles.shape
     shift = np.zeros(angles.shape)  # the shape's steps, then the lifted shape less its start
@@ -131,4 +150,12 @@ def geometry(states: np.ndarray, returns: np.ndarray) -> Loop:
         turning, inside = np.diff(sweep, axis=0), t[:-1] < lag
         swept = ~short & (((turning > 0) | ~inside).all(0) | ((turning < 0) | ~inside).all(0))
     moving = np.where(t[:-1] < lag, steps, np.inf).min(0) > QP_STEP_FLOOR
-    return Loop(ends, lag, away, returned & (winds | swept) & moving, ~returned | (~winds & short))
+    found, turned = [None] * count, np.flatnonzero(returned & (winds | swept) & moving)
+    if len(turned):
+        bands = np.pad(exponents(m[turned], states, norms, ends[turned], turned),
+                       ((0, 0), (0, 1)), constant_values=-np.inf)
+        for c, (first, second, third) in zip(turned, bands[:, :3]):
+            if max(abs(first), abs(second)) <= QP_NEUTRAL_BAND and third <= -QP_EXPONENT_MARGIN:
+                found[c] = Turn(int(lag[c]), float(np.sqrt(away[c])),
+                                (float(first), float(second), float(third)))
+    return found, np.flatnonzero(~returned | (~winds & short))

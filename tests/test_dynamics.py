@@ -702,12 +702,12 @@ def test_spiral_onto_a_focus_never_stops_as_quasi_periodic(monkeypatch):
         states.append(rows)
         norms.append(step_norms)
     shapes = loops.shapes(np.array(states))
-    window = (np.array(states), np.array(norms), np.array([4, 4]),
+    window = (np.array(states), np.array(norms),
               _first_returns(loops.squared_distances(shapes, shapes[0])))
-    assert dynamics._turns(mats, *window)[0] == [None, None]
-    monkeypatch.setattr(dynamics, "QP_NEUTRAL_BAND", np.inf)
-    monkeypatch.setattr(dynamics, "QP_EXPONENT_MARGIN", -np.inf)
-    loose = dynamics._turns(mats, *window)[0]
+    assert loops.turns(mats, *window)[0] == [None, None]
+    monkeypatch.setattr(loops, "QP_NEUTRAL_BAND", np.inf)
+    monkeypatch.setattr(loops, "QP_EXPONENT_MARGIN", -np.inf)
+    loose = loops.turns(mats, *window)[0]
     assert all(turn is not None for turn in loose)
     (_, first, next_), (_, second, next2) = (turn.exponents for turn in loose)
     assert first == pytest.approx(next_, rel=1e-9) and second == pytest.approx(next2, rel=1e-9)
@@ -774,29 +774,42 @@ def test_replay_retraces_the_kernel_alone_and_padded(monkeypatch):
 @pytest.mark.parametrize("block_steps", [1, 5, 32])
 def test_return_detector_sees_every_return(monkeypatch, block_steps):
     # every window the quasi-periodic test looks at in a padded theorem2 batch
-    # (n from 3 to 8, d = 2), replayed whole: the window's first return, as
-    # `_turns` finds it on its float64 states, is the one its streamed
-    # detector saw, and a window without one was seen to have none
+    # (n from 3 to 8, d = 2), replayed whole on its real agents: the window's
+    # first return, as `loops.turns` finds it on its float64 states, is the
+    # one its streamed detector saw, a window without one was seen to have
+    # none, and the whole window gives the test's two-phase verdict, as a
+    # Turn reads no state past its turn's end. Every replay of the test
+    # carries its trials' real agents alone, no pad agent
     from spherecon.experiments import ExperimentConfig, _plan, _theorem2_trials
     monkeypatch.setattr(dynamics, "BLOCK_STEPS", block_steps)
     cfg = ExperimentConfig(seed=20260826, trials=40, d=2, symmetric=False)
     trials = _plan(cfg, _theorem2_trials(cfg))
     entries, starts, agents = pad_agents([descent_matrix(tr.weights, cfg.slack).entries
                                           for tr in trials], [tr.start for tr in trials])
-    windows, turn_test = [], dynamics._turn_test
+    sizes = {entries[t, :n, :n].tobytes(): n for t, n in enumerate(agents)}
+    windows, replays, turn_test, replay = [], [], dynamics._turn_test, dynamics._replay
 
     def spy(m, rows, firsts, back, state, counts):
-        windows.extend(zip(m, rows, firsts, back, [state] * len(m), counts))
-        return turn_test(m, rows, firsts, back, state, counts)
+        found = turn_test(m, rows, firsts, back, state, counts)
+        windows.extend(zip(m, rows, firsts, back, [state] * len(m), counts, found))
+        return found
+
+    def replay_spy(m, rows, steps):
+        replays.append(rows.shape[1])
+        assert all(sizes.get(mat.tobytes()) == rows.shape[1] for mat in m)
+        return replay(m, rows, steps)
 
     monkeypatch.setattr(dynamics, "_turn_test", spy)
+    monkeypatch.setattr(dynamics, "_replay", replay_spy)
     run_batch(entries, starts, max_iter=5000, agents=agents)
+    assert len(set(replays)) > 1
     returned = 0
-    for m, rows, first, back, state, n in windows:
-        states, _ = dynamics._replay(m[None], rows[None], state - first)
-        shapes = loops.shapes(states[:, :, :n])
+    for m, rows, first, back, state, n, found in windows:
+        states, norms = replay(m[None, :n, :n], rows[None, :n], state - first)
+        shapes = loops.shapes(states)
         end = _first_returns(loops.squared_distances(shapes, shapes[0]))[0]
         assert back == (first + end if end < len(shapes) else -1)
+        assert loops.turns(m[None, :n, :n], states, norms, np.array([end]))[0] == [found]
         returned += end < len(shapes)
     assert len(windows) >= 10 and 0 < returned < len(windows)
 

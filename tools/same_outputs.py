@@ -30,6 +30,8 @@ COMMANDS = {
     "sweep@20260826": ["sweep", "--seed", "20260826", "--trials", "10000"],
     # acceptance criterion 6's own command, so that its outputs are compared byte for byte
     "theorem2": ["theorem2", "--seed", "20260826", "--trials", "10000"],
+    # a second seed of the padded d = 2 turn path: 326 quasi-periodic stops in one lockstep group
+    "theorem2@d2": ["theorem2", "--d", "2", "--seed", "7", "--trials", "2000"],
     "rank-table": ["rank-table", "--n", "6", "--d", "2", "--graph", "er", "--edge-prob", "0.57",
                    "--trials", "2000", "--seed", "12345"],
     "audit": ["audit", "--n", "4", "--d", "3", "--count", "20", "--seed", "1"],
